@@ -56,7 +56,7 @@ from .measures import (
     steering_witness_matrix,
     witness_arguments,
 )
-from .sweep import ConfigError, SweepConfig, monogamy_grid, sweep_records, verify_grid
+from .sweep import ConfigError, SweepConfig, monogamy_grid, sweep_blocks, verify_grid
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,7 @@ __all__ = [
     "steerability",
     "steering_asymmetry",
     "steering_witness_matrix",
-    "sweep_records",
+    "sweep_blocks",
     "tensor",
     "tripartite_state",
     "verify_grid",

@@ -11,16 +11,18 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
 from .dilaton import RootNotFoundError, critical_dilatons, find_critical_numeric
 from .sweep import (
     ALL_PAIRS,
+    DEFAULT_OMEGAS,
     ConfigError,
     SweepConfig,
+    check_mass_and_omegas,
     monogamy_grid,
-    sweep_records,
     verify_grid,
     write_csv,
     write_json,
@@ -32,7 +34,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 CRITICAL_TOL = 1e-6
-_DEFAULT_OMEGAS = (0.5, 1.0, 1.5, 2.0)
 
 
 def _float_list(text: str):
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--omega",
         type=_float_list,
-        default=list(_DEFAULT_OMEGAS),
+        default=list(DEFAULT_OMEGAS),
         metavar="F,F,...",
         help="mode frequencies (comma separated)",
     )
@@ -126,22 +127,14 @@ def _config(args) -> SweepConfig:
     return cfg
 
 
-def _check_scalar_params(args) -> None:
-    if not args.mass > 0.0:
-        raise ConfigError(f"mass must be positive, got {args.mass}")
-    if any(not w > 0.0 for w in args.omega):
-        raise ConfigError(f"omegas must all be positive, got {args.omega}")
-
-
 def cmd_sweep(args) -> int:
     cfg = _config(args)
-    header, rows = sweep_records(cfg)
     writer = write_csv if cfg.fmt == "csv" else write_json
     if cfg.out is None:
-        writer(header, rows, sys.stdout)
+        writer(cfg, sys.stdout)
     else:
         with open(cfg.out, "w", encoding="utf-8", newline="") as stream:
-            writer(header, rows, stream)
+            writer(cfg, stream)
     return EXIT_OK
 
 
@@ -166,7 +159,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    _check_scalar_params(args)
+    check_mass_and_omegas(args.mass, args.omega)
     all_ok = True
     for omega in sorted(args.omega):
         points = critical_dilatons(args.mass, omega)
@@ -213,7 +206,7 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _check_scalar_params(args)
+    check_mass_and_omegas(args.mass, args.omega)
     for omega in sorted(args.omega):
         points = critical_dilatons(args.mass, omega)
         mass = args.mass
@@ -240,7 +233,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at exit, so a closed pipe lands in the handler below.
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -248,7 +244,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # The reader went away (`sweep | head`). The unwritten rest of
+            # stdout goes to devnull, so the flush at exit cannot raise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
         return EXIT_IO
 
 

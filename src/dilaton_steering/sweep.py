@@ -1,9 +1,11 @@
-"""Grid sweeps over the dilaton charge: records, verification, output.
+"""Grid sweeps over the dilaton charge: columns, verification, output.
 
-A sweep record is one (omega, dilaton) grid point; its columns are fixed
-by `columns()` and written either as CSV (17 significant digits, '\\n'
-line endings) or as a JSON array of objects with native numbers. Output
-is deterministic: identical configurations produce identical bytes.
+A sweep row is one (omega, dilaton) grid point; its columns are fixed by
+`columns()`. `sweep_blocks` yields them as numpy columns, one block per
+omega, and the writers stream them in row slices either as CSV (17
+significant digits, '\\n' line endings) or as a JSON array of objects
+with native numbers. Output is deterministic: identical configurations
+produce identical bytes.
 
 The grid engine is vectorized end to end. The closed-form route uses the
 analytic expressions in the thermal argument; the pipeline route builds
@@ -13,7 +15,6 @@ kernels. `verify_grid` compares the two at a 1e-10 gate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .dilaton import (
     critical_dilatons,
     monogamy_residual_arrays,
 )
+from .measures import STEERING_ZERO_THRESHOLD
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
 MEASURE_FIELDS = (
@@ -50,11 +52,21 @@ _VERIFY_KEYS = (
     "bell_max",
 )
 
-_DEFAULT_OMEGAS = (0.5, 1.0, 1.5, 2.0)
+DEFAULT_OMEGAS = (0.5, 1.0, 1.5, 2.0)
 
 
 class ConfigError(ValueError):
     """A sweep configuration violates its invariants."""
+
+
+def check_mass_and_omegas(mass, omegas) -> None:
+    """Reject a mass or a frequency that is not positive and finite."""
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ConfigError(f"mass must be positive and finite, got {mass}")
+    if not omegas:
+        raise ConfigError("at least one omega is required")
+    if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):
+        raise ConfigError(f"omegas must all be positive and finite, got {list(omegas)}")
 
 
 @dataclass
@@ -66,7 +78,7 @@ class SweepConfig:
     """
 
     mass: float = 1.0
-    omegas: tuple = _DEFAULT_OMEGAS
+    omegas: tuple = DEFAULT_OMEGAS
     d_min: float = 0.0
     d_max: float | None = None
     points: int = 2001
@@ -79,12 +91,7 @@ class SweepConfig:
         return self.mass * (1.0 - 1e-6) if self.d_max is None else self.d_max
 
     def validate(self) -> None:
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ConfigError(f"mass must be positive and finite, got {self.mass}")
-        if not self.omegas:
-            raise ConfigError("at least one omega is required")
-        if any(not (w > 0.0 and math.isfinite(w)) for w in self.omegas):
-            raise ConfigError(f"omegas must all be positive, got {list(self.omegas)}")
+        check_mass_and_omegas(self.mass, self.omegas)
         if self.points < 2:
             raise ConfigError(f"points must be >= 2, got {self.points}")
         if not (0.0 <= self.d_min < self.resolved_d_max < self.mass):
@@ -172,7 +179,7 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None)
     }
 
 
-def _regime_labels(s_forward, s_backward, threshold=1e-12) -> np.ndarray:
+def _regime_labels(s_forward, s_backward, threshold=STEERING_ZERO_THRESHOLD) -> np.ndarray:
     fwd = s_forward > threshold
     bwd = s_backward > threshold
     return np.where(
@@ -182,74 +189,104 @@ def _regime_labels(s_forward, s_backward, threshold=1e-12) -> np.ndarray:
     )
 
 
-# --- records --------------------------------------------------------------
+# --- blocks and writers ---------------------------------------------------
+
+# Rows per formatted write: the writers hold one slice of text at a time,
+# so their memory does not grow with the grid.
+SLICE_ROWS = 4096
 
 
-def sweep_records(cfg: SweepConfig):
-    """All sweep rows in ascending (omega, dilaton) order.
+def sweep_blocks(cfg: SweepConfig):
+    """Yield the sweep one omega at a time, in ascending omega.
 
-    Returns (header, rows) where each row is a dict keyed by the header
-    columns. Monogamy residuals are always computed from all three
-    bipartitions, regardless of which pair columns were requested.
+    Each block maps every column of `columns(cfg.pairs)` to an array over
+    the dilaton grid: floats, regime labels as strings, and the monogamy
+    validity flags as booleans. Monogamy residuals are always computed
+    from all three bipartitions, regardless of which pair columns were
+    requested.
     """
     cfg.validate()
-    header = columns(cfg.pairs)
     dgrid = cfg.dilaton_grid()
-    rows = []
     for omega in cfg.sorted_omegas():
         x, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
         closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
-        labels = {
-            pair: _regime_labels(closed[pair]["s_forward"], closed[pair]["s_backward"])
-            for pair in cfg.pairs
-        }
         d0 = critical_dilatons(cfg.mass, omega).d0
         mono = monogamy_residual_arrays(
             closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dgrid, d0
         )
-        for i in range(len(dgrid)):
-            row = {"omega": omega, "dilaton": float(dgrid[i]), "x": float(x[i])}
-            for pair in ALL_PAIRS:
-                if pair not in cfg.pairs:
-                    continue
-                vals = closed[pair]
-                prefix = pair.value
-                row[f"{prefix}_s_forward"] = float(vals["s_forward"][i])
-                row[f"{prefix}_s_backward"] = float(vals["s_backward"][i])
-                row[f"{prefix}_bell_max"] = float(vals["bell_max"][i])
-                row[f"{prefix}_bell_branch2"] = float(vals["bell_branch2"][i])
-                row[f"{prefix}_concurrence"] = float(vals["concurrence"][i])
-                row[f"{prefix}_asymmetry"] = float(vals["asymmetry"][i])
-                row[f"{prefix}_regime"] = str(labels[pair][i])
-            valid = bool(mono["valid"][i])
-            row["r1"] = float(mono["r1"][i])
-            row["r2"] = float(mono["r2"][i])
-            row["r3"] = float(mono["r3"][i])
-            row["r4"] = float(mono["r4"][i])
-            row["r3_valid"] = valid
-            row["r4_valid"] = valid
-            rows.append(row)
-    return header, rows
+        block = {"omega": np.full(dgrid.shape, omega), "dilaton": dgrid, "x": x}
+        for pair in ALL_PAIRS:
+            if pair not in cfg.pairs:
+                continue
+            vals = closed[pair]
+            vals["regime"] = _regime_labels(vals["s_forward"], vals["s_backward"])
+            for name in MEASURE_FIELDS:
+                block[f"{pair.value}_{name}"] = vals[name]
+        for name in ("r1", "r2", "r3", "r4"):
+            block[name] = mono[name]
+        block["r3_valid"] = block["r4_valid"] = mono["valid"]
+        yield block
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _slices(cfg: SweepConfig, header):
+    """Row slices of at most SLICE_ROWS rows, as one array per header column."""
+    for block in sweep_blocks(cfg):
+        arrays = [block[name] for name in header]
+        for start in range(0, len(arrays[0]), SLICE_ROWS):
+            yield [a[start : start + SLICE_ROWS] for a in arrays]
 
 
-def write_csv(header, rows, stream) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(row[k]) for k in header) + "\n")
+def _cells(array) -> list:
+    if array.dtype == bool:
+        array = np.where(array, "true", "false")
+    return array.tolist()
 
 
-def write_json(header, rows, stream) -> None:
-    ordered = [{k: row[k] for k in header} for row in rows]
-    json.dump(ordered, stream, indent=2)
-    stream.write("\n")
+def _json_number(value) -> str:
+    # json spells the non-finite floats as JavaScript constants.
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return repr(value)
+
+
+def write_csv(cfg: SweepConfig, stream) -> None:
+    """Write the sweep as CSV: 17 significant digits, '\\n' line endings."""
+    header = columns(cfg.pairs)
+    # The header goes out with the first slice, after the config validated.
+    head = ",".join(header) + "\n"
+    for arrays in _slices(cfg, header):
+        template = ",".join("%s" if a.dtype.kind in "bU" else "%.17g" for a in arrays) + "\n"
+        stream.write(head + "".join(map(template.__mod__, zip(*map(_cells, arrays)))))
+        head = ""
+
+
+def write_json(cfg: SweepConfig, stream) -> None:
+    """Write the sweep as a JSON array of objects, as `json.dump(indent=2)` would."""
+    header = columns(cfg.pairs)
+    sep = "[\n"
+    for arrays in _slices(cfg, header):
+        specs, cells = [], []
+        for a in arrays:
+            values = _cells(a)
+            if a.dtype.kind == "U":
+                specs.append('"%s"')
+            elif a.dtype.kind == "b":
+                specs.append("%s")
+            elif np.isfinite(a).all():
+                specs.append("%r")
+            else:
+                specs.append("%s")
+                values = [_json_number(v) for v in values]
+            cells.append(values)
+        fields = ",\n".join(f'    "{name}": {spec}' for name, spec in zip(header, specs))
+        template = "  {\n" + fields + "\n  }"
+        stream.write(sep + ",\n".join(map(template.__mod__, zip(*cells))))
+        sep = ",\n"
+    stream.write("\n]\n")
 
 
 # --- verification ---------------------------------------------------------

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dilaton_steering
 from dilaton_steering import cli, sweep
+
+CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
 
 
 def run(capsys, *argv):
@@ -73,6 +80,24 @@ class TestSweepCommand:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("merged", [True, False], ids=["stderr-merged", "stderr-apart"])
+    def test_closed_pipe_exits_3(self, merged):
+        # `sweep | head -1`: the reader closes after one line, mid-stream.
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        for _ in range(3):
+            with subprocess.Popen(
+                [sys.executable, "-c", CLI, "sweep"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT if merged else subprocess.PIPE,
+                env=env,
+            ) as proc:
+                assert proc.stdout.readline().startswith(b"omega,")
+                proc.stdout.close()
+                err = b"" if merged else proc.stderr.read()
+                assert proc.wait(timeout=60) == 3, err
+            if not merged:
+                assert b"error" in err and b"Traceback" not in err
+
     def test_malformed_flag_value_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--omega", "abc"])
@@ -121,6 +146,20 @@ class TestCriticalCommand:
         code, out, _ = run(capsys, "critical", "--mass", "2", "--omega", "1")
         assert code == 0
         assert "1.97814380" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical", "--omega", "inf"),
+            ("critical", "--mass", "inf"),
+            ("classify", "--omega", "inf"),
+        ],
+    )
+    def test_non_finite_parameters_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestMonogamyCommand:

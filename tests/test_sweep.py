@@ -12,7 +12,7 @@ from dilaton_steering.sweep import (
     columns,
     monogamy_grid,
     pipeline_measure_arrays,
-    sweep_records,
+    sweep_blocks,
     verify_grid,
     write_csv,
     write_json,
@@ -28,10 +28,15 @@ GOLDEN_HEADER = (
 
 
 def render_csv(cfg):
-    header, rows = sweep_records(cfg)
     buf = io.StringIO()
-    write_csv(header, rows, buf)
+    write_csv(cfg, buf)
     return buf.getvalue()
+
+
+def sweep_columns(cfg):
+    """All sweep blocks joined into one array per column, in row order."""
+    blocks = list(sweep_blocks(cfg))
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
 
 
 class TestConfig:
@@ -82,74 +87,78 @@ class TestRecords:
         assert cols[-6:] == ["r1", "r2", "r3", "r4", "r3_valid", "r4_valid"]
 
     def test_grid_shape_and_order(self):
-        header, rows = sweep_records(SweepConfig(points=2, omegas=(2.0, 0.5)))
-        assert len(rows) == 4
-        keys = [(r["omega"], r["dilaton"]) for r in rows]
+        cfg = SweepConfig(points=2, omegas=(2.0, 0.5))
+        blocks = list(sweep_blocks(cfg))
+        assert [list(block) for block in blocks] == [columns(cfg.pairs)] * 2
+        cols = sweep_columns(cfg)
+        assert len(cols["omega"]) == 4
+        keys = list(zip(cols["omega"].tolist(), cols["dilaton"].tolist()))
         assert keys == sorted(keys)
-        assert rows[0]["omega"] == 0.5 and rows[-1]["omega"] == 2.0
+        assert cols["omega"][0] == 0.5 and cols["omega"][-1] == 2.0
 
     def test_x_column(self):
-        _, rows = sweep_records(SweepConfig(points=3, omegas=(1.5,), mass=2.0, d_max=1.0))
-        for row in rows:
-            assert abs(row["x"] - 8.0 * math.pi * (2.0 - row["dilaton"]) * 1.5) < 1e-12
+        cols = sweep_columns(SweepConfig(points=3, omegas=(1.5,), mass=2.0, d_max=1.0))
+        for x, dilaton in zip(cols["x"], cols["dilaton"]):
+            assert abs(x - 8.0 * math.pi * (2.0 - dilaton) * 1.5) < 1e-12
 
     def test_first_record_near_unit_forward_steering(self):
         # At D = 0 the forward steering deficit is ~e^{-4 pi omega}; within
         # 1e-5 of 1 for omega = 0.5 and within 1e-9 for omega = 2.
-        _, rows = sweep_records(SweepConfig(points=2))
-        first = rows[0]
-        assert first["omega"] == 0.5 and first["dilaton"] == 0.0
-        assert abs(first["ab_s_forward"] - 1.0) < 1e-5
-        by_omega = {(r["omega"], r["dilaton"]): r for r in rows}
-        assert abs(by_omega[(2.0, 0.0)]["ab_s_forward"] - 1.0) < 1e-9
+        cols = sweep_columns(SweepConfig(points=2))
+        assert cols["omega"][0] == 0.5 and cols["dilaton"][0] == 0.0
+        assert abs(cols["ab_s_forward"][0] - 1.0) < 1e-5
+        by_omega = {
+            (w, d): i for i, (w, d) in enumerate(zip(cols["omega"], cols["dilaton"]))
+        }
+        assert abs(cols["ab_s_forward"][by_omega[(2.0, 0.0)]] - 1.0) < 1e-9
 
     def test_last_record_bell_approaches_local_bound(self):
         # At D = mass (1 - 1e-6) the exterior Bell signal sits ~x/2 above
         # 2, i.e. within 5e-5 of 2 for all default frequencies.
-        _, rows = sweep_records(SweepConfig(points=2))
-        last = rows[-1]
-        assert last["omega"] == 2.0
-        assert abs(last["ab_bell_max"] - 2.0) < 5e-5
+        cols = sweep_columns(SweepConfig(points=2))
+        assert cols["omega"][-1] == 2.0
+        assert abs(cols["ab_bell_max"][-1] - 2.0) < 5e-5
 
     def test_regime_columns(self):
-        _, rows = sweep_records(SweepConfig(points=5, omegas=(1.0,)))
-        for row in rows:
-            assert row["ab_regime"] == "two_way"
-            assert row["abbar_regime"] in ("one_way_fwd", "two_way")
-            assert row["bbbar_regime"] in ("one_way_fwd", "no_way")
+        cols = sweep_columns(SweepConfig(points=5, omegas=(1.0,)))
+        for ab, abbar, bbbar in zip(cols["ab_regime"], cols["abbar_regime"], cols["bbbar_regime"]):
+            assert ab == "two_way"
+            assert abbar in ("one_way_fwd", "two_way")
+            assert bbbar in ("one_way_fwd", "no_way")
 
     def test_monogamy_columns_survive_pair_subset(self):
-        _, rows = sweep_records(SweepConfig(points=3, omegas=(1.0,), pairs=(Pair.AB,)))
-        for row in rows:
-            assert "r1" in row and "r3_valid" in row
-            assert "abbar_s_forward" not in row
+        for block in sweep_blocks(SweepConfig(points=3, omegas=(1.0,), pairs=(Pair.AB,))):
+            assert "r1" in block and "r3_valid" in block
+            assert "abbar_s_forward" not in block
 
     def test_all_numeric_fields_finite(self):
-        header, rows = sweep_records(SweepConfig(points=7))
-        for row in rows:
-            for key in header:
-                value = row[key]
-                if isinstance(value, float):
-                    assert math.isfinite(value), key
+        cfg = SweepConfig(points=7)
+        for block in sweep_blocks(cfg):
+            for key in columns(cfg.pairs):
+                if block[key].dtype.kind == "f":
+                    assert np.isfinite(block[key]).all(), key
 
 
 class TestSerialization:
     def test_csv_cells_round_trip(self):
         cfg = SweepConfig(points=4, omegas=(1.0,))
-        header, rows = sweep_records(cfg)
+        header = columns(cfg.pairs)
+        cols = sweep_columns(cfg)
         text = render_csv(cfg)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(header)
-        for line, row in zip(lines[1:], rows):
+        assert len(lines) == 1 + len(cols["omega"])
+        for i, line in enumerate(lines[1:]):
             cells = line.split(",")
             for key, cell in zip(header, cells):
-                if isinstance(row[key], float):
-                    assert float(cell) == row[key]
-                elif isinstance(row[key], bool):
+                value = cols[key][i]
+                if cols[key].dtype.kind == "f":
+                    assert float(cell) == value
+                elif cols[key].dtype == bool:
                     assert cell in ("true", "false")
-                    assert (cell == "true") == row[key]
+                    assert (cell == "true") == value
                 else:
-                    assert cell == row[key]
+                    assert cell == value
 
     def test_csv_uses_unix_line_endings(self):
         text = render_csv(SweepConfig(points=2, omegas=(1.0,)))
@@ -162,16 +171,15 @@ class TestSerialization:
 
     def test_json_structure(self):
         cfg = SweepConfig(points=2, omegas=(1.0,), fmt="json")
-        header, rows = sweep_records(cfg)
         buf = io.StringIO()
-        write_json(header, rows, buf)
+        write_json(cfg, buf)
         parsed = json.loads(buf.getvalue())
         assert isinstance(parsed, list) and len(parsed) == 2
-        assert list(parsed[0].keys()) == header
+        assert list(parsed[0].keys()) == columns(cfg.pairs)
         assert isinstance(parsed[0]["ab_s_forward"], float)
         assert isinstance(parsed[0]["ab_regime"], str)
         assert isinstance(parsed[0]["r3_valid"], bool)
-        assert parsed[0]["ab_s_forward"] == rows[0]["ab_s_forward"]
+        assert parsed[0]["ab_s_forward"] == sweep_columns(cfg)["ab_s_forward"][0]
 
 
 class TestVerifyGrid:

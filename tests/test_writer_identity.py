@@ -1,0 +1,119 @@
+"""The streaming writers against the row-dict writers they replaced.
+
+`row_writer_oracle` holds the previous implementation: one dict per row
+and one format call per cell. Every output here must match it byte for
+byte.
+"""
+
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import row_writer_oracle as oracle
+from dilaton_steering.dilaton import Pair
+from dilaton_steering.sweep import (
+    ALL_PAIRS,
+    SLICE_ROWS,
+    ConfigError,
+    SweepConfig,
+    write_csv,
+    write_json,
+)
+
+WRITERS = {"csv": (write_csv, oracle.write_csv), "json": (write_json, oracle.write_json)}
+
+
+def render(cfg, fmt):
+    new, _ = WRITERS[fmt]
+    buf = io.StringIO()
+    new(cfg, buf)
+    return buf.getvalue()
+
+
+def render_oracle(cfg, fmt):
+    _, old = WRITERS[fmt]
+    header, rows = oracle.sweep_records(cfg)
+    buf = io.StringIO()
+    old(header, rows, buf)
+    return buf.getvalue()
+
+
+def assert_identical(cfg, fmt):
+    assert render(cfg, fmt) == render_oracle(cfg, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestByteIdentity:
+    def test_default_grid(self, fmt):
+        assert_identical(SweepConfig(), fmt)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.value)
+    def test_single_pair(self, fmt, pair):
+        assert_identical(SweepConfig(points=101, pairs=(pair,)), fmt)
+
+    def test_reversed_omegas(self, fmt):
+        assert_identical(SweepConfig(points=101, omegas=(2.0, 1.5, 1.0, 0.5)), fmt)
+
+    def test_two_points(self, fmt):
+        assert_identical(SweepConfig(points=2), fmt)
+
+    @pytest.mark.parametrize("points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1])
+    def test_slice_boundaries(self, fmt, points):
+        assert_identical(SweepConfig(points=points, omegas=(1.0,)), fmt)
+
+    def test_overflowing_thermal_argument(self, fmt):
+        # x = 8 pi (M - D) omega overflows to inf; json spells it Infinity.
+        assert_identical(SweepConfig(mass=1e300, omegas=(1e10,), points=3), fmt)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mass=st.floats(-300, 300).map(lambda e: 10.0**e),
+    omegas=st.lists(st.floats(-300, 300).map(lambda e: 10.0**e), min_size=1, max_size=3),
+    points=st.integers(2, 40),
+    pairs=st.sets(st.sampled_from(ALL_PAIRS), min_size=1).map(tuple),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_property_matches_oracle(mass, omegas, points, pairs, fmt):
+    cfg = SweepConfig(mass=mass, omegas=tuple(omegas), points=points, pairs=pairs)
+    assert_identical(cfg, fmt)
+
+
+# Data rows in one chunk of output; the CSV header rides on the first slice.
+ROWS_IN = {
+    "csv": lambda text: text.count("\n") - text.startswith("omega,"),
+    "json": lambda text: text.count("{"),
+}
+
+
+class _Sink:
+    """Text stream that keeps only the row count of its largest write."""
+
+    def __init__(self, fmt):
+        self.rows_in = ROWS_IN[fmt]
+        self.writes = 0
+        self.max_rows = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.max_rows = max(self.max_rows, self.rows_in(text))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_largest_write_is_one_slice(fmt):
+    points = 20001
+    cfg = SweepConfig(points=points, pairs=(Pair.AB,))
+    sink = _Sink(fmt)
+    WRITERS[fmt][0](cfg, sink)
+    assert sink.max_rows == SLICE_ROWS
+    assert sink.writes >= len(cfg.omegas) * -(-points // SLICE_ROWS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_invalid_config_writes_nothing(fmt):
+    buf = io.StringIO()
+    with pytest.raises(ConfigError):
+        WRITERS[fmt][0](SweepConfig(points=1), buf)
+    assert buf.getvalue() == ""
