@@ -5,9 +5,8 @@ The package provides exact small density-matrix arithmetic (`density`),
 the two-qubit measure toolkit with independent closed-form and
 general-matrix routes (`measures`), the dilaton state family with its
 critical points and monogamy identities (`dilaton`), and a deterministic
-sweep engine plus CLI (`sweep`, `cli`). Hot batch kernels live in
-`kernels` with a numba fast path and a numpy fallback selected by the
-DILATON_STEERING_NO_NUMBA environment variable.
+sweep engine plus CLI (`sweep`, `cli`). The batch numpy kernels of the
+density-matrix route live in `kernels`.
 """
 
 from .density import (

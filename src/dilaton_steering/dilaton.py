@@ -23,16 +23,15 @@ import numpy as np
 
 from . import measures
 from .density import DensityMatrix, PureState, XState, as_xstate, from_pure, partial_trace
+from .kernels import SQRT3
 from .measures import Direction, MeasureSet, classify_from_values
-
-SQRT3 = math.sqrt(3.0)
 
 # Thermal arguments of the three critical dilaton values (mass- and
 # frequency-independent): birth of the backward exterior-interior
 # steering, peak of the horizon-pair steering, and its death.
-X_BIRTH = math.log(math.sqrt(3.0))
-X_PEAK = math.log(2.0 + math.sqrt(3.0))
-X_DEATH = -math.log(math.sqrt(3.0) - 1.0)
+X_BIRTH = math.log(SQRT3)
+X_PEAK = math.log(2.0 + SQRT3)
+X_DEATH = -math.log(SQRT3 - 1.0)
 
 
 class Pair(Enum):
@@ -43,7 +42,8 @@ class Pair(Enum):
     BBBAR = "bbbar"
 
 
-_KEEP = {Pair.AB: (0, 1), Pair.ABBAR: (0, 2), Pair.BBBAR: (1, 2)}
+# Modes kept by the partial trace down to each bipartition.
+PAIR_MODES = {Pair.AB: (0, 1), Pair.ABBAR: (0, 2), Pair.BBBAR: (1, 2)}
 
 
 class RootNotFoundError(ValueError):
@@ -136,9 +136,11 @@ def bogoliubov(p: DilatonParams) -> BogoliubovAmplitudes:
 def amplitude_arrays(mass, omega, dilatons):
     """Vectorized mode-mixing amplitudes over a dilaton grid.
 
-    Returns (x, c^2, s^2, c, s) as float64 arrays.
+    Returns (x, c^2, s^2, c, s) as float64 arrays. Where x overflows it
+    is inf, the right limit: then c = 1 and s = 0.
     """
-    x = 8.0 * np.pi * (mass - np.asarray(dilatons, dtype=np.float64)) * omega
+    with np.errstate(over="ignore"):
+        x = 8.0 * np.pi * (mass - np.asarray(dilatons, dtype=np.float64)) * omega
     u = np.exp(-x)
     c2 = 1.0 / (1.0 + u)
     s2 = u / (1.0 + u)
@@ -158,7 +160,7 @@ def tripartite_state(p: DilatonParams) -> DensityMatrix:
 
 def reduced(p: DilatonParams, pair: Pair) -> XState:
     """Two-mode reduced state of the chosen bipartition, in X form."""
-    return as_xstate(partial_trace(tripartite_state(p), _KEEP[pair]))
+    return as_xstate(partial_trace(tripartite_state(p), PAIR_MODES[pair]))
 
 
 def closed_xparams(c2, s2, c, s, pair: Pair):
@@ -243,7 +245,7 @@ def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
     X parameters, spin-flip concurrence and correlation-matrix CHSH on
     the matrix itself.
     """
-    rho = partial_trace(tripartite_state(p), _KEEP[pair])
+    rho = partial_trace(tripartite_state(p), PAIR_MODES[pair])
     st = as_xstate(rho)
     fwd = measures.steerability(st, Direction.A_TO_B)
     bwd = measures.steerability(st, Direction.B_TO_A)

@@ -1,18 +1,16 @@
-"""Batch kernels for the hot numeric paths.
+"""Batch kernels for the hot numeric paths, in numpy.
 
-Each kernel exists twice: a pure-numpy reference (`*_numpy`) and a numba
-loop compiled with @njit. The module-level names dispatch to the numba
-build when it is importable; set DILATON_STEERING_NO_NUMBA=1 to force the
-numpy fallback. `benchmarks/bench_kernels.py` times the two side by side.
-
-All kernels take stacked float64/complex128 arrays and perform no
-validation; validated single-state entry points live in `measures`.
+`xstate_measures`, `spinflip_concurrence` and `chsh_max` take stacked
+float64/complex128 arrays and perform no validation; validated
+single-state entry points live in `measures`. `l_triple` and
+`witness_margins` are plain arithmetic, so `measures` calls them with
+floats and `xstate_measures` with arrays: the scalar and batch
+steering witnesses share one definition.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -35,72 +33,47 @@ PAULI_KRON = np.stack([np.kron(a, b) for a in (_SX, _SY, _SZ) for b in (_SX, _SY
 PAULI_KRON.setflags(write=False)
 
 
-def _env_disables_numba() -> bool:
-    flag = os.environ.get("DILATON_STEERING_NO_NUMBA", "").strip().lower()
-    return flag in {"1", "true", "yes", "on"}
+def l_triple(d11, d22, d33, d44):
+    """Quadratic diagonal combinations (la, lb, lc) of the steering witness."""
+    cross = 0.25 * (d11 + d44) * (d22 + d33)
+    p14 = d11 * d44
+    p23 = d22 * d33
+    return (
+        _LA_SMALL * p14 + _LA_BIG * p23 + cross,
+        0.25 * (d11 - d44) * (d22 - d33),
+        _LA_BIG * p14 + _LA_SMALL * p23 + cross,
+    )
 
 
-try:
-    if _env_disables_numba():
-        raise ImportError("numba disabled by DILATON_STEERING_NO_NUMBA")
-    from numba import njit
+def witness_margins(d11, d22, d33, d44, a14, a23):
+    """Unclamped steering-witness margins in both directions.
 
-    USING_NUMBA = True
-except ImportError:
-    njit = None
-    USING_NUMBA = False
+    a14 and a23 are coherence moduli. Returns ((w1, w2) forward,
+    (w1, w2) backward), forward meaning the first qubit steers the
+    second; steering is witnessed where either margin is positive.
+    """
+    la, lb, lc = l_triple(d11, d22, d33, d44)
+    q14 = a14 * a14
+    q23 = a23 * a23
+    return (q14 - la - lb, q23 - lc - lb), (q14 - la + lb, q23 - lc + lb)
 
 
-def xstate_measures_numpy(d11, d22, d33, d44, a14, a23):
+def xstate_measures(d11, d22, d33, d44, a14, a23):
     """Closed-form X-state measures for stacked parameters.
 
     a14 and a23 are coherence moduli. Returns five arrays:
     (steer_forward, steer_backward, bell_branch1, bell_branch2, concurrence),
     with forward meaning the first qubit steers the second.
     """
-    q14 = a14 * a14
-    q23 = a23 * a23
-    cross = 0.25 * (d11 + d44) * (d22 + d33)
-    p14 = d11 * d44
-    p23 = d22 * d33
-    la = _LA_SMALL * p14 + _LA_BIG * p23 + cross
-    lc = _LA_BIG * p14 + _LA_SMALL * p23 + cross
-    lb = 0.25 * (d11 - d44) * (d22 - d33)
-    s_fwd = np.maximum(0.0, STEER_SCALE * np.maximum(q14 - la - lb, q23 - lc - lb))
-    s_bwd = np.maximum(0.0, STEER_SCALE * np.maximum(q14 - la + lb, q23 - lc + lb))
+    fwd, bwd = witness_margins(d11, d22, d33, d44, a14, a23)
+    s_fwd = np.maximum(0.0, STEER_SCALE * np.maximum(*fwd))
+    s_bwd = np.maximum(0.0, STEER_SCALE * np.maximum(*bwd))
     k1 = 4.0 * (a14 + a23) ** 2
     k2 = 4.0 * (a14 - a23) ** 2
     k3 = (d11 - d22 - d33 + d44) ** 2
     b1 = 2.0 * np.sqrt(k1 + k2)
     b2 = 2.0 * np.sqrt(k1 + k3)
-    conc = 2.0 * np.maximum(0.0, np.maximum(a14 - np.sqrt(p23), a23 - np.sqrt(p14)))
-    return s_fwd, s_bwd, b1, b2, conc
-
-
-def _xstate_measures_loop(d11, d22, d33, d44, a14, a23):
-    n = d11.shape[0]
-    s_fwd = np.empty(n)
-    s_bwd = np.empty(n)
-    b1 = np.empty(n)
-    b2 = np.empty(n)
-    conc = np.empty(n)
-    for i in range(n):
-        q14 = a14[i] * a14[i]
-        q23 = a23[i] * a23[i]
-        cross = 0.25 * (d11[i] + d44[i]) * (d22[i] + d33[i])
-        p14 = d11[i] * d44[i]
-        p23 = d22[i] * d33[i]
-        la = _LA_SMALL * p14 + _LA_BIG * p23 + cross
-        lc = _LA_BIG * p14 + _LA_SMALL * p23 + cross
-        lb = 0.25 * (d11[i] - d44[i]) * (d22[i] - d33[i])
-        s_fwd[i] = max(0.0, STEER_SCALE * max(q14 - la - lb, q23 - lc - lb))
-        s_bwd[i] = max(0.0, STEER_SCALE * max(q14 - la + lb, q23 - lc + lb))
-        k1 = 4.0 * (a14[i] + a23[i]) ** 2
-        k2 = 4.0 * (a14[i] - a23[i]) ** 2
-        k3 = (d11[i] - d22[i] - d33[i] + d44[i]) ** 2
-        b1[i] = 2.0 * math.sqrt(k1 + k2)
-        b2[i] = 2.0 * math.sqrt(k1 + k3)
-        conc[i] = 2.0 * max(0.0, a14[i] - math.sqrt(p23), a23[i] - math.sqrt(p14))
+    conc = 2.0 * np.maximum(0.0, np.maximum(a14 - np.sqrt(d22 * d33), a23 - np.sqrt(d11 * d44)))
     return s_fwd, s_bwd, b1, b2, conc
 
 
@@ -110,7 +83,7 @@ def _xstate_measures_loop(d11, d22, d33, d44, a14, a23):
 _EIG_CLIP = 64.0 * np.finfo(np.float64).eps
 
 
-def spinflip_concurrence_numpy(rhos):
+def spinflip_concurrence(rhos):
     """Spin-flip concurrence for a stack of 4x4 density matrices.
 
     The flipped-overlap spectrum is obtained as the singular values of
@@ -125,25 +98,7 @@ def spinflip_concurrence_numpy(rhos):
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
-def _spinflip_concurrence_loop(rhos):
-    n = rhos.shape[0]
-    out = np.empty(n)
-    flip = SPIN_FLIP
-    for i in range(n):
-        e, v = np.linalg.eigh(rhos[i])
-        clip = _EIG_CLIP * e[3]
-        ell = np.empty((4, 4), dtype=np.complex128)
-        for j in range(4):
-            scale = math.sqrt(e[j]) if e[j] > clip else 0.0
-            for k in range(4):
-                ell[k, j] = v[k, j] * scale
-        a = ell.T.copy() @ flip @ ell
-        lam = np.linalg.svd(a, full_matrices=False)[1]
-        out[i] = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-    return out
-
-
-def chsh_max_numpy(rhos):
+def chsh_max(rhos):
     """Maximal CHSH signal for a stack of 4x4 density matrices.
 
     Builds the 3x3 correlation matrix T of each state and returns
@@ -153,50 +108,3 @@ def chsh_max_numpy(rhos):
     k = np.einsum("nij,nik->njk", t, t)
     ev = np.linalg.eigvalsh(k)
     return 2.0 * np.sqrt(np.maximum(0.0, ev[:, 1] + ev[:, 2]))
-
-
-def _chsh_max_loop(rhos):
-    n = rhos.shape[0]
-    out = np.empty(n)
-    paulis = PAULI_KRON
-    for i in range(n):
-        r = rhos[i]
-        t = np.zeros((3, 3))
-        for a in range(3):
-            for b in range(3):
-                p = paulis[3 * a + b]
-                acc = 0.0
-                for row in range(4):
-                    for col in range(4):
-                        acc += (r[row, col] * p[col, row]).real
-                t[a, b] = acc
-        ev = np.linalg.eigvalsh(t.T @ t)
-        out[i] = 2.0 * math.sqrt(max(0.0, ev[1] + ev[2]))
-    return out
-
-
-if USING_NUMBA:
-    xstate_measures_numba = njit(cache=True)(_xstate_measures_loop)
-    spinflip_concurrence_numba = njit(cache=True)(_spinflip_concurrence_loop)
-    chsh_max_numba = njit(cache=True)(_chsh_max_loop)
-    xstate_measures = xstate_measures_numba
-    spinflip_concurrence = spinflip_concurrence_numba
-    chsh_max = chsh_max_numba
-else:
-    xstate_measures_numba = None
-    spinflip_concurrence_numba = None
-    chsh_max_numba = None
-    xstate_measures = xstate_measures_numpy
-    spinflip_concurrence = spinflip_concurrence_numpy
-    chsh_max = chsh_max_numpy
-
-
-def warmup():
-    """Trigger jit compilation of the dispatched kernels (numpy path: no-op)."""
-    d = np.array([0.5, 0.25])
-    z = np.zeros(2)
-    xstate_measures(d, z, z, 1.0 - d, 0.5 * d, z)
-    bell = np.zeros((1, 4, 4), dtype=np.complex128)
-    bell[0, 0, 0] = bell[0, 0, 3] = bell[0, 3, 0] = bell[0, 3, 3] = 0.5
-    spinflip_concurrence(bell)
-    chsh_max(bell)

@@ -9,7 +9,6 @@ CHSH signal work on the full density matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -18,8 +17,7 @@ import numpy as np
 
 from . import kernels
 from .density import DensityMatrix, XState, partial_trace, tensor
-
-SQRT3 = kernels.SQRT3
+from .kernels import SQRT3
 
 # Steerability below this counts as "not witnessed" when classifying regimes.
 STEERING_ZERO_THRESHOLD = 1e-12
@@ -81,14 +79,7 @@ class ChshBranches(NamedTuple):
 
 
 def l_triple(s: XState) -> LTriple:
-    cross = 0.25 * (s.d11 + s.d44) * (s.d22 + s.d33)
-    p14 = s.d11 * s.d44
-    p23 = s.d22 * s.d33
-    return LTriple(
-        la=0.5 * (2.0 - SQRT3) * p14 + 0.5 * (2.0 + SQRT3) * p23 + cross,
-        lb=0.25 * (s.d11 - s.d44) * (s.d22 - s.d33),
-        lc=0.5 * (2.0 + SQRT3) * p14 + 0.5 * (2.0 - SQRT3) * p23 + cross,
-    )
+    return LTriple(*kernels.l_triple(s.d11, s.d22, s.d33, s.d44))
 
 
 def witness_arguments(s: XState, direction: Direction) -> tuple[float, float]:
@@ -98,9 +89,8 @@ def witness_arguments(s: XState, direction: Direction) -> tuple[float, float]:
     witnessed. The steerability is the clamped, rescaled maximum of the
     two.
     """
-    t = l_triple(s)
-    lb = -t.lb if direction is Direction.A_TO_B else t.lb
-    return (abs(s.c14) ** 2 - t.la + lb, abs(s.c23) ** 2 - t.lc + lb)
+    fwd, bwd = kernels.witness_margins(s.d11, s.d22, s.d33, s.d44, abs(s.c14), abs(s.c23))
+    return fwd if direction is Direction.A_TO_B else bwd
 
 
 def steerability(s: XState, direction: Direction) -> float:
@@ -135,13 +125,15 @@ def classify_steering(s: XState, threshold: float = STEERING_ZERO_THRESHOLD) -> 
     )
 
 
+def _xstate_row(s: XState) -> list:
+    """The five `kernels.xstate_measures` values of one X state, as floats."""
+    params = (s.d11, s.d22, s.d33, s.d44, abs(s.c14), abs(s.c23))
+    return [float(v[0]) for v in kernels.xstate_measures(*(np.array([p]) for p in params))]
+
+
 def concurrence_x(s: XState) -> float:
     """Concurrence of an X state from its six parameters."""
-    return 2.0 * max(
-        0.0,
-        abs(s.c14) - math.sqrt(s.d22 * s.d33),
-        abs(s.c23) - math.sqrt(s.d11 * s.d44),
-    )
+    return _xstate_row(s)[4]
 
 
 def concurrence_general(m: DensityMatrix) -> float:
@@ -158,13 +150,7 @@ def concurrence_general(m: DensityMatrix) -> float:
 
 def chsh_max_x(s: XState) -> ChshBranches:
     """Maximal CHSH signal of an X state together with its two branches."""
-    a14 = abs(s.c14)
-    a23 = abs(s.c23)
-    k1 = 4.0 * (a14 + a23) ** 2
-    k2 = 4.0 * (a14 - a23) ** 2
-    k3 = (s.d11 - s.d22 - s.d33 + s.d44) ** 2
-    b1 = 2.0 * math.sqrt(k1 + k2)
-    b2 = 2.0 * math.sqrt(k1 + k3)
+    _, _, b1, b2, _ = _xstate_row(s)
     return ChshBranches(max(b1, b2), b1, b2)
 
 
@@ -197,16 +183,14 @@ def steering_witness_matrix(m: DensityMatrix, direction: Direction) -> DensityMa
 
 def measure_xstate(s: XState) -> MeasureSet:
     """All closed-form measures of one X state, bundled."""
-    fwd = steerability(s, Direction.A_TO_B)
-    bwd = steerability(s, Direction.B_TO_A)
-    branches = chsh_max_x(s)
+    fwd, bwd, b1, b2, conc = _xstate_row(s)
     return MeasureSet(
         s_forward=fwd,
         s_backward=bwd,
-        bell=branches.bell,
-        bell_branch1=branches.branch1,
-        bell_branch2=branches.branch2,
-        concurrence=concurrence_x(s),
+        bell=max(b1, b2),
+        bell_branch1=b1,
+        bell_branch2=b2,
+        concurrence=conc,
         asymmetry=abs(fwd - bwd),
         regime=classify_from_values(fwd, bwd),
     )

@@ -22,13 +22,14 @@ import numpy as np
 
 from . import kernels
 from .dilaton import (
+    PAIR_MODES,
     Pair,
     amplitude_arrays,
     closed_measure_arrays,
     critical_dilatons,
     monogamy_residual_arrays,
 )
-from .measures import STEERING_ZERO_THRESHOLD
+from .measures import STEERING_ZERO_THRESHOLD, Regime
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
 MEASURE_FIELDS = (
@@ -128,7 +129,6 @@ _PTRACE_SUBSCRIPTS = {
     (0, 2): "naxbcxd->nabcd",
     (1, 2): "nxabxcd->nabcd",
 }
-_KEEP = {Pair.AB: (0, 1), Pair.ABBAR: (0, 2), Pair.BBBAR: (1, 2)}
 
 
 def tripartite_batch(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -154,19 +154,19 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None)
 
     Accepts a precomputed tripartite stack to share it across pairs.
     `concurrence` is the spin-flip value and `bell_max` the
-    correlation-matrix value; `concurrence_x` and the branch values come
-    from the extracted X parameters.
+    correlation-matrix value; the steerabilities and the branch values
+    come from the extracted X parameters.
     """
     if rho8 is None:
         rho8 = tripartite_batch(c, s)
-    rho4 = partial_trace_batch(rho8, _KEEP[pair])
+    rho4 = partial_trace_batch(rho8, PAIR_MODES[pair])
     d11 = rho4[:, 0, 0].real.copy()
     d22 = rho4[:, 1, 1].real.copy()
     d33 = rho4[:, 2, 2].real.copy()
     d44 = rho4[:, 3, 3].real.copy()
     a14 = np.abs(rho4[:, 0, 3])
     a23 = np.abs(rho4[:, 1, 2])
-    s_fwd, s_bwd, b1, b2, conc_x = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
+    s_fwd, s_bwd, b1, b2, _ = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
     return {
         "s_forward": s_fwd,
         "s_backward": s_bwd,
@@ -174,19 +174,21 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None)
         "bell_branch1": b1,
         "bell_branch2": b2,
         "concurrence": kernels.spinflip_concurrence(rho4),
-        "concurrence_x": conc_x,
         "asymmetry": np.abs(s_fwd - s_bwd),
     }
 
 
+# Regime labels indexed by 2 * (forward witnessed) + (backward witnessed).
+_REGIME_LABELS = np.array(
+    [
+        r.value
+        for r in (Regime.NO_WAY, Regime.ONE_WAY_BACKWARD, Regime.ONE_WAY_FORWARD, Regime.TWO_WAY)
+    ]
+)
+
+
 def _regime_labels(s_forward, s_backward, threshold=STEERING_ZERO_THRESHOLD) -> np.ndarray:
-    fwd = s_forward > threshold
-    bwd = s_backward > threshold
-    return np.where(
-        fwd & bwd,
-        "two_way",
-        np.where(fwd, "one_way_fwd", np.where(bwd, "one_way_bwd", "no_way")),
-    )
+    return _REGIME_LABELS[2 * (s_forward > threshold) + (s_backward > threshold)]
 
 
 # --- blocks and writers ---------------------------------------------------
@@ -317,13 +319,11 @@ class VerifyReport:
         return max(self.deviations, key=lambda d: d.value)
 
 
-def verify_grid(cfg: SweepConfig, perturb: float = 0.0) -> VerifyReport:
+def verify_grid(cfg: SweepConfig) -> VerifyReport:
     """Compare the closed-form and pipeline routes on the whole grid.
 
     Bell values are compared branch to branch, plus the branch maximum
-    against the correlation-matrix value. `perturb` shifts one closed
-    form and exists so tests can prove the gate trips; it is never set
-    by the CLI.
+    against the correlation-matrix value.
     """
     cfg.validate()
     dgrid = cfg.dilaton_grid()
@@ -333,8 +333,6 @@ def verify_grid(cfg: SweepConfig, perturb: float = 0.0) -> VerifyReport:
         rho8 = tripartite_batch(c, s)
         for pair in cfg.pairs:
             closed = closed_measure_arrays(c2, s2, c, s, pair)
-            if perturb:
-                closed["s_forward"] = closed["s_forward"] + perturb
             pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
             for key in _VERIFY_KEYS:
                 dev = np.abs(closed[key] - pipe[key])

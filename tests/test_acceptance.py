@@ -46,7 +46,6 @@ def _verdict(cid: int, description: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_dual_path_equivalence_on_default_grid():
-    kernels.warmup()
     start = time.perf_counter()
     report = verify_grid(SweepConfig())  # 2001 dilaton points x 4 frequencies
     elapsed = time.perf_counter() - start
@@ -150,7 +149,6 @@ def test_criterion_06_monogamy_gate():
 
 
 def test_criterion_07_random_state_property_suite():
-    kernels.warmup()
     rng = np.random.default_rng(424242)
     start = time.perf_counter()
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dilaton_steering
-from dilaton_steering import cli, sweep
+from dilaton_steering import cli
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
 
@@ -104,6 +104,18 @@ class TestSweepCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_overflowing_thermal_argument_is_silent(self):
+        # 8 pi (M - D) omega overflows to x = inf, the right limit; numpy must not warn.
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        argv = ["sweep", "--mass", "1e300", "--omega", "1e10", "--points", "2"]
+        result = subprocess.run(
+            [sys.executable, "-c", CLI, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        first_row = result.stdout.split("\n")[1]
+        assert first_row.split(",")[2] == "inf"  # D = 0
+
 
 class TestVerifyCommand:
     def test_passes_on_small_grid(self, capsys):
@@ -117,11 +129,7 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
-    def test_perturbed_closed_form_exits_1(self, capsys, monkeypatch):
-        original = sweep.verify_grid
-        monkeypatch.setattr(
-            cli, "verify_grid", lambda cfg: original(cfg, perturb=1e-8)
-        )
+    def test_perturbed_closed_form_exits_1(self, capsys, perturbed_s_forward):
         code, out, err = run(capsys, "verify", "--points", "11", "--omega", "1")
         assert code == 1
         assert "FAIL" in err

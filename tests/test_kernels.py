@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from dilaton_steering import kernels, measures, sampling
 from dilaton_steering.density import XState
 from dilaton_steering.measures import Direction
-
-needs_numba = pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba not active")
 
 
 @pytest.fixture(scope="module")
@@ -22,39 +16,18 @@ def batch():
     }
 
 
-class TestNumpyNumbaAgreement:
-    @needs_numba
-    def test_xstate_measures(self, batch):
-        ref = kernels.xstate_measures_numpy(*batch["params"])
-        jit = kernels.xstate_measures_numba(*batch["params"])
-        for a, b in zip(ref, jit):
-            assert np.abs(a - b).max() < 1e-12
-
-    @needs_numba
-    def test_spinflip_concurrence(self, batch):
-        ref = kernels.spinflip_concurrence_numpy(batch["matrices"])
-        jit = kernels.spinflip_concurrence_numba(batch["matrices"])
-        assert np.abs(ref - jit).max() < 1e-12
-
-    @needs_numba
-    def test_chsh_max(self, batch):
-        ref = kernels.chsh_max_numpy(batch["matrices"])
-        jit = kernels.chsh_max_numba(batch["matrices"])
-        assert np.abs(ref - jit).max() < 1e-12
-
-
 class TestBatchMatchesScalarApi:
     def test_xstate_measures_match_measure_functions(self, batch):
         d11, d22, d33, d44, a14, a23 = batch["params"]
         s_fwd, s_bwd, b1, b2, conc = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
         for i in range(0, 200):
             s = XState(d11[i], d22[i], d33[i], d44[i], a14[i], a23[i])
-            assert abs(s_fwd[i] - measures.steerability(s, Direction.A_TO_B)) < 1e-14
-            assert abs(s_bwd[i] - measures.steerability(s, Direction.B_TO_A)) < 1e-14
+            assert s_fwd[i] == measures.steerability(s, Direction.A_TO_B)
+            assert s_bwd[i] == measures.steerability(s, Direction.B_TO_A)
             branches = measures.chsh_max_x(s)
-            assert abs(b1[i] - branches.branch1) < 1e-14
-            assert abs(b2[i] - branches.branch2) < 1e-14
-            assert abs(conc[i] - measures.concurrence_x(s)) < 1e-14
+            assert b1[i] == branches.branch1
+            assert b2[i] == branches.branch2
+            assert conc[i] == measures.concurrence_x(s)
 
     def test_oracles_match_closed_forms(self, batch):
         _, _, b1, b2, conc = kernels.xstate_measures(*batch["params"])
@@ -62,37 +35,6 @@ class TestBatchMatchesScalarApi:
         bell_oracle = kernels.chsh_max(batch["matrices"])
         assert np.abs(conc - conc_oracle).max() < 1e-10
         assert np.abs(np.maximum(b1, b2) - bell_oracle).max() < 1e-10
-
-
-class TestDispatch:
-    def test_module_reports_backend(self):
-        assert kernels.USING_NUMBA in (True, False)
-        if kernels.USING_NUMBA:
-            assert kernels.xstate_measures is kernels.xstate_measures_numba
-        else:
-            assert kernels.xstate_measures is kernels.xstate_measures_numpy
-
-    def test_env_flag_forces_numpy_fallback(self):
-        env = dict(os.environ, DILATON_STEERING_NO_NUMBA="1")
-        code = (
-            "from dilaton_steering import kernels\n"
-            "assert not kernels.USING_NUMBA\n"
-            "assert kernels.xstate_measures is kernels.xstate_measures_numpy\n"
-            "assert kernels.spinflip_concurrence_numba is None\n"
-            "import numpy as np\n"
-            "bell = np.zeros((1, 4, 4), dtype=complex)\n"
-            "bell[0, 0, 0] = bell[0, 0, 3] = bell[0, 3, 0] = bell[0, 3, 3] = 0.5\n"
-            "assert abs(kernels.spinflip_concurrence(bell)[0] - 1.0) < 1e-12\n"
-            "print('fallback-ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert "fallback-ok" in result.stdout
-
-    def test_warmup_runs(self):
-        kernels.warmup()
 
 
 class TestOracleEdgeCases:
@@ -105,7 +47,6 @@ class TestOracleEdgeCases:
         )
         expected = 2.0 * np.sqrt(0.24)
         assert abs(kernels.spinflip_concurrence(m)[0] - expected) < 1e-13
-        assert abs(kernels.spinflip_concurrence_numpy(m)[0] - expected) < 1e-13
 
     def test_chsh_of_pure_corner_state(self):
         m = sampling.xstate_matrices(

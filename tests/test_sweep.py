@@ -194,8 +194,8 @@ class TestVerifyGrid:
         assert {d.pair for d in report.deviations} == set(Pair)
         assert len(report.deviations) == 18
 
-    def test_perturbation_hook_trips_the_gate(self):
-        report = verify_grid(SweepConfig(points=11, omegas=(1.0,)), perturb=1e-8)
+    def test_perturbation_hook_trips_the_gate(self, perturbed_s_forward):
+        report = verify_grid(SweepConfig(points=11, omegas=(1.0,)))
         assert not report.passed
         assert report.worst.measure == "s_forward"
         assert abs(report.worst.value - 1e-8) < 1e-9
