@@ -36,6 +36,13 @@ EXIT_IO = 3
 CRITICAL_TOL = 1e-6
 
 
+def _dilaton(value: float) -> str:
+    # Eight decimals resolve the 1e-6 gate on critical points; from 1e8 on,
+    # where .8g turns to exponent form, use .8g so that far out-of-range
+    # values (d0 is about -2e298 at omega 1e-300) print in a few characters.
+    return f"{value:.8f}" if abs(value) < 1e8 else f"{value:.8g}"
+
+
 def _float_list(text: str):
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
@@ -170,14 +177,14 @@ def cmd_critical(args) -> int:
             ("d2", points.d2, points.d2_in_range),
         ):
             if not in_range:
-                print(f"  {name}  closed = {closed:.8f}  out of range [0, {args.mass:g})")
+                print(f"  {name}  closed = {_dilaton(closed)}  out of range [0, {args.mass:g})")
                 continue
             numeric = find_critical_numeric(args.mass, omega, name)
             delta = abs(numeric - closed)
             ok = delta <= CRITICAL_TOL
             all_ok = all_ok and ok
             flag = "" if ok else "  MISMATCH"
-            print(f"  {name}  closed = {closed:.8f}  numeric = {numeric:.8f}  |delta| = {delta:.2e}{flag}")
+            print(f"  {name}  closed = {_dilaton(closed)}  numeric = {_dilaton(numeric)}  |delta| = {delta:.2e}{flag}")
     if not all_ok:
         print(f"FAIL: numeric and closed-form critical points differ beyond {CRITICAL_TOL:g}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -214,15 +221,15 @@ def cmd_classify(args) -> int:
         print(f"  ab      two_way      (0, {mass:g})")
         if points.d0 > 0.0:
             print(
-                f"  abbar   one_way_fwd  (0, {points.d0:.8f}]   "
-                f"two_way      ({points.d0:.8f}, {mass:g})"
+                f"  abbar   one_way_fwd  (0, {_dilaton(points.d0)}]   "
+                f"two_way      ({_dilaton(points.d0)}, {mass:g})"
             )
         else:
             print(f"  abbar   two_way      (0, {mass:g})")
         if points.d2 > 0.0:
             print(
-                f"  bbbar   one_way_fwd  (0, {points.d2:.8f})   "
-                f"no_way       [{points.d2:.8f}, {mass:g})"
+                f"  bbbar   one_way_fwd  (0, {_dilaton(points.d2)})   "
+                f"no_way       [{_dilaton(points.d2)}, {mass:g})"
             )
         else:
             print(f"  bbbar   no_way       (0, {mass:g})")

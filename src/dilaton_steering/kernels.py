@@ -31,6 +31,10 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULI_KRON = np.stack([np.kron(a, b) for a in (_SX, _SY, _SZ) for b in (_SX, _SY, _SZ)])
 PAULI_KRON.setflags(write=False)
+# Row 4a+b, column k holds PAULI_KRON[k, b, a], so a flattened rho times this
+# table gives the nine correlations tr(rho sigma_i (x) sigma_j).
+_CORRELATION_TABLE = PAULI_KRON.transpose(2, 1, 0).reshape(16, 9)
+_CORRELATION_TABLE.setflags(write=False)
 
 
 def l_triple(d11, d22, d33, d44):
@@ -104,7 +108,7 @@ def chsh_max(rhos):
     Builds the 3x3 correlation matrix T of each state and returns
     2*sqrt of the sum of the two largest eigenvalues of T^T T.
     """
-    t = np.einsum("nab,kba->nk", rhos, PAULI_KRON).real.reshape(-1, 3, 3)
-    k = np.einsum("nij,nik->njk", t, t)
+    t = (rhos.reshape(-1, 16) @ _CORRELATION_TABLE).real.reshape(-1, 3, 3)
+    k = np.swapaxes(t, 1, 2) @ t
     ev = np.linalg.eigvalsh(k)
     return 2.0 * np.sqrt(np.maximum(0.0, ev[:, 1] + ev[:, 2]))

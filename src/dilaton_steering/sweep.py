@@ -193,8 +193,9 @@ def _regime_labels(s_forward, s_backward, threshold=STEERING_ZERO_THRESHOLD) -> 
 
 # --- blocks and writers ---------------------------------------------------
 
-# Rows per formatted write: the writers hold one slice of text at a time,
-# so their memory does not grow with the grid.
+# Rows per formatted write, and grid points per density-matrix stack in
+# `verify_grid`: both hold one slice at a time, so their memory does not
+# grow with the grid.
 SLICE_ROWS = 4096
 
 
@@ -303,6 +304,11 @@ class Deviation:
     dilaton: float
 
 
+def _rank(value: float) -> tuple:
+    # Order for "worst": NaN above every number, so a NaN fails its gate.
+    return (math.isnan(value), value)
+
+
 @dataclass
 class VerifyReport:
     """Worst closed-form vs pipeline deviation per (pair, measure)."""
@@ -316,42 +322,43 @@ class VerifyReport:
 
     @property
     def worst(self) -> Deviation:
-        return max(self.deviations, key=lambda d: d.value)
+        return max(self.deviations, key=lambda d: _rank(d.value))
 
 
 def verify_grid(cfg: SweepConfig) -> VerifyReport:
     """Compare the closed-form and pipeline routes on the whole grid.
 
+    Each omega's dilaton grid is walked in slices of SLICE_ROWS states,
+    so the density-matrix stacks, and the memory of a run, do not grow
+    with the grid. Every step is elementwise or per matrix, so the report
+    is the one a whole-grid pass gives; ties go to the first grid point.
     Bell values are compared branch to branch, plus the branch maximum
     against the correlation-matrix value.
     """
     cfg.validate()
     dgrid = cfg.dilaton_grid()
-    report = VerifyReport()
+    worst = {}
     for omega in cfg.sorted_omegas():
-        _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
-        rho8 = tripartite_batch(c, s)
-        for pair in cfg.pairs:
-            closed = closed_measure_arrays(c2, s2, c, s, pair)
-            pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
-            for key in _VERIFY_KEYS:
-                dev = np.abs(closed[key] - pipe[key])
-                i = int(np.argmax(dev))
-                report.deviations.append(
-                    Deviation(pair, key, float(dev[i]), omega, float(dgrid[i]))
-                )
-    _merge_worst(report)
-    return report
+        for start in range(0, len(dgrid), SLICE_ROWS):
+            dslice = dgrid[start : start + SLICE_ROWS]
+            _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dslice)
+            rho8 = tripartite_batch(c, s)
+            for pair in cfg.pairs:
+                closed = closed_measure_arrays(c2, s2, c, s, pair)
+                pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
+                for key in _VERIFY_KEYS:
+                    dev = np.abs(closed[key] - pipe[key])
+                    i = int(np.argmax(dev))
+                    _merge_worst(worst, Deviation(pair, key, float(dev[i]), omega, float(dslice[i])))
+    return VerifyReport(list(worst.values()))
 
 
-def _merge_worst(report: VerifyReport) -> None:
-    # One entry per (pair, measure): keep the worst across omega blocks.
-    best = {}
-    for d in report.deviations:
-        key = (d.pair, d.measure)
-        if key not in best or d.value > best[key].value:
-            best[key] = d
-    report.deviations = list(best.values())
+def _merge_worst(worst: dict, dev: Deviation) -> None:
+    # One entry per (pair, measure): the worst across omegas and slices.
+    # On a tie the earlier grid point stays, as np.argmax keeps the first.
+    old = worst.get((dev.pair, dev.measure))
+    if old is None or _rank(dev.value) > _rank(old.value):
+        worst[dev.pair, dev.measure] = dev
 
 
 @dataclass
@@ -401,13 +408,13 @@ def monogamy_grid(cfg: SweepConfig) -> MonogamyReport:
             i = int(np.argmax(absval))
             peak = float(absval[i])
             if name == "r1":
-                max_r1 = max(max_r1, peak)
+                max_r1 = max(max_r1, peak, key=_rank)
             elif name == "r2":
-                max_r2 = max(max_r2, peak)
+                max_r2 = max(max_r2, peak, key=_rank)
             elif name == "r3":
-                max_r3 = peak if max_r3 is None else max(max_r3, peak)
+                max_r3 = peak if max_r3 is None else max(max_r3, peak, key=_rank)
             else:
-                max_r4 = peak if max_r4 is None else max(max_r4, peak)
-            if peak > worst[1]:
+                max_r4 = peak if max_r4 is None else max(max_r4, peak, key=_rank)
+            if _rank(peak) > _rank(worst[1]):
                 worst = (name, peak, omega, float(dsub[i]))
     return MonogamyReport(max_r1, max_r2, max_r3, max_r4, worst)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dilaton_steering import sweep
@@ -14,3 +15,39 @@ def perturbed_s_forward(monkeypatch):
         return vals
 
     monkeypatch.setattr(sweep, "closed_measure_arrays", shifted)
+
+
+@pytest.fixture
+def nan_s_forward_at(monkeypatch):
+    """Return arm(mass, omega, dilaton): from then on, the closed-form forward
+    steerability that `verify_grid` sees is NaN at that one grid point."""
+    original = sweep.closed_measure_arrays
+
+    def arm(mass, omega, dilaton):
+        target = sweep.amplitude_arrays(mass, omega, np.array([dilaton]))[1][0]
+
+        def poisoned(c2, *rest):
+            vals = original(c2, *rest)
+            vals["s_forward"] = np.where(c2 == target, np.nan, vals["s_forward"])
+            return vals
+
+        monkeypatch.setattr(sweep, "closed_measure_arrays", poisoned)
+
+    return arm
+
+
+@pytest.fixture
+def nan_r1_after_first_omega(monkeypatch):
+    """Make `monogamy_grid` see a NaN r1 at the last grid point of every omega but the first."""
+    original = sweep.monogamy_residual_arrays
+    calls = []
+
+    def poisoned(*args):
+        res = original(*args)
+        calls.append(None)
+        if len(calls) > 1:
+            res["r1"] = res["r1"].copy()
+            res["r1"][-1] = np.nan
+        return res
+
+    monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)

@@ -8,6 +8,7 @@ import pytest
 
 import dilaton_steering
 from dilaton_steering import cli
+from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
 
@@ -135,6 +136,14 @@ class TestVerifyCommand:
         assert "FAIL" in err
         assert "s_forward" in err
 
+    def test_nan_in_last_slice_exits_1(self, capsys, nan_s_forward_at):
+        points = SLICE_ROWS + 1
+        nan_s_forward_at(1.0, 1.0, SweepConfig().resolved_d_max)
+        code, out, err = run(capsys, "verify", "--points", str(points), "--omega", "0.5,1")
+        assert code == 1
+        assert "PASS" not in out
+        assert "s_forward deviates nan at omega=1" in err
+
 
 class TestCriticalCommand:
     def test_default_point_report(self, capsys):
@@ -154,6 +163,12 @@ class TestCriticalCommand:
         code, out, _ = run(capsys, "critical", "--mass", "2", "--omega", "1")
         assert code == 0
         assert "1.97814380" in out
+
+    def test_extreme_omega_prints_short_lines(self, capsys):
+        code, out, _ = run(capsys, "critical", "--omega", "1e-300")
+        assert code == 0
+        assert out.count("out of range") == 3
+        assert max(len(line) for line in out.splitlines()) < 100
 
     @pytest.mark.parametrize(
         "argv",
@@ -180,6 +195,12 @@ class TestMonogamyCommand:
         code, out, _ = run(capsys, "monogamy", "--points", "21", "--omega", "1", "--d-max", "0.9")
         assert code == 0
         assert "n/a" in out
+
+    def test_nan_residual_exits_1(self, capsys, nan_r1_after_first_omega):
+        code, out, err = run(capsys, "monogamy", "--points", "21", "--omega", "0.5,1")
+        assert code == 1
+        assert "max |r1| = nan" in out
+        assert "FAIL: |r1| = nan at omega=1" in err
 
 
 class TestClassifyCommand:

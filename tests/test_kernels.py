@@ -55,6 +55,18 @@ class TestOracleEdgeCases:
         )
         assert abs(kernels.chsh_max(m)[0] - 2.0 * np.sqrt(2.0)) < 1e-12
 
+    def test_chsh_matches_trace_definition_on_general_states(self):
+        # Full-rank states with every coherence nonzero, not only X states.
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        paulis = kernels.PAULI_KRON.reshape(3, 3, 4, 4)
+        for rho, bell in zip(rhos, kernels.chsh_max(rhos)):
+            t = np.array([[np.trace(rho @ p).real for p in row] for row in paulis])
+            ev = np.linalg.eigvalsh(t.T @ t)
+            assert abs(bell - 2.0 * np.sqrt(ev[1] + ev[2])) < 1e-12
+
     def test_separable_states_have_zero_concurrence(self):
         rng = np.random.default_rng(9)
         pars = sampling.random_separable_xstate_params(rng, 2000)

@@ -1,12 +1,14 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dilaton_steering.dilaton import Pair
+from dilaton_steering.dilaton import Pair, amplitude_arrays, closed_measure_arrays
 from dilaton_steering.sweep import (
+    SLICE_ROWS,
     ConfigError,
     SweepConfig,
     columns,
@@ -200,6 +202,50 @@ class TestVerifyGrid:
         assert report.worst.measure == "s_forward"
         assert abs(report.worst.value - 1e-8) < 1e-9
 
+    @pytest.mark.parametrize(
+        "points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 2 * SLICE_ROWS + 1]
+    )
+    def test_sliced_report_equals_whole_grid_pass(self, points):
+        cfg = SweepConfig(points=points, omegas=(1.5, 0.5))
+        dgrid = cfg.dilaton_grid()
+        expected = {}
+        for omega in cfg.sorted_omegas():
+            _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
+            for pair in cfg.pairs:
+                closed = closed_measure_arrays(c2, s2, c, s, pair)
+                pipe = pipeline_measure_arrays(c, s, pair)
+                for key in pipe:
+                    dev = np.abs(closed[key] - pipe[key])
+                    i = int(np.argmax(dev))
+                    if (pair, key) not in expected or dev[i] > expected[pair, key][0]:
+                        expected[pair, key] = (float(dev[i]), omega, float(dgrid[i]))
+        report = verify_grid(cfg)
+        assert len(report.deviations) == 18
+        for d in report.deviations:
+            assert (d.value, d.omega, d.dilaton) == expected[d.pair, d.measure]
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        def peak(points):
+            tracemalloc.start()
+            try:
+                verify_grid(SweepConfig(points=points, omegas=(1.0,)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20001) < 1.5 * peak(4097)
+
+    def test_nan_in_last_slice_fails_the_gate(self, nan_s_forward_at):
+        cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(0.5, 1.0), pairs=(Pair.ABBAR,))
+        last = float(cfg.dilaton_grid()[-1])
+        nan_s_forward_at(cfg.mass, 1.0, last)
+        report = verify_grid(cfg)
+        assert not report.passed
+        worst = report.worst
+        assert (worst.pair, worst.measure) == (Pair.ABBAR, "s_forward")
+        assert math.isnan(worst.value)
+        assert (worst.omega, worst.dilaton) == (1.0, last)
+
     def test_pipeline_arrays_match_scalar_route(self):
         from dilaton_steering.dilaton import DilatonParams, amplitude_arrays, pipeline_measures
 
@@ -222,6 +268,15 @@ class TestMonogamyGrid:
         assert report.max_r1 < 1e-12 and report.max_r2 < 1e-12
         assert report.max_r3 is not None and report.max_r3 < 1e-12
         assert report.max_r4 is not None and report.max_r4 < 1e-12
+
+    def test_nan_residual_after_first_omega_fails_the_gate(self, nan_r1_after_first_omega):
+        cfg = SweepConfig(points=51, omegas=(0.5, 1.0))
+        report = monogamy_grid(cfg)
+        assert not report.passed
+        assert math.isnan(report.max_r1)
+        name, value, omega, dilaton = report.worst
+        assert name == "r1" and math.isnan(value)
+        assert (omega, dilaton) == (1.0, float(cfg.dilaton_grid()[-1]))
 
     def test_grid_below_birth_point_reports_not_applicable(self):
         report = monogamy_grid(SweepConfig(points=51, d_max=0.9, omegas=(1.0,)))
