@@ -4,8 +4,9 @@ Subcommands: sweep (grid records as CSV/JSON), verify (closed-form vs
 pipeline gate), critical (closed-form vs numeric critical dilatons),
 monogamy (identity residual gate), classify (steering-regime intervals).
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
-I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments (including
+parameters at which float64 cannot resolve a critical dilaton to the
+1e-6 gate), 3 output I/O failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .dilaton import RootNotFoundError, critical_dilatons, find_critical_numeric
+from .dilaton import CRITICAL_TOL, ResolutionError, critical_dilatons, find_critical_batch
 from .sweep import (
     ALL_PAIRS,
     DEFAULT_OMEGAS,
@@ -32,8 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-CRITICAL_TOL = 1e-6
 
 
 def _dilaton(value: float) -> str:
@@ -167,8 +166,10 @@ def cmd_verify(args) -> int:
 
 def cmd_critical(args) -> int:
     check_mass_and_omegas(args.mass, args.omega)
+    omegas = sorted(args.omega)
+    numeric = find_critical_batch(args.mass, omegas)
     all_ok = True
-    for omega in sorted(args.omega):
+    for k, omega in enumerate(omegas):
         points = critical_dilatons(args.mass, omega)
         print(f"omega = {omega:g}:")
         for name, closed, in_range in (
@@ -179,12 +180,13 @@ def cmd_critical(args) -> int:
             if not in_range:
                 print(f"  {name}  closed = {_dilaton(closed)}  out of range [0, {args.mass:g})")
                 continue
-            numeric = find_critical_numeric(args.mass, omega, name)
-            delta = abs(numeric - closed)
+            # NaN where the search found no root: a gate failure, like any miss.
+            value = float(numeric[name][k])
+            delta = abs(value - closed)
             ok = delta <= CRITICAL_TOL
             all_ok = all_ok and ok
             flag = "" if ok else "  MISMATCH"
-            print(f"  {name}  closed = {_dilaton(closed)}  numeric = {_dilaton(numeric)}  |delta| = {delta:.2e}{flag}")
+            print(f"  {name}  closed = {_dilaton(closed)}  numeric = {_dilaton(value)}  |delta| = {delta:.2e}{flag}")
     if not all_ok:
         print(f"FAIL: numeric and closed-form critical points differ beyond {CRITICAL_TOL:g}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -244,12 +246,9 @@ def main(argv=None) -> int:
         # Flush here, not at exit, so a closed pipe lands in the handler below.
         sys.stdout.flush()
         return code
-    except ConfigError as exc:
+    except (ConfigError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RootNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader went away (`sweep | head`). The unwritten rest of

@@ -7,10 +7,19 @@ resulting three-mode pure state is a function of the thermal argument
 x = 8*pi*(M - D)*omega, with mass M, dilaton charge D < M, and mode
 frequency omega (geometric units).
 
-Each bipartition's measures come in two routes: `closed_form_measures`
-evaluates the analytic expressions in x, `pipeline_measures` rebuilds
-the reduced density matrix and feeds it to the general machinery in
-`measures`. The two must agree to 1e-10.
+Each bipartition's measures come in two routes that must agree to
+1e-10. The closed-form route (`closed_measure_arrays`, and
+`closed_form_measures` for one point) evaluates the analytic
+expressions in x. The batch density-matrix route (`tripartite_batch`
+-> `partial_trace_batch` -> `pipeline_measure_arrays`, and
+`pipeline_measures` for one point) builds stacks of three-mode density
+matrices, traces them down and runs the `kernels`. `tripartite_state`
+and `reduced` rebuild one state through the validated `density` layer,
+an independent check of the batch route.
+
+The numeric critical dilatons (`find_critical_batch`) come from a
+lockstep search in x on the batch route, independent of the closed
+forms in `critical_dilatons`.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ from enum import Enum
 
 import numpy as np
 
-from . import measures
+from . import kernels
 from .density import DensityMatrix, PureState, XState, as_xstate, from_pure, partial_trace
 from .kernels import SQRT3
-from .measures import Direction, MeasureSet, classify_from_values
+from .measures import MeasureSet, classify_from_values
 
 # Thermal arguments of the three critical dilaton values (mass- and
 # frequency-independent): birth of the backward exterior-interior
@@ -141,10 +150,15 @@ def amplitude_arrays(mass, omega, dilatons):
     """
     with np.errstate(over="ignore"):
         x = 8.0 * np.pi * (mass - np.asarray(dilatons, dtype=np.float64)) * omega
+    return (x,) + _mixing(x)
+
+
+def _mixing(x):
+    """(c^2, s^2, c, s) at thermal arguments x, through e^{-x} only."""
     u = np.exp(-x)
     c2 = 1.0 / (1.0 + u)
     s2 = u / (1.0 + u)
-    return x, c2, s2, np.sqrt(c2), np.sqrt(s2)
+    return c2, s2, np.sqrt(c2), np.sqrt(s2)
 
 
 def tripartite_state(p: DilatonParams) -> DensityMatrix:
@@ -161,6 +175,75 @@ def tripartite_state(p: DilatonParams) -> DensityMatrix:
 def reduced(p: DilatonParams, pair: Pair) -> XState:
     """Two-mode reduced state of the chosen bipartition, in X form."""
     return as_xstate(partial_trace(tripartite_state(p), PAIR_MODES[pair]))
+
+
+# --- batch density-matrix route --------------------------------------------
+
+_PTRACE_SUBSCRIPTS = {
+    (0, 1): "nabxcdx->nabcd",
+    (0, 2): "naxbcxd->nabcd",
+    (1, 2): "nxabxcd->nabcd",
+}
+
+
+def _state_vectors(c, s, vacuum):
+    """Stacked three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2)."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    v = np.zeros((c.shape[0], 8), dtype=np.complex128)
+    v[:, 0] = c * inv_sqrt2
+    v[:, 3] = s * inv_sqrt2
+    v[:, 6] = vacuum * inv_sqrt2
+    return v
+
+
+def _outer(v, w):
+    """Stacked outer products v w^dagger."""
+    return v[:, :, None] * w[:, None, :].conj()
+
+
+def tripartite_batch(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Stacked three-mode density matrices from amplitude arrays."""
+    v = _state_vectors(c, s, 1.0)
+    return _outer(v, v)
+
+
+def partial_trace_batch(rho8: np.ndarray, keep: tuple) -> np.ndarray:
+    """Partial trace of stacked 8x8 matrices down to the kept mode pair."""
+    n = rho8.shape[0]
+    t = rho8.reshape(n, 2, 2, 2, 2, 2, 2)
+    return np.ascontiguousarray(np.einsum(_PTRACE_SUBSCRIPTS[keep], t).reshape(n, 4, 4))
+
+
+def _xparams(rho4):
+    """The six X parameters (d11, d22, d33, d44, |c14|, |c23|) of stacked 4x4 states."""
+    d11 = rho4[:, 0, 0].real.copy()
+    d22 = rho4[:, 1, 1].real.copy()
+    d33 = rho4[:, 2, 2].real.copy()
+    d44 = rho4[:, 3, 3].real.copy()
+    return d11, d22, d33, d44, np.abs(rho4[:, 0, 3]), np.abs(rho4[:, 1, 2])
+
+
+def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None) -> dict:
+    """Density-matrix-route measures of one bipartition, vectorized.
+
+    Accepts a precomputed tripartite stack to share it across pairs.
+    `concurrence` is the spin-flip value and `bell_max` the
+    correlation-matrix value; the steerabilities and the branch values
+    come from the extracted X parameters.
+    """
+    if rho8 is None:
+        rho8 = tripartite_batch(c, s)
+    rho4 = partial_trace_batch(rho8, PAIR_MODES[pair])
+    s_fwd, s_bwd, b1, b2, _ = kernels.xstate_measures(*_xparams(rho4))
+    return {
+        "s_forward": s_fwd,
+        "s_backward": s_bwd,
+        "bell_max": kernels.chsh_max(rho4),
+        "bell_branch1": b1,
+        "bell_branch2": b2,
+        "concurrence": kernels.spinflip_concurrence(rho4),
+        "asymmetry": np.abs(s_fwd - s_bwd),
+    }
 
 
 def closed_xparams(c2, s2, c, s, pair: Pair):
@@ -240,23 +323,21 @@ def closed_form_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
 def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
     """Measures of one bipartition via the density-matrix route.
 
-    Builds the three-mode state, traces down to the bipartition, and
-    applies the general machinery: witness steerability on the extracted
-    X parameters, spin-flip concurrence and correlation-matrix CHSH on
-    the matrix itself.
+    A length-1 call of `pipeline_measure_arrays`: witness steerability
+    and branch CHSH on the extracted X parameters, spin-flip concurrence
+    and correlation-matrix CHSH on the reduced matrix itself.
     """
-    rho = partial_trace(tripartite_state(p), PAIR_MODES[pair])
-    st = as_xstate(rho)
-    fwd = measures.steerability(st, Direction.A_TO_B)
-    bwd = measures.steerability(st, Direction.B_TO_A)
-    branches = measures.chsh_max_x(st)
+    amp = bogoliubov(p)
+    vals = pipeline_measure_arrays(np.array([amp.c]), np.array([amp.s]), pair)
+    fwd = float(vals["s_forward"][0])
+    bwd = float(vals["s_backward"][0])
     return MeasureSet(
         s_forward=fwd,
         s_backward=bwd,
-        bell=measures.chsh_max_general(rho),
-        bell_branch1=branches.branch1,
-        bell_branch2=branches.branch2,
-        concurrence=measures.concurrence_general(rho),
+        bell=float(vals["bell_max"][0]),
+        bell_branch1=float(vals["bell_branch1"][0]),
+        bell_branch2=float(vals["bell_branch2"][0]),
+        concurrence=float(vals["concurrence"][0]),
         asymmetry=abs(fwd - bwd),
         regime=classify_from_values(fwd, bwd),
     )
@@ -283,94 +364,204 @@ def critical_dilatons(mass: float, omega: float) -> CriticalPoints:
     return CriticalPoints(d0, d1, d2, in_range(d0), in_range(d1), in_range(d2))
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RootNotFoundError(
-            f"no sign change on bracket [{lo:.12g}, {hi:.12g}]: "
-            f"f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
-        )
-    while hi - lo > xtol:
+# --- numeric critical dilatons ---------------------------------------------
+
+# Absolute gate on a numeric critical dilaton. The search refuses
+# parameters at which float64 cannot place D this finely.
+CRITICAL_TOL = 1e-6
+# Largest thermal argument searched: every critical point sits below 2,
+# while deep in the near-vacuum regime the witness margins fall below
+# rounding noise and their sign means nothing.
+_SEARCH_TOP = 5.0
+
+
+class ResolutionError(ValueError):
+    """float64 cannot resolve a critical dilaton to CRITICAL_TOL."""
+
+
+class _Dual:
+    """A value with its derivative, through + - * only: enough for the witness polynomials."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val, der):
+        self.val = val
+        self.der = der
+
+    def __add__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.val + other.val, self.der + other.der)
+        return _Dual(self.val + other, self.der)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.val, -self.der)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.val * other.val, self.der * other.val + self.val * other.der)
+        return _Dual(self.val * other, self.der * other)
+
+    __rmul__ = __mul__
+
+
+def _margin(x, pair: Pair, backward: bool):
+    """Larger witness margin of `pair` at thermal arguments x, on the batch route."""
+    _, _, c, s = _mixing(x)
+    rho4 = partial_trace_batch(tripartite_batch(c, s), PAIR_MODES[pair])
+    fwd, bwd = kernels.witness_margins(*_xparams(rho4))
+    return np.maximum(*(bwd if backward else fwd))
+
+
+def _forward_margin_slope(x, pair: Pair):
+    """d/dx of the larger forward witness margin of `pair` at thermal arguments x.
+
+    Forward mode through the batch route itself: the state is v v^dagger
+    with v linear in (c, s, 1), so its tangent is dv v^dagger + v dv^dagger;
+    the partial trace is linear; the margins are polynomials in the X
+    parameters, evaluated on `_Dual` numbers.
+    """
+    c2, s2, c, s = _mixing(x)
+    v = _state_vectors(c, s, 1.0)
+    # dc/dx and ds/dx, from dc^2/dx = c^2 s^2 = -ds^2/dx.
+    dv = _state_vectors(0.5 * c * s2, -0.5 * s * c2, 0.0)
+    keep = PAIR_MODES[pair]
+    rho4 = partial_trace_batch(_outer(v, v), keep)
+    drho4 = partial_trace_batch(_outer(dv, v) + _outer(v, dv), keep)
+    params = _xparams(rho4)
+    tangents = [drho4[:, i, i].real for i in range(4)]
+    for modulus, (i, j) in zip(params[4:], ((0, 3), (1, 2))):
+        # d|z| = Re(conj(z) dz) / |z|, and 0 where z = 0 (|z|^2 is flat there).
+        num = (rho4[:, i, j].conj() * drho4[:, i, j]).real
+        tangents.append(np.divide(num, modulus, out=np.zeros_like(num), where=modulus > 0.0))
+    (w1, w2), _ = kernels.witness_margins(*map(_Dual, params, tangents))
+    return np.where(w1.val >= w2.val, w1.der, w2.der)
+
+
+def _halve_brackets(positive, lo, hi, at_lo):
+    """Lockstep bisection of where `positive` flips, one bracket per element.
+
+    Each bracket halves until its midpoint equals an endpoint, that is
+    until lo and hi are adjacent floats: about 55 steps on (0, 5],
+    whatever the mass. Returns the final midpoints.
+    """
+    while True:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
             return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        up = inside & (positive(mid) == at_lo)
+        lo = np.where(up, mid, lo)
+        hi = np.where(inside & ~up, mid, hi)
 
 
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+def _root(positive, lo, hi):
+    """x in [lo, hi] where `positive` flips, elementwise; NaN where it does not."""
+    out = np.full(lo.shape, np.nan)
+    idx = np.flatnonzero(lo < hi)
+    if idx.size:
+        at_lo = positive(lo[idx])
+        flips = at_lo != positive(hi[idx])
+        idx = idx[flips]
+        if idx.size:
+            out[idx] = _halve_brackets(positive, lo[idx], hi[idx], at_lo[flips])
+    return out
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _x_top(mass, omegas):
+    """Top of the searched thermal arguments [0, min(5, 8 pi omega M)].
+
+    In D the bracket is [max(0, M - 5/(8 pi omega)), M]. Its bottom x = 0
+    is the D -> M limit, where every margin has a clear sign, so a
+    critical dilaton closer to M than any fixed width is still bracketed.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(_SEARCH_TOP, 8.0 * np.pi * omegas * mass)
+
+
+def find_critical_batch(mass: float, omegas) -> dict:
+    """Critical dilatons d0, d1, d2 from the density-matrix route, for many frequencies.
+
+    Returns {"d0": D, "d1": D, "d2": D}, arrays aligned with `omegas`,
+    NaN where the searched bracket holds no root. All frequencies are
+    searched at once in the thermal argument x, where the margins depend
+    on x alone, and each root maps back with D = M - x/(8 pi omega):
+    - d0 bisects the sign of the Alice/interior-partner backward witness
+      margin, d2 that of the Bob/interior-partner forward margin (the
+      steerability is exactly zero on one side, so the unclamped margin
+      carries the sign change);
+    - d1 bisects the sign of the x-derivative of the Bob/interior-partner
+      forward margin on (x at d2, top of the bracket], carried exactly
+      through the route (`_forward_margin_slope`).
+    Nothing is taken from the closed forms in `critical_dilatons`.
+
+    Raises ResolutionError when float64 cannot place a root found to
+    CRITICAL_TOL: past a mass of about 1e9 the spacing of the floats
+    near M alone exceeds the gate.
+    """
+    omegas = np.asarray(omegas, dtype=np.float64)
+    if not (mass > 0.0 and np.all(omegas > 0.0)):
+        raise ValueError(f"mass and omegas must be positive, got M={mass}, omegas={omegas.tolist()}")
+    x_hi = _x_top(mass, omegas)
+    zero = np.zeros_like(x_hi)
+    x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, zero, x_hi)
+    x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, zero, x_hi)
+    x1_lo = np.where(np.isnan(x2), 0.0, x2)
+    x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x1_lo, x_hi)
+    with np.errstate(over="ignore"):
+        scale = 1.0 / (8.0 * np.pi * omegas)
+    found = {}
+    for name, x in (("d0", x0), ("d1", x1), ("d2", x2)):
+        resolution = _resolution(mass, omegas, x)
+        bad = np.flatnonzero(resolution > CRITICAL_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ResolutionError(
+                f"dilaton resolution {resolution[k]:.2g} at mass={mass:g}, omega={omegas[k]:g} "
+                f"is coarser than the {CRITICAL_TOL:g} critical-point gate: float64 cannot "
+                f"place {name} more finely"
+            )
+        found[name] = mass - x * scale
+    return found
+
+
+def _resolution(mass, omega, x):
+    """Error bound of a dilaton D = M - x/(8 pi omega) found by bisection in x.
+
+    Four times the float64 spacing near M (the subtraction) plus the
+    spacing near x mapped to D (the root in x); NaN where x is NaN. Over
+    62 000 roots with M from 1e-12 to 1e12, |numeric - closed form| was
+    at most 2.6 such spacings.
+    """
+    with np.errstate(over="ignore"):
+        return 4.0 * (np.spacing(mass) + np.spacing(x) / (8.0 * np.pi * omega))
 
 
 def find_critical_numeric(mass: float, omega: float, which: str) -> float:
-    """Locate a critical dilaton from the reduced states themselves.
+    """One critical dilaton from the density-matrix route.
 
-    `which` is "d0", "d1", or "d2". d0 and d2 come from bisection on the
-    sign of the relevant unclamped witness margin (the steerability is
-    exactly zero on one side, so the margin, not the clamped value,
-    carries the sign change); d1 from golden-section maximization of the
-    Bob/interior-partner steerability on [bracket start, d2]. Everything
-    is computed through the density-matrix pipeline, independent of the
-    closed-form values in `critical_dilatons`.
-
-    The bracket starts where the thermal argument is at most 5: every
-    critical value sits at thermal argument below 2, while deep in the
-    near-vacuum regime (large argument) the margins fall below rounding
-    noise and their sign becomes meaningless.
-
-    Raises RootNotFoundError (with the bracket and endpoint values) when
-    the critical point does not lie inside [0, mass).
+    `which` is "d0", "d1", or "d2": a length-1 call of
+    `find_critical_batch`, which documents the search. Raises
+    RootNotFoundError (with the bracket) when the point does not lie in
+    the searched range, and ResolutionError as `find_critical_batch`.
     """
-    lo = max(0.0, mass - 5.0 / (8.0 * math.pi * omega))
-    hi = mass * (1.0 - 1e-12)
-    if which == "d0":
-
-        def margin(dv: float) -> float:
-            st = reduced(DilatonParams(mass, dv, omega), Pair.ABBAR)
-            return max(measures.witness_arguments(st, Direction.B_TO_A))
-
-        return _bisect(margin, lo, hi, 1e-10)
-    if which == "d2":
-
-        def margin(dv: float) -> float:
-            st = reduced(DilatonParams(mass, dv, omega), Pair.BBBAR)
-            return max(measures.witness_arguments(st, Direction.A_TO_B))
-
-        return _bisect(margin, lo, hi, 1e-10)
-    if which == "d1":
-        death = find_critical_numeric(mass, omega, "d2")
-
-        def steer(dv: float) -> float:
-            st = reduced(DilatonParams(mass, dv, omega), Pair.BBBAR)
-            return measures.steerability(st, Direction.A_TO_B)
-
-        return _golden_max(steer, lo, death, 1e-9)
-    raise ValueError(f"unknown critical point {which!r}, expected 'd0', 'd1', or 'd2'")
+    if which not in ("d0", "d1", "d2"):
+        raise ValueError(f"unknown critical point {which!r}, expected 'd0', 'd1', or 'd2'")
+    value = float(find_critical_batch(mass, [omega])[which][0])
+    if math.isnan(value):
+        x_hi = float(_x_top(mass, omega))
+        raise RootNotFoundError(
+            f"no sign change for {which} on the bracket x in [0, {x_hi:.12g}] "
+            f"(mass={mass:g}, omega={omega:g})"
+        )
+    return value
 
 
 def monogamy_residual_arrays(ab: dict, abbar: dict, bbbar: dict, dilatons, d0: float) -> dict:

@@ -7,10 +7,13 @@ significant digits, '\\n' line endings) or as a JSON array of objects
 with native numbers. Output is deterministic: identical configurations
 produce identical bytes.
 
-The grid engine is vectorized end to end. The closed-form route uses the
-analytic expressions in the thermal argument; the pipeline route builds
-every three-mode density matrix, partial-traces it, and runs the batch
-kernels. `verify_grid` compares the two at a 1e-10 gate.
+This module keeps the grids, the writers and the gates; both routes
+live in `dilaton`. The closed-form route evaluates the analytic
+expressions in the thermal argument; the batch density-matrix route
+(`tripartite_batch`, `partial_trace_batch`, `pipeline_measure_arrays`,
+imported here from `dilaton`) builds every three-mode density matrix,
+partial-traces it, and runs the batch kernels. `verify_grid` compares
+the two at a 1e-10 gate; `monogamy_grid` gates the four identities.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .dilaton import (
-    PAIR_MODES,
     Pair,
     amplitude_arrays,
     closed_measure_arrays,
     critical_dilatons,
     monogamy_residual_arrays,
+    partial_trace_batch,  # noqa: F401  (re-exported: the batch route's names stay valid here)
+    pipeline_measure_arrays,
+    tripartite_batch,
 )
 from .measures import STEERING_ZERO_THRESHOLD, Regime
 
@@ -120,62 +124,6 @@ def columns(pairs=ALL_PAIRS) -> list:
             cols.extend(f"{pair.value}_{name}" for name in MEASURE_FIELDS)
     cols.extend(["r1", "r2", "r3", "r4", "r3_valid", "r4_valid"])
     return cols
-
-
-# --- batch pipeline route -------------------------------------------------
-
-_PTRACE_SUBSCRIPTS = {
-    (0, 1): "nabxcdx->nabcd",
-    (0, 2): "naxbcxd->nabcd",
-    (1, 2): "nxabxcd->nabcd",
-}
-
-
-def tripartite_batch(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Stacked three-mode density matrices from amplitude arrays."""
-    n = c.shape[0]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    v = np.zeros((n, 8), dtype=np.complex128)
-    v[:, 0] = c * inv_sqrt2
-    v[:, 3] = s * inv_sqrt2
-    v[:, 6] = inv_sqrt2
-    return v[:, :, None] * v[:, None, :].conj()
-
-
-def partial_trace_batch(rho8: np.ndarray, keep: tuple) -> np.ndarray:
-    """Partial trace of stacked 8x8 matrices down to the kept mode pair."""
-    n = rho8.shape[0]
-    t = rho8.reshape(n, 2, 2, 2, 2, 2, 2)
-    return np.ascontiguousarray(np.einsum(_PTRACE_SUBSCRIPTS[keep], t).reshape(n, 4, 4))
-
-
-def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None) -> dict:
-    """Density-matrix-route measures of one bipartition, vectorized.
-
-    Accepts a precomputed tripartite stack to share it across pairs.
-    `concurrence` is the spin-flip value and `bell_max` the
-    correlation-matrix value; the steerabilities and the branch values
-    come from the extracted X parameters.
-    """
-    if rho8 is None:
-        rho8 = tripartite_batch(c, s)
-    rho4 = partial_trace_batch(rho8, PAIR_MODES[pair])
-    d11 = rho4[:, 0, 0].real.copy()
-    d22 = rho4[:, 1, 1].real.copy()
-    d33 = rho4[:, 2, 2].real.copy()
-    d44 = rho4[:, 3, 3].real.copy()
-    a14 = np.abs(rho4[:, 0, 3])
-    a23 = np.abs(rho4[:, 1, 2])
-    s_fwd, s_bwd, b1, b2, _ = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
-    return {
-        "s_forward": s_fwd,
-        "s_backward": s_bwd,
-        "bell_max": kernels.chsh_max(rho4),
-        "bell_branch1": b1,
-        "bell_branch2": b2,
-        "concurrence": kernels.spinflip_concurrence(rho4),
-        "asymmetry": np.abs(s_fwd - s_bwd),
-    }
 
 
 # Regime labels indexed by 2 * (forward witnessed) + (backward witnessed).

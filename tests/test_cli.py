@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dilaton_steering
-from dilaton_steering import cli
+from dilaton_steering import cli, density
 from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
@@ -17,6 +17,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_subprocess(*argv, timeout=10):
+    """The CLI in a child process; a run past `timeout` seconds fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", CLI, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 class TestSweepCommand:
@@ -169,6 +177,34 @@ class TestCriticalCommand:
         assert code == 0
         assert out.count("out of range") == 3
         assert max(len(line) for line in out.splitlines()) < 100
+
+    @pytest.mark.parametrize("mass,omega", [("1e7", "1e-7"), ("1e5", "1e-5")])
+    def test_large_mass_returns_and_passes(self, mass, omega):
+        # M omega = 1 is the physics of `critical --omega 1`, at masses where
+        # adjacent floats near D exceed any fixed width in D: the search
+        # must stop on float resolution in x and still meet the 1e-6 gate.
+        result = run_subprocess("critical", "--mass", mass, "--omega", omega)
+        assert result.returncode == 0, result.stderr
+        assert "MISMATCH" not in result.stdout
+        assert result.stdout.count("numeric = ") == 3
+
+    def test_unresolvable_mass_exits_2_naming_the_resolution(self):
+        # Adjacent floats near 1e20 are 16384 apart, far above the 1e-6 gate.
+        result = run_subprocess("critical", "--mass", "1e20", "--omega", "1e-20")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "dilaton resolution 6.7e+04" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_builds_no_validated_density_matrix(self, capsys, monkeypatch):
+        # The CLI search runs on the batch route only.
+        def refuse(self):
+            raise AssertionError("validated DensityMatrix built on the critical path")
+
+        monkeypatch.setattr(density.DensityMatrix, "__post_init__", refuse)
+        code, out, _ = run(capsys, "critical", "--omega", "0.5,1,2")
+        assert code == 0
+        assert out.count("numeric = ") == 9
 
     @pytest.mark.parametrize(
         "argv",

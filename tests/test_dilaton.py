@@ -1,11 +1,19 @@
 import math
+import signal
+from contextlib import contextmanager
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dilaton_steering.dilaton as dl
 from dilaton_steering.dilaton import (
+    CRITICAL_TOL,
     DilatonParams,
     Pair,
+    ResolutionError,
     RootNotFoundError,
     amplitude_arrays,
     bogoliubov,
@@ -35,6 +43,22 @@ MEASURE_FIELDS = ("s_forward", "s_backward", "concurrence", "bell_branch1", "bel
 
 def extreme_params(omega=1.0, mass=1.0):
     return DilatonParams(mass, mass * (1.0 - 1e-12), omega)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParams:
@@ -290,6 +314,48 @@ class TestCriticalPoints:
             points = critical_dilatons(mass, omega)
             assert abs(find_critical_numeric(mass, omega, "d0") - points.d0) < 1e-8
             assert abs(find_critical_numeric(mass, omega, "d2") - points.d2) < 1e-8
+
+    @pytest.mark.parametrize("pair", list(Pair))
+    def test_margin_slope_matches_central_differences(self, pair):
+        # The forward-mode derivative that locates d1, on every pair (a zero
+        # coherence, as in abbar's c14, takes the flat-modulus branch).
+        x = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+        h = 1e-6
+        fwd = lambda t: dl._margin(t, pair, backward=False)  # noqa: E731
+        central = (fwd(x + h) - fwd(x - h)) / (2.0 * h)
+        assert np.abs(dl._forward_margin_slope(x, pair) - central).max() < 1e-9
+
+    def test_peak_agrees_to_1e_9(self):
+        for mass, omega in ((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)):
+            d1 = critical_dilatons(mass, omega).d1
+            assert abs(find_critical_numeric(mass, omega, "d1") - d1) < 1e-9
+
+    # M log-uniform over 24 decades; M omega over six, across the edges of
+    # the range (d1 enters [0, M) near M omega = 0.05, d2 near 0.012).
+    @settings(max_examples=80, deadline=timedelta(seconds=2))
+    @given(log_mass=st.floats(-8.0, 16.0), log_m_omega=st.floats(-3.0, 3.0))
+    def test_numeric_meets_the_gate_or_says_why_not(self, log_mass, log_m_omega):
+        mass = 10.0**log_mass
+        omega = 10.0**log_m_omega / mass
+        points = critical_dilatons(mass, omega)
+        for name in ("d0", "d1", "d2"):
+            with time_limit(5.0):
+                try:
+                    numeric = find_critical_numeric(mass, omega, name)
+                except ResolutionError:
+                    # Below 2**29 the float spacing near M is under 1e-7: no excuse.
+                    assert mass >= 2.0**29
+                    continue
+                except RootNotFoundError:
+                    assert not getattr(points, f"{name}_in_range")
+                    continue
+            assert abs(numeric - getattr(points, name)) <= CRITICAL_TOL
+
+    def test_point_next_to_the_horizon_is_bracketed(self):
+        # d2 = 1 - 6.2e-13 at omega 2e10: inside [0, M), closer to M than 1e-12.
+        points = critical_dilatons(1.0, 2e10)
+        assert points.d2_in_range
+        assert abs(find_critical_numeric(1.0, 2e10, "d2") - points.d2) < 1e-14
 
     def test_out_of_range_reports_bracket(self):
         with pytest.raises(RootNotFoundError, match="bracket"):

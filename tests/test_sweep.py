@@ -247,18 +247,27 @@ class TestVerifyGrid:
         assert (worst.omega, worst.dilaton) == (1.0, last)
 
     def test_pipeline_arrays_match_scalar_route(self):
-        from dilaton_steering.dilaton import DilatonParams, amplitude_arrays, pipeline_measures
+        # The validated scalar route (`reduced` through the `density` layer)
+        # is the independent oracle of the batch stacks.
+        from dilaton_steering.dilaton import DilatonParams, amplitude_arrays, reduced
+        from dilaton_steering.measures import (
+            Direction,
+            chsh_max_general,
+            concurrence_general,
+            steerability,
+        )
 
         d = np.linspace(0.0, 1.0 - 1e-6, 9)
         _, _, _, c, s = amplitude_arrays(1.0, 1.0, d)
         for pair in Pair:
             arrays = pipeline_measure_arrays(c, s, pair)
             for i in (0, 4, 8):
-                point = pipeline_measures(DilatonParams(1.0, float(d[i]), 1.0), pair)
-                assert abs(arrays["s_forward"][i] - point.s_forward) < 1e-13
-                assert abs(arrays["s_backward"][i] - point.s_backward) < 1e-13
-                assert abs(arrays["concurrence"][i] - point.concurrence) < 1e-13
-                assert abs(arrays["bell_max"][i] - point.bell) < 1e-13
+                st = reduced(DilatonParams(1.0, float(d[i]), 1.0), pair)
+                rho = st.to_matrix()
+                assert abs(arrays["s_forward"][i] - steerability(st, Direction.A_TO_B)) < 1e-13
+                assert abs(arrays["s_backward"][i] - steerability(st, Direction.B_TO_A)) < 1e-13
+                assert abs(arrays["concurrence"][i] - concurrence_general(rho)) < 1e-13
+                assert abs(arrays["bell_max"][i] - chsh_max_general(rho)) < 1e-13
 
 
 class TestMonogamyGrid:
