@@ -36,10 +36,12 @@ EXIT_IO = 3
 
 
 def _dilaton(value: float) -> str:
-    # Eight decimals resolve the 1e-6 gate on critical points; from 1e8 on,
-    # where .8g turns to exponent form, use .8g so that far out-of-range
-    # values (d0 is about -2e298 at omega 1e-300) print in a few characters.
-    return f"{value:.8f}" if abs(value) < 1e8 else f"{value:.8g}"
+    # Eight decimals resolve the 1e-6 gate on critical points, and every
+    # dilaton the gate can pass lies below about 2.1e9 (past 2**31, four
+    # spacings of float64 exceed 1e-6). From 1e10 on use .8g, so that far
+    # out-of-range values (d0 is about -2e298 at omega 1e-300) print in a
+    # few characters.
+    return f"{value:.8f}" if abs(value) < 1e10 else f"{value:.8g}"
 
 
 def _float_list(text: str):
@@ -70,29 +72,31 @@ def _pair_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mass", type=float, default=1.0, help="black-hole mass M > 0")
-    common.add_argument(
+    # Flag groups; each subcommand takes only the groups it honours.
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--mass", type=float, default=1.0, help="black-hole mass M > 0")
+    point.add_argument(
         "--omega",
         type=_float_list,
         default=list(DEFAULT_OMEGAS),
         metavar="F,F,...",
         help="mode frequencies (comma separated)",
     )
-    common.add_argument("--d-min", type=float, default=0.0, help="grid start (default 0)")
-    common.add_argument(
-        "--d-max", type=float, default=None, help="grid end (default mass*(1-1e-6))"
-    )
-    common.add_argument("--points", type=int, default=2001, help="grid points per omega")
-    common.add_argument(
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--d-min", type=float, default=0.0, help="grid start (default 0)")
+    grid.add_argument("--d-max", type=float, default=None, help="grid end (default mass*(1-1e-6))")
+    grid.add_argument("--points", type=int, default=2001, help="grid points per omega")
+    pairs = argparse.ArgumentParser(add_help=False)
+    pairs.add_argument(
         "--pairs",
         type=_pair_list,
         default=list(ALL_PAIRS),
         metavar="ab,abbar,bbbar",
         help="bipartitions to include",
     )
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default=None, metavar="PATH", help="output file (default stdout)")
 
     parser = argparse.ArgumentParser(
         prog="dilaton-steering",
@@ -100,34 +104,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sweep", parents=[common], help="emit grid records").set_defaults(
-        func=cmd_sweep
-    )
-    sub.add_parser(
-        "verify", parents=[common], help="closed forms vs density-matrix pipeline"
-    ).set_defaults(func=cmd_verify)
-    sub.add_parser(
-        "critical", parents=[common], help="closed-form vs numeric critical dilatons"
-    ).set_defaults(func=cmd_critical)
-    sub.add_parser(
-        "monogamy", parents=[common], help="steering-entanglement identity residuals"
-    ).set_defaults(func=cmd_monogamy)
-    sub.add_parser(
-        "classify", parents=[common], help="steering-regime intervals per bipartition"
-    ).set_defaults(func=cmd_classify)
+    for name, parents, func, text in (
+        ("sweep", [point, grid, pairs, output], cmd_sweep, "emit grid records"),
+        ("verify", [point, grid, pairs], cmd_verify, "closed forms vs density-matrix pipeline"),
+        ("critical", [point], cmd_critical, "closed-form vs numeric critical dilatons"),
+        ("monogamy", [point, grid], cmd_monogamy, "steering-entanglement identity residuals"),
+        ("classify", [point], cmd_classify, "steering-regime intervals per bipartition"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
     return parser
 
 
 def _config(args) -> SweepConfig:
+    # `monogamy` takes no --pairs: its identities always use all three.
+    chosen = getattr(args, "pairs", ALL_PAIRS)
     cfg = SweepConfig(
         mass=args.mass,
         omegas=tuple(args.omega),
         d_min=args.d_min,
         d_max=args.d_max,
         points=args.points,
-        pairs=tuple(p for p in ALL_PAIRS if p in args.pairs),
-        fmt=args.fmt,
-        out=args.out,
+        pairs=tuple(p for p in ALL_PAIRS if p in chosen),
     )
     cfg.validate()
     return cfg
@@ -135,11 +132,11 @@ def _config(args) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _config(args)
-    writer = write_csv if cfg.fmt == "csv" else write_json
-    if cfg.out is None:
+    writer = write_csv if args.fmt == "csv" else write_json
+    if args.out is None:
         writer(cfg, sys.stdout)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as stream:
+        with open(args.out, "w", encoding="utf-8", newline="") as stream:
             writer(cfg, stream)
     return EXIT_OK
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import kernels
 from .density import DensityMatrix, PureState, XState, as_xstate, from_pure, partial_trace
 from .kernels import SQRT3
-from .measures import MeasureSet, classify_from_values
+from .measures import MeasureSet, measure_set
 
 # Thermal arguments of the three critical dilaton values (mass- and
 # frequency-independent): birth of the backward exterior-interior
@@ -300,24 +300,16 @@ def closed_measure_arrays(c2, s2, c, s, pair: Pair) -> dict:
     }
 
 
+def _first_point(vals: dict) -> MeasureSet:
+    """The MeasureSet of the first point of a measure dictionary."""
+    keys = ("s_forward", "s_backward", "bell_max", "bell_branch1", "bell_branch2", "concurrence")
+    return measure_set(*(float(vals[key][0]) for key in keys))
+
+
 def closed_form_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
     """Analytic measures of one bipartition at a single parameter point."""
-    amp = bogoliubov(p)
-    c2 = np.array([amp.c * amp.c])
-    s2 = np.array([amp.s * amp.s])
-    vals = closed_measure_arrays(c2, s2, np.array([amp.c]), np.array([amp.s]), pair)
-    fwd = float(vals["s_forward"][0])
-    bwd = float(vals["s_backward"][0])
-    return MeasureSet(
-        s_forward=fwd,
-        s_backward=bwd,
-        bell=float(vals["bell_max"][0]),
-        bell_branch1=float(vals["bell_branch1"][0]),
-        bell_branch2=float(vals["bell_branch2"][0]),
-        concurrence=float(vals["concurrence"][0]),
-        asymmetry=abs(fwd - bwd),
-        regime=classify_from_values(fwd, bwd),
-    )
+    _, c2, s2, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
+    return _first_point(closed_measure_arrays(c2, s2, c, s, pair))
 
 
 def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
@@ -327,20 +319,8 @@ def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
     and branch CHSH on the extracted X parameters, spin-flip concurrence
     and correlation-matrix CHSH on the reduced matrix itself.
     """
-    amp = bogoliubov(p)
-    vals = pipeline_measure_arrays(np.array([amp.c]), np.array([amp.s]), pair)
-    fwd = float(vals["s_forward"][0])
-    bwd = float(vals["s_backward"][0])
-    return MeasureSet(
-        s_forward=fwd,
-        s_backward=bwd,
-        bell=float(vals["bell_max"][0]),
-        bell_branch1=float(vals["bell_branch1"][0]),
-        bell_branch2=float(vals["bell_branch2"][0]),
-        concurrence=float(vals["concurrence"][0]),
-        asymmetry=abs(fwd - bwd),
-        regime=classify_from_values(fwd, bwd),
-    )
+    _, _, _, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
+    return _first_point(pipeline_measure_arrays(c, s, pair))
 
 
 def critical_dilatons(mass: float, omega: float) -> CriticalPoints:
@@ -586,19 +566,10 @@ def monogamy_residual_arrays(ab: dict, abbar: dict, bbbar: dict, dilatons, d0: f
 
 def monogamy_residuals(p: DilatonParams) -> MonogamyResiduals:
     """Residuals of the four steering-entanglement identities at one point."""
-    amp = bogoliubov(p)
-    c2 = np.array([amp.c * amp.c])
-    s2 = np.array([amp.s * amp.s])
-    c = np.array([amp.c])
-    s = np.array([amp.s])
-    vals = {
-        pair: closed_measure_arrays(c2, s2, c, s, pair)
-        for pair in (Pair.AB, Pair.ABBAR, Pair.BBBAR)
-    }
+    _, c2, s2, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
+    ab, abbar, bbbar = (closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair)
     d0 = critical_dilatons(p.mass, p.omega).d0
-    res = monogamy_residual_arrays(
-        vals[Pair.AB], vals[Pair.ABBAR], vals[Pair.BBBAR], np.array([p.dilaton]), d0
-    )
+    res = monogamy_residual_arrays(ab, abbar, bbbar, [p.dilaton], d0)
     valid = bool(res["valid"][0])
     return MonogamyResiduals(
         r1=float(res["r1"][0]),

@@ -104,18 +104,19 @@ def steering_asymmetry(s: XState) -> float:
     return abs(steerability(s, Direction.A_TO_B) - steerability(s, Direction.B_TO_A))
 
 
+# Regimes in the order of 2 * (forward witnessed) + (backward witnessed).
+REGIMES = (Regime.NO_WAY, Regime.ONE_WAY_BACKWARD, Regime.ONE_WAY_FORWARD, Regime.TWO_WAY)
+
+
+def regime_index(s_forward, s_backward, threshold: float = STEERING_ZERO_THRESHOLD):
+    """Position in `REGIMES` of the witnessed directions; elementwise on arrays."""
+    return 2 * (s_forward > threshold) + (s_backward > threshold)
+
+
 def classify_from_values(
     s_forward: float, s_backward: float, threshold: float = STEERING_ZERO_THRESHOLD
 ) -> Regime:
-    fwd = s_forward > threshold
-    bwd = s_backward > threshold
-    if fwd and bwd:
-        return Regime.TWO_WAY
-    if fwd:
-        return Regime.ONE_WAY_FORWARD
-    if bwd:
-        return Regime.ONE_WAY_BACKWARD
-    return Regime.NO_WAY
+    return REGIMES[regime_index(s_forward, s_backward, threshold)]
 
 
 def classify_steering(s: XState, threshold: float = STEERING_ZERO_THRESHOLD) -> Regime:
@@ -181,16 +182,14 @@ def steering_witness_matrix(m: DensityMatrix, direction: Direction) -> DensityMa
     return DensityMatrix(mix)
 
 
+def measure_set(s_forward, s_backward, bell, branch1, branch2, concurrence) -> MeasureSet:
+    """Bundle one bipartition's values with their asymmetry and regime."""
+    asymmetry = abs(s_forward - s_backward)
+    regime = classify_from_values(s_forward, s_backward)
+    return MeasureSet(s_forward, s_backward, bell, branch1, branch2, concurrence, asymmetry, regime)
+
+
 def measure_xstate(s: XState) -> MeasureSet:
     """All closed-form measures of one X state, bundled."""
     fwd, bwd, b1, b2, conc = _xstate_row(s)
-    return MeasureSet(
-        s_forward=fwd,
-        s_backward=bwd,
-        bell=max(b1, b2),
-        bell_branch1=b1,
-        bell_branch2=b2,
-        concurrence=conc,
-        asymmetry=abs(fwd - bwd),
-        regime=classify_from_values(fwd, bwd),
-    )
+    return measure_set(fwd, bwd, max(b1, b2), b1, b2, conc)

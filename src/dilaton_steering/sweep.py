@@ -1,19 +1,22 @@
 """Grid sweeps over the dilaton charge: columns, verification, output.
 
 A sweep row is one (omega, dilaton) grid point; its columns are fixed by
-`columns()`. `sweep_blocks` yields them as numpy columns, one block per
-omega, and the writers stream them in row slices either as CSV (17
-significant digits, '\\n' line endings) or as a JSON array of objects
-with native numbers. Output is deterministic: identical configurations
-produce identical bytes.
+`columns()`. One grid walk (`_walk`) feeds every consumer here: it takes
+each omega's dilaton grid in ascending slices of at most SLICE_ROWS
+points with their amplitudes, and `_closed_walk` adds each slice's
+closed-form measures and monogamy residuals, so the memory of a run does
+not grow with the grid. `sweep_blocks` turns the slices into numpy
+columns, and the writers stream them either as CSV (17 significant
+digits, '\\n' line endings) or as a JSON array of objects with native
+numbers. Output is deterministic: identical configurations produce
+identical bytes.
 
-This module keeps the grids, the writers and the gates; both routes
-live in `dilaton`. The closed-form route evaluates the analytic
-expressions in the thermal argument; the batch density-matrix route
-(`tripartite_batch`, `partial_trace_batch`, `pipeline_measure_arrays`,
-imported here from `dilaton`) builds every three-mode density matrix,
-partial-traces it, and runs the batch kernels. `verify_grid` compares
-the two at a 1e-10 gate; `monogamy_grid` gates the four identities.
+Both routes live in `dilaton`. `verify_grid` adds the batch
+density-matrix route (`tripartite_batch`, `partial_trace_batch`,
+`pipeline_measure_arrays`, imported here from `dilaton`) to each slice
+and compares it with the closed forms at a 1e-10 gate; `monogamy_grid`
+gates the four identities. Both fold each slice's peaks, so their
+reports are the ones a whole-grid pass gives.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .dilaton import (
     pipeline_measure_arrays,
     tripartite_batch,
 )
-from .measures import STEERING_ZERO_THRESHOLD, Regime
+from .measures import REGIMES, STEERING_ZERO_THRESHOLD, regime_index
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
 MEASURE_FIELDS = (
@@ -45,6 +48,7 @@ MEASURE_FIELDS = (
     "asymmetry",
     "regime",
 )
+RESIDUALS = ("r1", "r2", "r3", "r4")
 VERIFY_GATE = 1e-10
 MONOGAMY_GATE = 1e-10
 # Compared measure columns: closed-form key -> pipeline key.
@@ -88,8 +92,6 @@ class SweepConfig:
     d_max: float | None = None
     points: int = 2001
     pairs: tuple = ALL_PAIRS
-    fmt: str = "csv"
-    out: str | None = None
 
     @property
     def resolved_d_max(self) -> float:
@@ -106,8 +108,6 @@ class SweepConfig:
             )
         if not self.pairs or any(p not in ALL_PAIRS for p in self.pairs):
             raise ConfigError(f"pairs must be a nonempty subset of {[p.value for p in ALL_PAIRS]}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
     def dilaton_grid(self) -> np.ndarray:
         return np.linspace(self.d_min, self.resolved_d_max, self.points)
@@ -122,50 +122,68 @@ def columns(pairs=ALL_PAIRS) -> list:
     for pair in ALL_PAIRS:
         if pair in pairs:
             cols.extend(f"{pair.value}_{name}" for name in MEASURE_FIELDS)
-    cols.extend(["r1", "r2", "r3", "r4", "r3_valid", "r4_valid"])
+    cols.extend(RESIDUALS + ("r3_valid", "r4_valid"))
     return cols
 
 
-# Regime labels indexed by 2 * (forward witnessed) + (backward witnessed).
-_REGIME_LABELS = np.array(
-    [
-        r.value
-        for r in (Regime.NO_WAY, Regime.ONE_WAY_BACKWARD, Regime.ONE_WAY_FORWARD, Regime.TWO_WAY)
-    ]
-)
+_REGIME_LABELS = np.array([r.value for r in REGIMES])
 
 
 def _regime_labels(s_forward, s_backward, threshold=STEERING_ZERO_THRESHOLD) -> np.ndarray:
-    return _REGIME_LABELS[2 * (s_forward > threshold) + (s_backward > threshold)]
+    return _REGIME_LABELS[regime_index(s_forward, s_backward, threshold)]
 
 
-# --- blocks and writers ---------------------------------------------------
+# --- the grid walk, blocks and writers --------------------------------------
 
-# Rows per formatted write, and grid points per density-matrix stack in
-# `verify_grid`: both hold one slice at a time, so their memory does not
-# grow with the grid.
+# Grid points per slice of the walk: every column, density-matrix stack
+# and formatted write holds one slice at a time.
 SLICE_ROWS = 4096
 
 
-def sweep_blocks(cfg: SweepConfig):
-    """Yield the sweep one omega at a time, in ascending omega.
+def _walk(cfg: SweepConfig):
+    """Yield each omega's dilaton grid in ascending slices of at most SLICE_ROWS.
 
-    Each block maps every column of `columns(cfg.pairs)` to an array over
-    the dilaton grid: floats, regime labels as strings, and the monogamy
-    validity flags as booleans. Monogamy residuals are always computed
-    from all three bipartitions, regardless of which pair columns were
-    requested.
+    Each item is (omega, dilatons, x, c2, s2, c, s): the slice's
+    dilatons, thermal arguments and amplitudes. Every later step is
+    elementwise, so a slice holds the values a whole-grid pass gives at
+    its points. Consumers drop a slice before they ask for the next, so
+    that a run holds one slice at a time.
     """
     cfg.validate()
     dgrid = cfg.dilaton_grid()
     for omega in cfg.sorted_omegas():
-        x, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
+        for start in range(0, len(dgrid), SLICE_ROWS):
+            dslice = dgrid[start : start + SLICE_ROWS]
+            yield (omega, dslice, *amplitude_arrays(cfg.mass, omega, dslice))
+
+
+def _closed_walk(cfg: SweepConfig):
+    """`_walk` with each slice's closed forms and monogamy residuals.
+
+    Yields (omega, dilatons, x, closed, mono): `closed[pair]` holds the
+    closed-form measures of all three pairs, and `mono` the monogamy
+    residuals, which always take all three.
+    """
+    for omega, dslice, x, c2, s2, c, s in _walk(cfg):
         closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
         d0 = critical_dilatons(cfg.mass, omega).d0
         mono = monogamy_residual_arrays(
-            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dgrid, d0
+            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0
         )
-        block = {"omega": np.full(dgrid.shape, omega), "dilaton": dgrid, "x": x}
+        yield omega, dslice, x, closed, mono
+        del x, c2, s2, c, s, closed, mono
+
+
+def sweep_blocks(cfg: SweepConfig):
+    """Yield the sweep in blocks of at most SLICE_ROWS rows, in ascending (omega, dilaton).
+
+    Each block maps every column of `columns(cfg.pairs)` to an array over
+    its rows: floats, regime labels as strings, and the monogamy validity
+    flags as booleans. Monogamy residuals are always computed from all
+    three bipartitions, regardless of which pair columns were requested.
+    """
+    for omega, dslice, x, closed, mono in _closed_walk(cfg):
+        block = {"omega": np.full(dslice.shape, omega), "dilaton": dslice, "x": x}
         for pair in ALL_PAIRS:
             if pair not in cfg.pairs:
                 continue
@@ -173,18 +191,11 @@ def sweep_blocks(cfg: SweepConfig):
             vals["regime"] = _regime_labels(vals["s_forward"], vals["s_backward"])
             for name in MEASURE_FIELDS:
                 block[f"{pair.value}_{name}"] = vals[name]
-        for name in ("r1", "r2", "r3", "r4"):
+        for name in RESIDUALS:
             block[name] = mono[name]
         block["r3_valid"] = block["r4_valid"] = mono["valid"]
         yield block
-
-
-def _slices(cfg: SweepConfig, header):
-    """Row slices of at most SLICE_ROWS rows, as one array per header column."""
-    for block in sweep_blocks(cfg):
-        arrays = [block[name] for name in header]
-        for start in range(0, len(arrays[0]), SLICE_ROWS):
-            yield [a[start : start + SLICE_ROWS] for a in arrays]
+        del block, x, closed, mono
 
 
 def _cells(array) -> list:
@@ -209,7 +220,8 @@ def write_csv(cfg: SweepConfig, stream) -> None:
     header = columns(cfg.pairs)
     # The header goes out with the first slice, after the config validated.
     head = ",".join(header) + "\n"
-    for arrays in _slices(cfg, header):
+    for block in sweep_blocks(cfg):
+        arrays = [block[name] for name in header]
         template = ",".join("%s" if a.dtype.kind in "bU" else "%.17g" for a in arrays) + "\n"
         stream.write(head + "".join(map(template.__mod__, zip(*map(_cells, arrays)))))
         head = ""
@@ -219,7 +231,8 @@ def write_json(cfg: SweepConfig, stream) -> None:
     """Write the sweep as a JSON array of objects, as `json.dump(indent=2)` would."""
     header = columns(cfg.pairs)
     sep = "[\n"
-    for arrays in _slices(cfg, header):
+    for block in sweep_blocks(cfg):
+        arrays = [block[name] for name in header]
         specs, cells = [], []
         for a in arrays:
             values = _cells(a)
@@ -273,40 +286,38 @@ class VerifyReport:
         return max(self.deviations, key=lambda d: _rank(d.value))
 
 
+def _fold_peak(worst: dict, key, dev: np.ndarray, omega: float, dilatons: np.ndarray) -> None:
+    """Fold one slice's peak of `dev` into worst[key] = (value, omega, dilaton).
+
+    The fold runs in grid order and keeps an entry unless a later one
+    ranks strictly higher, so on a tie the earlier grid point stays, as
+    np.argmax keeps the first.
+    """
+    if dev.size:
+        i = int(np.argmax(dev))
+        old = worst.get(key)
+        if old is None or _rank(dev[i]) > _rank(old[0]):
+            worst[key] = (float(dev[i]), omega, float(dilatons[i]))
+
+
 def verify_grid(cfg: SweepConfig) -> VerifyReport:
     """Compare the closed-form and pipeline routes on the whole grid.
 
-    Each omega's dilaton grid is walked in slices of SLICE_ROWS states,
-    so the density-matrix stacks, and the memory of a run, do not grow
-    with the grid. Every step is elementwise or per matrix, so the report
-    is the one a whole-grid pass gives; ties go to the first grid point.
+    The density-matrix stacks are built one slice of the grid walk at a
+    time, so they, and the memory of a run, do not grow with the grid.
     Bell values are compared branch to branch, plus the branch maximum
     against the correlation-matrix value.
     """
-    cfg.validate()
-    dgrid = cfg.dilaton_grid()
     worst = {}
-    for omega in cfg.sorted_omegas():
-        for start in range(0, len(dgrid), SLICE_ROWS):
-            dslice = dgrid[start : start + SLICE_ROWS]
-            _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dslice)
-            rho8 = tripartite_batch(c, s)
-            for pair in cfg.pairs:
-                closed = closed_measure_arrays(c2, s2, c, s, pair)
-                pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
-                for key in _VERIFY_KEYS:
-                    dev = np.abs(closed[key] - pipe[key])
-                    i = int(np.argmax(dev))
-                    _merge_worst(worst, Deviation(pair, key, float(dev[i]), omega, float(dslice[i])))
-    return VerifyReport(list(worst.values()))
-
-
-def _merge_worst(worst: dict, dev: Deviation) -> None:
-    # One entry per (pair, measure): the worst across omegas and slices.
-    # On a tie the earlier grid point stays, as np.argmax keeps the first.
-    old = worst.get((dev.pair, dev.measure))
-    if old is None or _rank(dev.value) > _rank(old.value):
-        worst[dev.pair, dev.measure] = dev
+    for omega, dslice, _, c2, s2, c, s in _walk(cfg):
+        rho8 = tripartite_batch(c, s)
+        for pair in cfg.pairs:
+            closed = closed_measure_arrays(c2, s2, c, s, pair)
+            pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
+            for key in _VERIFY_KEYS:
+                dev = np.abs(closed[key] - pipe[key])
+                _fold_peak(worst, (pair, key), dev, omega, dslice)
+    return VerifyReport([Deviation(pair, key, *peak) for (pair, key), peak in worst.items()])
 
 
 @dataclass
@@ -331,38 +342,25 @@ class MonogamyReport:
 
 
 def monogamy_grid(cfg: SweepConfig) -> MonogamyReport:
-    """Evaluate the four identities over the grid and report maxima."""
-    cfg.validate()
-    dgrid = cfg.dilaton_grid()
-    max_r1 = max_r2 = 0.0
-    max_r3 = max_r4 = None
-    worst = ("r1", 0.0, cfg.sorted_omegas()[0], float(dgrid[0]))
-    for omega in cfg.sorted_omegas():
-        _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
-        closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
-        d0 = critical_dilatons(cfg.mass, omega).d0
-        res = monogamy_residual_arrays(
-            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dgrid, d0
-        )
-        for name in ("r1", "r2", "r3", "r4"):
-            absval = np.abs(res[name])
-            if name in ("r3", "r4"):
-                if not res["valid"].any():
-                    continue
-                absval = absval[res["valid"]]
-                dsub = dgrid[res["valid"]]
-            else:
-                dsub = dgrid
-            i = int(np.argmax(absval))
-            peak = float(absval[i])
-            if name == "r1":
-                max_r1 = max(max_r1, peak, key=_rank)
-            elif name == "r2":
-                max_r2 = max(max_r2, peak, key=_rank)
-            elif name == "r3":
-                max_r3 = peak if max_r3 is None else max(max_r3, peak, key=_rank)
-            else:
-                max_r4 = peak if max_r4 is None else max(max_r4, peak, key=_rank)
-            if _rank(peak) > _rank(worst[1]):
-                worst = (name, peak, omega, float(dsub[i]))
-    return MonogamyReport(max_r1, max_r2, max_r3, max_r4, worst)
+    """Evaluate the four identities over the grid and report maxima.
+
+    r3/r4 count only where they apply. Slice peaks fold per (omega,
+    residual), so the maxima and the worst point are the ones a
+    whole-grid pass gives, with ties going to the first in (omega,
+    r1..r4, grid point) order.
+    """
+    peaks = {}
+    for omega, dslice, x, closed, mono in _closed_walk(cfg):
+        del x, closed  # the fold needs only the residuals (see `_walk`)
+        for name in RESIDUALS:
+            rows = mono["valid"] if name in ("r3", "r4") else slice(None)
+            _fold_peak(peaks, (omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
+    maxima = [
+        max((peak[0] for (_, n), peak in peaks.items() if n == name), key=_rank, default=None)
+        for name in RESIDUALS
+    ]
+    # `peaks` is in (omega, r1..r4) order: r1 and r2 enter with an omega's
+    # first slice, r3 and r4 together with its first valid one. max keeps
+    # the first of equal ranks.
+    (_, name), peak = max(peaks.items(), key=lambda item: _rank(item[1][0]))
+    return MonogamyReport(*maxima, worst=(name, *peak))

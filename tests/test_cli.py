@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,16 @@ class TestCriticalCommand:
         assert code == 0
         assert "1.97814380" in out
 
+    def test_large_mass_prints_eight_decimals(self, capsys):
+        # From 1e8 up to where the gate stops applying (about 2.1e9), the
+        # printed values must still show the 1e-6 agreement.
+        code, out, _ = run(capsys, "critical", "--mass", "1e9", "--omega", "1e-9")
+        assert code == 0
+        lines = [line for line in out.splitlines() if "numeric" in line]
+        assert len(lines) == 3
+        for line in lines:
+            assert re.search(r"closed = \d{9}\.\d{8}  numeric = \d{9}\.\d{8}  ", line), line
+
     def test_extreme_omega_prints_short_lines(self, capsys):
         code, out, _ = run(capsys, "critical", "--omega", "1e-300")
         assert code == 0
@@ -259,6 +270,58 @@ class TestClassifyCommand:
         assert "two_way" in abbar_line and "one_way" not in abbar_line
         bbbar_line = [line for line in out.split("\n") if "bbbar" in line][0]
         assert "no_way" in bbbar_line and "one_way" not in bbbar_line
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--mass", "1", "--omega", "1", "--d-min", "0.5", "--d-max", "0.9",
+             "--points", "3", "--pairs", "ab", "--format", "json"),
+            ("verify", "--mass", "1", "--omega", "1", "--d-min", "0.5", "--d-max", "0.9",
+             "--points", "3", "--pairs", "ab"),
+            ("monogamy", "--mass", "1", "--omega", "1", "--d-min", "0.5", "--d-max", "0.9",
+             "--points", "3"),
+            ("critical", "--mass", "1", "--omega", "1"),
+            ("classify", "--mass", "1", "--omega", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_honoured_flags_are_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out != ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical", "--points", "7"),
+            ("critical", "--format", "json"),
+            ("critical", "--pairs", "ab"),
+            ("classify", "--d-max", "0.9"),
+            ("classify", "--format", "json"),
+            ("monogamy", "--pairs", "ab"),
+            ("monogamy", "--format", "json"),
+            ("verify", "--format", "json"),
+            ("sweep", "--format", "xml"),
+        ],
+        ids=" ".join,
+    )
+    def test_unhonoured_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("command", ["critical", "classify", "monogamy", "verify"])
+    def test_out_is_rejected_and_writes_nothing(self, capsys, tmp_path, command):
+        target = tmp_path / "F"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(target)])
+        assert exc.value.code == 2
+        assert not target.exists()
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 class TestVersionFlag:

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import math
@@ -6,8 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dilaton_steering.dilaton import Pair, amplitude_arrays, closed_measure_arrays
+from dilaton_steering import sweep
+from dilaton_steering.dilaton import (
+    Pair,
+    amplitude_arrays,
+    closed_measure_arrays,
+    critical_dilatons,
+    monogamy_residual_arrays,
+)
 from dilaton_steering.sweep import (
+    RESIDUALS,
     SLICE_ROWS,
     ConfigError,
     SweepConfig,
@@ -33,6 +42,16 @@ def render_csv(cfg):
     buf = io.StringIO()
     write_csv(cfg, buf)
     return buf.getvalue()
+
+
+def traced_peak(run, points):
+    """Peak traced numpy/python memory of run(cfg) on a one-omega grid."""
+    tracemalloc.start()
+    try:
+        run(SweepConfig(points=points, omegas=(1.0,)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_columns(cfg):
@@ -62,7 +81,6 @@ class TestConfig:
             {"d_max": 1.0},
             {"d_max": 1.5},
             {"pairs": ()},
-            {"fmt": "xml"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -133,6 +151,20 @@ class TestRecords:
             assert "r1" in block and "r3_valid" in block
             assert "abbar_s_forward" not in block
 
+    def test_blocks_are_ascending_slices(self):
+        cfg = SweepConfig(points=2 * SLICE_ROWS + 1, omegas=(1.0, 0.5))
+        sizes = [len(block["dilaton"]) for block in sweep_blocks(cfg)]
+        assert sizes == [SLICE_ROWS, SLICE_ROWS, 1] * 2
+        cols = sweep_columns(cfg)
+        keys = list(zip(cols["omega"].tolist(), cols["dilaton"].tolist()))
+        assert keys == sorted(keys)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        def consume(cfg):
+            collections.deque(sweep_blocks(cfg), maxlen=0)
+
+        assert traced_peak(consume, 20001) < 1.5 * traced_peak(consume, 4097)
+
     def test_all_numeric_fields_finite(self):
         cfg = SweepConfig(points=7)
         for block in sweep_blocks(cfg):
@@ -172,7 +204,7 @@ class TestSerialization:
         assert render_csv(cfg) == render_csv(cfg)
 
     def test_json_structure(self):
-        cfg = SweepConfig(points=2, omegas=(1.0,), fmt="json")
+        cfg = SweepConfig(points=2, omegas=(1.0,))
         buf = io.StringIO()
         write_json(cfg, buf)
         parsed = json.loads(buf.getvalue())
@@ -225,15 +257,7 @@ class TestVerifyGrid:
             assert (d.value, d.omega, d.dilaton) == expected[d.pair, d.measure]
 
     def test_memory_does_not_grow_with_the_grid(self):
-        def peak(points):
-            tracemalloc.start()
-            try:
-                verify_grid(SweepConfig(points=points, omegas=(1.0,)))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(20001) < 1.5 * peak(4097)
+        assert traced_peak(verify_grid, 20001) < 1.5 * traced_peak(verify_grid, 4097)
 
     def test_nan_in_last_slice_fails_the_gate(self, nan_s_forward_at):
         cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(0.5, 1.0), pairs=(Pair.ABBAR,))
@@ -291,3 +315,64 @@ class TestMonogamyGrid:
         report = monogamy_grid(SweepConfig(points=51, d_max=0.9, omegas=(1.0,)))
         assert report.max_r3 is None and report.max_r4 is None
         assert report.passed
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        assert traced_peak(monogamy_grid, 20001) < 1.5 * traced_peak(monogamy_grid, 4097)
+
+    @pytest.mark.parametrize(
+        "points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 2 * SLICE_ROWS + 1]
+    )
+    def test_sliced_report_equals_whole_grid_pass(self, points):
+        cfg = SweepConfig(points=points, omegas=(1.5, 0.5, 1.0))
+        dgrid = cfg.dilaton_grid()
+        maxima = dict.fromkeys(RESIDUALS)
+        worst = None
+        for omega in cfg.sorted_omegas():
+            _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
+            closed = [closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair]
+            d0 = critical_dilatons(cfg.mass, omega).d0
+            res = monogamy_residual_arrays(*closed, dgrid, d0)
+            for name in RESIDUALS:
+                rows = res["valid"] if name in ("r3", "r4") else slice(None)
+                absval, dsub = np.abs(res[name][rows]), dgrid[rows]
+                if absval.size == 0:
+                    continue
+                i = int(np.argmax(absval))
+                if maxima[name] is None or absval[i] > maxima[name]:
+                    maxima[name] = float(absval[i])
+                if worst is None or absval[i] > worst[1]:
+                    worst = (name, float(absval[i]), omega, float(dsub[i]))
+        report = monogamy_grid(cfg)
+        assert [report.max_r1, report.max_r2, report.max_r3, report.max_r4] == [
+            maxima[name] for name in RESIDUALS
+        ]
+        assert report.worst == worst
+
+    @pytest.mark.parametrize(
+        "poison,expected",
+        [
+            # A NaN r2 at the first omega beats a NaN r1 at a later omega.
+            ({0.5: [("r2", 0)], 1.0: [("r1", 0)]}, ("r2", 0.5, 0)),
+            # Within one omega r1 comes before r2, even when the NaN r2 lies
+            # in an earlier slice than the NaN r1.
+            ({0.5: [("r2", 0), ("r1", -1)], 1.0: [("r1", 0)]}, ("r1", 0.5, -1)),
+        ],
+    )
+    def test_nan_ties_go_to_omega_then_residual_then_point(self, monkeypatch, poison, expected):
+        cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(1.0, 0.5))
+        dgrid = cfg.dilaton_grid()
+        by_d0 = {critical_dilatons(cfg.mass, w).d0: spec for w, spec in poison.items()}
+        original = sweep.monogamy_residual_arrays
+
+        def poisoned(ab, abbar, bbbar, dilatons, d0):
+            res = original(ab, abbar, bbbar, dilatons, d0)
+            for name, index in by_d0[d0]:
+                res[name] = np.where(dilatons == dgrid[index], np.nan, res[name])
+            return res
+
+        monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)
+        report = monogamy_grid(cfg)
+        assert not report.passed
+        name, value, omega, dilaton = report.worst
+        assert math.isnan(value)
+        assert (name, omega, dilaton) == (expected[0], expected[1], float(dgrid[expected[2]]))
