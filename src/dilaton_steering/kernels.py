@@ -5,7 +5,10 @@ float64/complex128 arrays and perform no validation; validated
 single-state entry points live in `measures`. `l_triple` and
 `witness_margins` are plain arithmetic, so `measures` calls them with
 floats and `xstate_measures` with arrays: the scalar and batch
-steering witnesses share one definition.
+steering witnesses share one definition. `spinflip_concurrence` takes
+each state's numerical rank from its own spectrum: rank <= 2 (every
+reduced state of a pure three-mode state) takes a closed 2x2 step, the
+rest a batched SVD.
 """
 
 from __future__ import annotations
@@ -87,19 +90,60 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
 _EIG_CLIP = 64.0 * np.finfo(np.float64).eps
 
 
+def _flip_overlap(x, y):
+    """Stacked x^T F y for the spin flip F, written out as the swap it is."""
+    return x[:, 1] * y[:, 2] + x[:, 2] * y[:, 1] - x[:, 0] * y[:, 3] - x[:, 3] * y[:, 0]
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _pair_gap(u, w):
+    """sigma1 - sigma2 of the flipped overlap of two stacked columns of L.
+
+    With a = [[alpha, beta], [beta, gamma]] (alpha = u^T F u, beta =
+    u^T F w, gamma = w^T F w) and a^dagger a = [[p, q], [q*, r]]:
+    sigma1^2 - sigma2^2 = hypot(p - r, 2|q|), with p - r = |alpha|^2 -
+    |gamma|^2, and (sigma1 + sigma2)^2 = p + r + 2|det a|. Their
+    quotient takes no difference of nearly equal singular values, so a
+    gap near zero keeps absolute precision. A zero overlap (a = 0) has
+    gap 0.
+    """
+    alpha = _flip_overlap(u, u)
+    beta = _flip_overlap(u, w)
+    gamma = _flip_overlap(w, w)
+    aa, bb, gg = _abs2(alpha), _abs2(beta), _abs2(gamma)
+    q = np.abs(np.conj(alpha) * beta + np.conj(beta) * gamma)
+    num = np.hypot(aa - gg, 2.0 * q)
+    den = np.sqrt(aa + 2.0 * bb + gg + 2.0 * np.abs(alpha * gamma - beta * beta))
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
 def spinflip_concurrence(rhos):
     """Spin-flip concurrence for a stack of 4x4 density matrices.
 
     The flipped-overlap spectrum is obtained as the singular values of
     L^T F L with rho = L L^dagger, which keeps relative precision where
-    the eigenvalues of rho (F rho* F) pass through zero.
+    the eigenvalues of rho (F rho* F) pass through zero. A state whose
+    two smallest eigenvalues clip to zero has rank <= 2, so L^T F L has
+    one nonzero 2x2 block, built from the two top eigen-columns, and its
+    singular-value gap has a closed form (`_pair_gap`). States of rank 3
+    or 4 take the batched SVD.
     """
     e, v = np.linalg.eigh(rhos)
     e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
-    ell = v * np.sqrt(e)[:, None, :]
-    a = np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell
-    lam = np.linalg.svd(a, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    root = np.sqrt(e)
+    conc = np.empty(e.shape[0])
+    low = e[:, 1] == 0.0
+    conc[low] = _pair_gap(v[low, :, 2] * root[low, 2:3], v[low, :, 3] * root[low, 3:])
+    full = ~low
+    if full.any():
+        ell = v[full] * root[full, None, :]
+        a = np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell
+        lam = np.linalg.svd(a, compute_uv=False)
+        conc[full] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.maximum(0.0, conc)
 
 
 def chsh_max(rhos):

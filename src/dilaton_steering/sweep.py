@@ -110,7 +110,29 @@ class SweepConfig:
             raise ConfigError(f"pairs must be a nonempty subset of {[p.value for p in ALL_PAIRS]}")
 
     def dilaton_grid(self) -> np.ndarray:
+        """The whole grid, np.linspace(d_min, d_max, points)."""
         return np.linspace(self.d_min, self.resolved_d_max, self.points)
+
+    def grid_slice(self, start: int, stop: int) -> np.ndarray:
+        """`dilaton_grid()[start:stop]`, bit for bit, without building the whole grid.
+
+        As np.linspace does: i * step + d_min, or (i / div) * delta + d_min
+        where the step underflows to 0, and the last point set to d_max.
+        """
+        d_max = self.resolved_d_max
+        div = self.points - 1
+        delta = d_max - self.d_min
+        step = delta / div
+        y = np.arange(start, stop, dtype=np.float64)
+        if step == 0.0:
+            y /= div
+            y *= delta
+        else:
+            y *= step
+        y += self.d_min
+        if stop == self.points:
+            y[-1] = d_max
+        return y
 
     def sorted_omegas(self) -> list:
         return sorted(self.omegas)
@@ -144,16 +166,16 @@ def _walk(cfg: SweepConfig):
     """Yield each omega's dilaton grid in ascending slices of at most SLICE_ROWS.
 
     Each item is (omega, dilatons, x, c2, s2, c, s): the slice's
-    dilatons, thermal arguments and amplitudes. Every later step is
+    dilatons (from `grid_slice`, so the whole grid is never built),
+    thermal arguments and amplitudes. Every later step is
     elementwise, so a slice holds the values a whole-grid pass gives at
     its points. Consumers drop a slice before they ask for the next, so
     that a run holds one slice at a time.
     """
     cfg.validate()
-    dgrid = cfg.dilaton_grid()
     for omega in cfg.sorted_omegas():
-        for start in range(0, len(dgrid), SLICE_ROWS):
-            dslice = dgrid[start : start + SLICE_ROWS]
+        for start in range(0, cfg.points, SLICE_ROWS):
+            dslice = cfg.grid_slice(start, min(start + SLICE_ROWS, cfg.points))
             yield (omega, dslice, *amplitude_arrays(cfg.mass, omega, dslice))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spinflip_oracle as oracle
 from dilaton_steering import kernels, measures, sampling
 from dilaton_steering.density import XState
 from dilaton_steering.measures import Direction
@@ -14,6 +15,13 @@ def batch():
         "params": (d11, d22, d33, d44, np.abs(c14), np.abs(c23)),
         "matrices": sampling.xstate_matrices(d11, d22, d33, d44, c14, c23),
     }
+
+
+def random_states(rng, n, rank):
+    """n random two-qubit states of the given rank, with every entry nonzero (not X states)."""
+    g = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
 
 
 class TestBatchMatchesScalarApi:
@@ -72,3 +80,85 @@ class TestOracleEdgeCases:
         pars = sampling.random_separable_xstate_params(rng, 2000)
         mats = sampling.xstate_matrices(*pars)
         assert kernels.spinflip_concurrence(mats).max() <= 1e-10
+
+
+class TestSpinFlipConcurrence:
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_rank_matches_svd_reference(self, rank):
+        rhos = random_states(np.random.default_rng(rank), 2000, rank)
+        conc = kernels.spinflip_concurrence(rhos)
+        assert np.abs(conc - oracle.spinflip_concurrence_svd(rhos)).max() <= 1e-13
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_higher_rank_returns_the_svd_bits(self, rank):
+        rhos = random_states(np.random.default_rng(rank), 2000, rank)
+        conc = kernels.spinflip_concurrence(rhos)
+        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_textbook_wootters(self, rank):
+        rhos = random_states(np.random.default_rng(10 + rank), 300, rank)
+        checked = 0
+        for rho, conc in zip(rhos, kernels.spinflip_concurrence(rhos)):
+            lam = oracle.wootters_lambdas(rho, rank)
+            # Well conditioned: every kept root is far from 0, where the
+            # square root would magnify the eigenvalue error.
+            if lam[rank - 1] < 1e-3:
+                continue
+            checked += 1
+            assert abs(conc - max(0.0, lam[0] - lam[1:].sum())) <= 1e-10
+        assert checked >= 200
+
+    def test_separable_rank_two_states_are_zero_to_eps(self):
+        # Mixtures of two product states: sigma1 = sigma2 in exact
+        # arithmetic, and the closed gap must not lose that to cancellation.
+        rng = np.random.default_rng(3)
+
+        def qubits(n):
+            q = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+            return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+        rhos = np.zeros((1000, 4, 4), dtype=np.complex128)
+        for weight in (0.3, 0.7):
+            v = (qubits(1000)[:, :, None] * qubits(1000)[:, None, :]).reshape(-1, 4)
+            rhos += weight * v[:, :, None] * v[:, None, :].conj()
+        assert kernels.spinflip_concurrence(rhos).max() <= 1e-14
+
+    def test_mixed_stack_keeps_row_order(self):
+        rng = np.random.default_rng(5)
+        low, full = random_states(rng, 60, 2), random_states(rng, 40, 4)
+        order = rng.permutation(100)
+        mixed = np.concatenate([low, full])[order]
+        conc = kernels.spinflip_concurrence(mixed)
+        expected = np.concatenate(
+            [kernels.spinflip_concurrence(low), kernels.spinflip_concurrence(full)]
+        )
+        assert np.array_equal(conc, expected[order])
+
+    def test_empty_stack(self):
+        conc = kernels.spinflip_concurrence(np.zeros((0, 4, 4), dtype=np.complex128))
+        assert conc.shape == (0,)
+
+    @pytest.mark.parametrize("factor, takes_svd", [(0.8, False), (1.25, True)])
+    def test_third_eigenvalue_at_the_clip(self, monkeypatch, factor, takes_svd):
+        # The third eigenvalue sits just below or just above the clip, which
+        # decides between the closed 2x2 gap and the SVD.
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
+        spectrum = np.array([0.0, factor * kernels._EIG_CLIP * 0.6, 0.4, 0.6])
+        rhos = (q * spectrum) @ np.conj(np.swapaxes(q, 1, 2))
+        reference = oracle.spinflip_concurrence_svd(rhos)
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        conc = kernels.spinflip_concurrence(rhos)
+        assert bool(svd_calls) == takes_svd
+        if takes_svd:
+            assert np.array_equal(conc, reference)
+        else:
+            assert np.abs(conc - reference).max() <= 1e-13

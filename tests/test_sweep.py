@@ -88,6 +88,40 @@ class TestConfig:
             SweepConfig(**kwargs).validate()
 
 
+class TestGridSlices:
+    @pytest.mark.parametrize(
+        "points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 2 * SLICE_ROWS + 1]
+    )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mass": 1e-300},
+            {"mass": 1e300},
+            # A denormal width: the step underflows to 0 and np.linspace
+            # takes its (i / div) * delta branch.
+            {"mass": 1e-319, "d_max": 1e-320},
+        ],
+    )
+    def test_walk_slices_are_the_linspace_grid(self, points, kwargs):
+        cfg = SweepConfig(points=points, omegas=(1.0,), **kwargs)
+        if "d_max" in kwargs:
+            assert cfg.d_max / (points - 1) == 0.0
+        walked = np.concatenate([dslice for _, dslice, *_ in sweep._walk(cfg)])
+        assert walked.tobytes() == cfg.dilaton_grid().tobytes()
+
+    def test_first_slice_of_a_huge_grid_is_small(self):
+        cfg = SweepConfig(points=10**12, omegas=(1.0,))
+        tracemalloc.start()
+        try:
+            _, dslice, *_ = next(sweep._walk(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dslice) == SLICE_ROWS and dslice[0] == 0.0
+        assert peak < 2**20
+        assert cfg.grid_slice(cfg.points - 2, cfg.points)[-1] == cfg.resolved_d_max
+
+
 class TestRecords:
     def test_golden_header(self):
         assert ",".join(columns()) == GOLDEN_HEADER
@@ -258,6 +292,15 @@ class TestVerifyGrid:
 
     def test_memory_does_not_grow_with_the_grid(self):
         assert traced_peak(verify_grid, 20001) < 1.5 * traced_peak(verify_grid, 4097)
+
+    def test_states_take_no_svd(self, monkeypatch):
+        # Every reduced state of the pure three-mode state has rank <= 2, so
+        # the spin-flip kernel takes its closed 2x2 step and never the SVD.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on a verify state")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert verify_grid(SweepConfig(points=101)).passed
 
     def test_nan_in_last_slice_fails_the_gate(self, nan_s_forward_at):
         cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(0.5, 1.0), pairs=(Pair.ABBAR,))
