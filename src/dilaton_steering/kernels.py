@@ -5,10 +5,11 @@ float64/complex128 arrays and perform no validation; validated
 single-state entry points live in `measures`. `l_triple` and
 `witness_margins` are plain arithmetic, so `measures` calls them with
 floats and `xstate_measures` with arrays: the scalar and batch
-steering witnesses share one definition. `spinflip_concurrence` takes
-each state's numerical rank from its own spectrum: rank <= 2 (every
-reduced state of a pure three-mode state) takes a closed 2x2 step, the
-rest a batched SVD.
+steering witnesses share one definition. `spinflip_concurrence`
+certifies a state as rank <= 2 (every reduced state of a pure
+three-mode state is) from two pivoted Cholesky steps and gives it a
+closed 2x2 step; the rest take eigh, then the same closed step or a
+batched SVD.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
 # Spectral weights of rho below _EIG_CLIP * (largest eigenvalue) are zeroed
 # before taking the matrix square root; they are indistinguishable from 0 at
 # working precision and their roots would otherwise inject sqrt(eps) noise.
+# The same factor bounds the Schur-complement trace that certifies rank <= 2
+# without eigh: trace(S) <= _EIG_CLIP * max(diag rho).
 _EIG_CLIP = 64.0 * np.finfo(np.float64).eps
 
 
@@ -120,16 +123,39 @@ def _pair_gap(u, w):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def spinflip_concurrence(rhos):
-    """Spin-flip concurrence for a stack of 4x4 density matrices.
+def _inv_sqrt(x):
+    """1/sqrt(x) where x > 0, else 0: a zero pivot gives a zero column."""
+    root = np.sqrt(np.maximum(x, 0.0))
+    return np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
 
-    The flipped-overlap spectrum is obtained as the singular values of
-    L^T F L with rho = L L^dagger, which keeps relative precision where
-    the eigenvalues of rho (F rho* F) pass through zero. A state whose
-    two smallest eigenvalues clip to zero has rank <= 2, so L^T F L has
-    one nonzero 2x2 block, built from the two top eigen-columns, and its
-    singular-value gap has a closed form (`_pair_gap`). States of rank 3
-    or 4 take the batched SVD.
+
+def _pivoted_pair(rhos):
+    """Two steps of diagonally pivoted Cholesky on stacked 4x4 states.
+
+    Returns the columns u and w, so that rho = u u^dagger + w w^dagger
+    + S with S the Schur complement left on the two unpivoted indices,
+    the trace of S, and the largest diagonal entry of rho.
+    """
+    rows = np.arange(rhos.shape[0])
+    d = rhos.diagonal(axis1=1, axis2=2).real
+    p = d.argmax(axis=1)
+    top = d[rows, p]
+    u = rhos[rows, :, p] * _inv_sqrt(top)[:, None]
+    d1 = d - _abs2(u)
+    d1[rows, p] = 0.0
+    q = d1.argmax(axis=1)
+    w = rhos[rows, :, q] - u * np.conj(u[rows, q])[:, None]
+    w *= _inv_sqrt(d1[rows, q])[:, None]
+    # Summed over all four indices: at the two pivots the entries are 0 up
+    # to rounding.
+    return u, w, (d1 - _abs2(w)).sum(axis=1), top
+
+
+def _spinflip_eigh(rhos):
+    """sigma1 - sigma2 - sigma3 - sigma4 of L^T F L from the eigen-factor L.
+
+    A state whose two smallest eigenvalues clip to zero takes `_pair_gap`
+    on its two top eigen-columns; states of rank 3 or 4 the batched SVD.
     """
     e, v = np.linalg.eigh(rhos)
     e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
@@ -143,6 +169,31 @@ def spinflip_concurrence(rhos):
         a = np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell
         lam = np.linalg.svd(a, compute_uv=False)
         conc[full] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return conc
+
+
+def spinflip_concurrence(rhos):
+    """Spin-flip concurrence for a stack of 4x4 density matrices.
+
+    The flipped-overlap spectrum is obtained as the singular values of
+    L^T F L for a factor rho = L L^dagger, which keeps relative precision
+    where the eigenvalues of rho (F rho* F) pass through zero; any factor
+    gives the same singular values. Two pivoted Cholesky steps give the
+    columns u, w of L and the Schur complement S that remains. A finite
+    state with trace(S) <= _EIG_CLIP * max(diag rho) is one the eigen-clip
+    also calls rank <= 2 (the third eigenvalue is at most trace(S), the
+    first at least the largest diagonal entry): L^T F L has one nonzero
+    2x2 block, and its singular-value gap has a closed form (`_pair_gap`).
+    Every other state, NaN ones included, takes the eigen-factor
+    (`_spinflip_eigh`) and returns the bits it returned before.
+    """
+    u, w, rest, top = _pivoted_pair(rhos)
+    certified = (rest <= _EIG_CLIP * top) & np.isfinite(rhos).all(axis=(1, 2))
+    if certified.all():
+        return np.maximum(0.0, _pair_gap(u, w))
+    conc = np.empty(rhos.shape[0])
+    conc[certified] = _pair_gap(u[certified], w[certified])
+    conc[~certified] = _spinflip_eigh(rhos[~certified])
     return np.maximum(0.0, conc)
 
 

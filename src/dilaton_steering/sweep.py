@@ -62,6 +62,9 @@ _VERIFY_KEYS = (
 )
 
 DEFAULT_OMEGAS = (0.5, 1.0, 1.5, 2.0)
+# Past 2**53 grid indices are no longer exact in float64, so `grid_slice`
+# would stop being np.linspace.
+MAX_POINTS = 2**53
 
 
 class ConfigError(ValueError):
@@ -101,6 +104,8 @@ class SweepConfig:
         check_mass_and_omegas(self.mass, self.omegas)
         if self.points < 2:
             raise ConfigError(f"points must be >= 2, got {self.points}")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"points must be <= 2**53, got {self.points}")
         if not (0.0 <= self.d_min < self.resolved_d_max < self.mass):
             raise ConfigError(
                 f"need 0 <= d_min < d_max < mass, got d_min={self.d_min}, "

@@ -90,6 +90,13 @@ class TestSweepCommand:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("command", ["sweep", "verify", "monogamy"])
+    def test_points_past_2_to_the_53_exit_2(self, command):
+        result = run_subprocess(command, "--points", str(2**53 + 1))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: points must be <= 2**53, got {2**53 + 1}\n"
+
     @pytest.mark.parametrize("merged", [True, False], ids=["stderr-merged", "stderr-apart"])
     def test_closed_pipe_exits_3(self, merged):
         # `sweep | head -1`: the reader closes after one line, mid-stream.

@@ -23,8 +23,10 @@ from dilaton_steering.dilaton import (
     critical_dilatons,
     find_critical_numeric,
     monogamy_residuals,
+    pipeline_measure_arrays,
     pipeline_measures,
     reduced,
+    tripartite_batch,
     tripartite_state,
 )
 from dilaton_steering.measures import Regime
@@ -255,6 +257,29 @@ class TestClosedForms:
             for pair in (Pair.ABBAR, Pair.BBBAR):
                 vals = closed_measure_arrays(c2, s2, c, s, pair)
                 assert vals["bell_max"].max() <= 2.0 + 1e-12
+
+
+class TestPaperClaimsOnTheDensityRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_mass=st.floats(-8.0, 8.0),
+        log_m_omega=st.floats(-8.0, 8.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_interior_pairs_are_local_and_concurrences_closed(self, log_mass, log_m_omega, fraction):
+        # The steering of the pairs with an interior mode is not nonlocal,
+        # so Bell nonlocality is not redistributed there; the spin-flip
+        # concurrences are c, s and cs, down to s = 0 where the states
+        # become rank 1.
+        mass = 10.0**log_mass
+        omega = 10.0**log_m_omega / mass
+        _, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
+        rho8 = tripartite_batch(c, s)
+        for pair, conc in ((Pair.AB, c), (Pair.ABBAR, s), (Pair.BBBAR, c * s)):
+            vals = pipeline_measure_arrays(c, s, pair, rho8)
+            if pair is not Pair.AB:
+                assert vals["bell_max"][0] <= 2.0
+            assert abs(vals["concurrence"][0] - conc[0]) <= 1e-10
 
 
 class TestDualPath:

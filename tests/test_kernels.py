@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinflip_oracle as oracle
 from dilaton_steering import kernels, measures, sampling
@@ -22,6 +27,19 @@ def random_states(rng, n, rank):
     g = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
     rhos = g @ np.conj(np.swapaxes(g, 1, 2))
     return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+def counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record the number of states of each call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 class TestBatchMatchesScalarApi:
@@ -162,3 +180,107 @@ class TestSpinFlipConcurrence:
             assert np.array_equal(conc, reference)
         else:
             assert np.abs(conc - reference).max() <= 1e-13
+
+
+class TestCertifiedPath:
+    """States that two pivoted Cholesky steps certify as rank <= 2 take no eigh."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.sampled_from([1, 2]),
+        log_lam2=st.floats(-16.0, math.log10(0.5)),
+        pivot=st.integers(0, 3),
+    )
+    def test_low_rank_states_in_any_frame_match_svd(self, seed, rank, log_lam2, pivot):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        lam2 = 10.0**log_lam2 if rank == 2 else 0.0
+        rho = (q[:, :2] * [1.0 - lam2, lam2]) @ np.conj(q[:, :2].T)
+        rho = 0.5 * (rho + np.conj(rho.T))
+        # A basis permutation moves the first pivot (the largest diagonal
+        # entry) to the drawn index.
+        order = np.arange(4)
+        first = int(np.argmax(rho.diagonal().real))
+        order[[first, pivot]] = order[[pivot, first]]
+        rhos = rho[np.ix_(order, order)][None]
+        assert int(np.argmax(rhos[0].diagonal().real)) == pivot
+        reference = oracle.spinflip_concurrence_svd(rhos)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_eigh(mp)
+            conc = kernels.spinflip_concurrence(rhos)
+        assert calls == []
+        assert abs(conc[0] - reference[0]) <= 1e-13
+
+    @pytest.mark.parametrize("support", [(1, 2), (0, 3), (1, 2, 3), (0, 2, 3), (2, 3)])
+    def test_states_with_empty_diagonal_entries(self, monkeypatch, support):
+        # Zero diagonal entries off the support: the pivots must skip them.
+        rng = np.random.default_rng(len(support))
+        g = np.zeros((200, 4, 2), dtype=np.complex128)
+        g[:, support] = rng.normal(size=(200, len(support), 2)) + 1j * rng.normal(
+            size=(200, len(support), 2)
+        )
+        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        reference = oracle.spinflip_concurrence_svd(rhos)
+        calls = counting_eigh(monkeypatch)
+        conc = kernels.spinflip_concurrence(rhos)
+        assert calls == []
+        assert np.abs(conc - reference).max() <= 1e-13
+
+    def test_zero_rows_are_zero_without_warning(self, monkeypatch):
+        rhos = random_states(np.random.default_rng(8), 6, 2)
+        rhos[[1, 4]] = 0.0
+        calls = counting_eigh(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            conc = kernels.spinflip_concurrence(rhos)
+        assert calls == []
+        assert conc[1] == 0.0 and conc[4] == 0.0
+        assert np.all(conc[[0, 2, 3, 5]] > 0.0)
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["one-entry", "hermitian-pair"])
+    @pytest.mark.parametrize(
+        "entry", [(i, j) for i in range(4) for j in range(4)], ids=lambda e: f"rho{e[0]}{e[1]}"
+    )
+    def test_nan_rows_take_the_eigh_route(self, monkeypatch, entry, hermitian):
+        # A NaN anywhere, read by the pivoted steps or not, sends its row to
+        # the eigen-factor route, which then decides the result as before.
+        rhos = random_states(np.random.default_rng(4), 3, 2)
+        i, j = entry
+        rhos[1, i, j] = np.nan
+        if hermitian:
+            rhos[1, j, i] = np.nan
+
+        def outcome(fn, states):
+            try:
+                return fn(states)
+            except np.linalg.LinAlgError as exc:
+                return str(exc)
+
+        expected = outcome(lambda r: np.maximum(0.0, kernels._spinflip_eigh(r)), rhos[1:2])
+        calls = counting_eigh(monkeypatch)
+        got = outcome(kernels.spinflip_concurrence, rhos)
+        assert calls == [1]
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            np.testing.assert_array_equal(got[1:2], expected)
+
+    def test_only_uncertified_rows_reach_eigh(self, monkeypatch):
+        # Rank-3 states whose third eigenvalue is 1.25x the clip fail the
+        # certification; their rank-2 neighbours pass it.
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4)))
+        spectrum = np.array([0.0, 1.25 * kernels._EIG_CLIP * 0.6, 0.4, 0.6])
+        rank3 = (q * spectrum) @ np.conj(np.swapaxes(q, 1, 2))
+        rank2 = random_states(rng, 70, 2)
+        order = rng.permutation(100)
+        rhos = np.concatenate([rank3, rank2])[order]
+        reference = oracle.spinflip_concurrence_svd(rhos)
+        calls = counting_eigh(monkeypatch)
+        conc = kernels.spinflip_concurrence(rhos)
+        assert calls == [30]
+        is_rank3 = order < 30
+        assert np.array_equal(conc[is_rank3], reference[is_rank3])
+        assert np.abs(conc - reference).max() <= 1e-13

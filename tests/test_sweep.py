@@ -87,6 +87,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs).validate()
 
+    def test_points_stop_at_2_to_the_53(self):
+        # Past 2**53 the float64 grid indices are no longer exact.
+        SweepConfig(points=sweep.MAX_POINTS).validate()
+        for points in (sweep.MAX_POINTS + 1, 10**30):
+            with pytest.raises(ConfigError, match=r"2\*\*53"):
+                SweepConfig(points=points).validate()
+
 
 class TestGridSlices:
     @pytest.mark.parametrize(
@@ -300,6 +307,15 @@ class TestVerifyGrid:
             raise AssertionError("np.linalg.svd called on a verify state")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert verify_grid(SweepConfig(points=101)).passed
+
+    def test_states_take_no_eigh(self, monkeypatch):
+        # Two pivoted Cholesky steps certify every one of them as rank <= 2,
+        # so the kernel needs no eigendecomposition either.
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called on a verify state")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         assert verify_grid(SweepConfig(points=101)).passed
 
     def test_nan_in_last_slice_fails_the_gate(self, nan_s_forward_at):
