@@ -10,12 +10,12 @@ frequency omega (geometric units).
 Each bipartition's measures come in two routes that must agree to
 1e-10. The closed-form route (`closed_measure_arrays`, and
 `closed_form_measures` for one point) evaluates the analytic
-expressions in x. The batch density-matrix route (`tripartite_batch`
--> `partial_trace_batch` -> `pipeline_measure_arrays`, and
-`pipeline_measures` for one point) builds stacks of three-mode density
-matrices, traces them down and runs the `kernels`. `tripartite_state`
-and `reduced` rebuild one state through the validated `density` layer,
-an independent check of the batch route.
+expressions in x. The batch density-matrix route
+(`pipeline_measure_arrays`, and `pipeline_measures` for one point)
+stacks the three-mode state vectors, reshapes each into the 4x2 factor
+M of a bipartition, takes its reduced state as M M^dagger and runs the
+`kernels`. `tripartite_state` and `reduced` rebuild one state through
+the validated `density` layer, an independent check of the batch route.
 
 The numeric critical dilatons (`find_critical_batch`) come from a
 lockstep search in x on the batch route, independent of the closed
@@ -128,16 +128,13 @@ class MonogamyResiduals:
 def bogoliubov(p: DilatonParams) -> BogoliubovAmplitudes:
     """Mode-mixing amplitudes for the given parameters.
 
-    Computed through e^{-x} only, so large x never overflows.
+    A length-1 call of `amplitude_arrays`.
     """
-    x = 8.0 * math.pi * (p.mass - p.dilaton) * p.omega
-    u = math.exp(-x)
-    c2 = 1.0 / (1.0 + u)
-    s2 = u / (1.0 + u)
+    x, _, _, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
     return BogoliubovAmplitudes(
-        x=x,
-        c=math.sqrt(c2),
-        s=math.sqrt(s2),
+        x=float(x[0]),
+        c=float(c[0]),
+        s=float(s[0]),
         temperature=1.0 / (8.0 * math.pi * (p.mass - p.dilaton)),
     )
 
@@ -158,7 +155,9 @@ def _mixing(x):
     u = np.exp(-x)
     c2 = 1.0 / (1.0 + u)
     s2 = u / (1.0 + u)
-    return c2, s2, np.sqrt(c2), np.sqrt(s2)
+    # Where u is subnormal (x > 708.4), s^2 has lost the digits s keeps up to x = 1417.
+    s = np.where(u < np.finfo(np.float64).tiny, np.exp(-0.5 * x) / np.sqrt(1.0 + u), np.sqrt(s2))
+    return c2, s2, np.sqrt(c2), s
 
 
 def tripartite_state(p: DilatonParams) -> DensityMatrix:
@@ -179,11 +178,9 @@ def reduced(p: DilatonParams, pair: Pair) -> XState:
 
 # --- batch density-matrix route --------------------------------------------
 
-_PTRACE_SUBSCRIPTS = {
-    (0, 1): "nabxcdx->nabcd",
-    (0, 2): "naxbcxd->nabcd",
-    (1, 2): "nxabxcd->nabcd",
-}
+# Axes of the stacked (n, A, B, Bbar) vectors that put each bipartition's
+# kept modes first and its traced mode last.
+_FACTOR_AXES = {Pair.AB: (0, 1, 2, 3), Pair.ABBAR: (0, 1, 3, 2), Pair.BBBAR: (0, 2, 3, 1)}
 
 
 def _state_vectors(c, s, vacuum):
@@ -196,22 +193,14 @@ def _state_vectors(c, s, vacuum):
     return v
 
 
-def _outer(v, w):
-    """Stacked outer products v w^dagger."""
-    return v[:, :, None] * w[:, None, :].conj()
+def _factor(v, pair: Pair):
+    """Stacked 4x2 factors M of stacked 8-vectors v, with tr_traced |v><v| = M M^dagger."""
+    return v.reshape(-1, 2, 2, 2).transpose(_FACTOR_AXES[pair]).reshape(-1, 4, 2)
 
 
-def tripartite_batch(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Stacked three-mode density matrices from amplitude arrays."""
-    v = _state_vectors(c, s, 1.0)
-    return _outer(v, v)
-
-
-def partial_trace_batch(rho8: np.ndarray, keep: tuple) -> np.ndarray:
-    """Partial trace of stacked 8x8 matrices down to the kept mode pair."""
-    n = rho8.shape[0]
-    t = rho8.reshape(n, 2, 2, 2, 2, 2, 2)
-    return np.ascontiguousarray(np.einsum(_PTRACE_SUBSCRIPTS[keep], t).reshape(n, 4, 4))
+def _gram(m, k):
+    """Stacked m k^dagger of two stacked 4x2 factors, column by column."""
+    return m[:, :, 0, None] * k[:, None, :, 0].conj() + m[:, :, 1, None] * k[:, None, :, 1].conj()
 
 
 def _xparams(rho4):
@@ -223,17 +212,16 @@ def _xparams(rho4):
     return d11, d22, d33, d44, np.abs(rho4[:, 0, 3]), np.abs(rho4[:, 1, 2])
 
 
-def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None) -> dict:
+def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
     """Density-matrix-route measures of one bipartition, vectorized.
 
-    Accepts a precomputed tripartite stack to share it across pairs.
-    `concurrence` is the spin-flip value and `bell_max` the
+    The reduced states are M M^dagger of the 4x2 factors M, and
+    `concurrence` is the spin-flip value of M itself; `bell_max` is the
     correlation-matrix value; the steerabilities and the branch values
     come from the extracted X parameters.
     """
-    if rho8 is None:
-        rho8 = tripartite_batch(c, s)
-    rho4 = partial_trace_batch(rho8, PAIR_MODES[pair])
+    m = _factor(_state_vectors(c, s, 1.0), pair)
+    rho4 = _gram(m, m)
     s_fwd, s_bwd, b1, b2, _ = kernels.xstate_measures(*_xparams(rho4))
     return {
         "s_forward": s_fwd,
@@ -241,7 +229,7 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair, rho8=None)
         "bell_max": kernels.chsh_max(rho4),
         "bell_branch1": b1,
         "bell_branch2": b2,
-        "concurrence": kernels.spinflip_concurrence(rho4),
+        "concurrence": kernels.pair_gap(m[:, :, 0], m[:, :, 1]),
         "asymmetry": np.abs(s_fwd - s_bwd),
     }
 
@@ -395,26 +383,25 @@ class _Dual:
 def _margin(x, pair: Pair, backward: bool):
     """Larger witness margin of `pair` at thermal arguments x, on the batch route."""
     _, _, c, s = _mixing(x)
-    rho4 = partial_trace_batch(tripartite_batch(c, s), PAIR_MODES[pair])
-    fwd, bwd = kernels.witness_margins(*_xparams(rho4))
+    m = _factor(_state_vectors(c, s, 1.0), pair)
+    fwd, bwd = kernels.witness_margins(*_xparams(_gram(m, m)))
     return np.maximum(*(bwd if backward else fwd))
 
 
 def _forward_margin_slope(x, pair: Pair):
     """d/dx of the larger forward witness margin of `pair` at thermal arguments x.
 
-    Forward mode through the batch route itself: the state is v v^dagger
-    with v linear in (c, s, 1), so its tangent is dv v^dagger + v dv^dagger;
-    the partial trace is linear; the margins are polynomials in the X
+    Forward mode through the batch route itself: the reduced state is
+    M M^dagger with the factor M linear in (c, s, 1), so its tangent is
+    dM M^dagger + M dM^dagger; the margins are polynomials in the X
     parameters, evaluated on `_Dual` numbers.
     """
     c2, s2, c, s = _mixing(x)
-    v = _state_vectors(c, s, 1.0)
+    m = _factor(_state_vectors(c, s, 1.0), pair)
     # dc/dx and ds/dx, from dc^2/dx = c^2 s^2 = -ds^2/dx.
-    dv = _state_vectors(0.5 * c * s2, -0.5 * s * c2, 0.0)
-    keep = PAIR_MODES[pair]
-    rho4 = partial_trace_batch(_outer(v, v), keep)
-    drho4 = partial_trace_batch(_outer(dv, v) + _outer(v, dv), keep)
+    dm = _factor(_state_vectors(0.5 * c * s2, -0.5 * s * c2, 0.0), pair)
+    rho4 = _gram(m, m)
+    drho4 = _gram(dm, m) + _gram(m, dm)
     params = _xparams(rho4)
     tangents = [drho4[:, i, i].real for i in range(4)]
     for modulus, (i, j) in zip(params[4:], ((0, 3), (1, 2))):

@@ -5,11 +5,11 @@ float64/complex128 arrays and perform no validation; validated
 single-state entry points live in `measures`. `l_triple` and
 `witness_margins` are plain arithmetic, so `measures` calls them with
 floats and `xstate_measures` with arrays: the scalar and batch
-steering witnesses share one definition. `spinflip_concurrence`
-certifies a state as rank <= 2 (every reduced state of a pure
-three-mode state is) from two pivoted Cholesky steps and gives it a
-closed 2x2 step; the rest take eigh, then the same closed step or a
-batched SVD.
+steering witnesses share one definition. `pair_gap` is the closed
+spin-flip concurrence of a rank-2 state from two factor columns, as the
+density route has them. `spinflip_concurrence` certifies any state as
+rank <= 2 from two pivoted Cholesky steps and gives it `pair_gap`; the
+rest take eigh, then the same closed step or a batched SVD.
 """
 
 from __future__ import annotations
@@ -102,8 +102,11 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _pair_gap(u, w):
-    """sigma1 - sigma2 of the flipped overlap of two stacked columns of L.
+def pair_gap(u, w):
+    """Spin-flip concurrence sigma1 - sigma2 of rank-2 states rho = u u^dagger + w w^dagger.
+
+    Any two stacked columns u, w of a factor of rho give the same Wootters
+    values, the singular values of the flipped overlap a below.
 
     With a = [[alpha, beta], [beta, gamma]] (alpha = u^T F u, beta =
     u^T F w, gamma = w^T F w) and a^dagger a = [[p, q], [q*, r]]:
@@ -154,7 +157,7 @@ def _pivoted_pair(rhos):
 def _spinflip_eigh(rhos):
     """sigma1 - sigma2 - sigma3 - sigma4 of L^T F L from the eigen-factor L.
 
-    A state whose two smallest eigenvalues clip to zero takes `_pair_gap`
+    A state whose two smallest eigenvalues clip to zero takes `pair_gap`
     on its two top eigen-columns; states of rank 3 or 4 the batched SVD.
     """
     e, v = np.linalg.eigh(rhos)
@@ -162,7 +165,7 @@ def _spinflip_eigh(rhos):
     root = np.sqrt(e)
     conc = np.empty(e.shape[0])
     low = e[:, 1] == 0.0
-    conc[low] = _pair_gap(v[low, :, 2] * root[low, 2:3], v[low, :, 3] * root[low, 3:])
+    conc[low] = pair_gap(v[low, :, 2] * root[low, 2:3], v[low, :, 3] * root[low, 3:])
     full = ~low
     if full.any():
         ell = v[full] * root[full, None, :]
@@ -183,17 +186,20 @@ def spinflip_concurrence(rhos):
     state with trace(S) <= _EIG_CLIP * max(diag rho) is one the eigen-clip
     also calls rank <= 2 (the third eigenvalue is at most trace(S), the
     first at least the largest diagonal entry): L^T F L has one nonzero
-    2x2 block, and its singular-value gap has a closed form (`_pair_gap`).
-    Every other state, NaN ones included, takes the eigen-factor
-    (`_spinflip_eigh`) and returns the bits it returned before.
+    2x2 block, and its singular-value gap has a closed form (`pair_gap`).
+    A state with a non-finite entry gives NaN. Every other state takes the
+    eigen-factor (`_spinflip_eigh`).
     """
     u, w, rest, top = _pivoted_pair(rhos)
-    certified = (rest <= _EIG_CLIP * top) & np.isfinite(rhos).all(axis=(1, 2))
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    certified = (rest <= _EIG_CLIP * top) & finite
     if certified.all():
-        return np.maximum(0.0, _pair_gap(u, w))
-    conc = np.empty(rhos.shape[0])
-    conc[certified] = _pair_gap(u[certified], w[certified])
-    conc[~certified] = _spinflip_eigh(rhos[~certified])
+        return np.maximum(0.0, pair_gap(u, w))
+    conc = np.full(rhos.shape[0], np.nan)
+    conc[certified] = pair_gap(u[certified], w[certified])
+    eigen = finite & ~certified
+    if eigen.any():
+        conc[eigen] = _spinflip_eigh(rhos[eigen])
     return np.maximum(0.0, conc)
 
 

@@ -12,9 +12,8 @@ numbers. Output is deterministic: identical configurations produce
 identical bytes.
 
 Both routes live in `dilaton`. `verify_grid` adds the batch
-density-matrix route (`tripartite_batch`, `partial_trace_batch`,
-`pipeline_measure_arrays`, imported here from `dilaton`) to each slice
-and compares it with the closed forms at a 1e-10 gate; `monogamy_grid`
+density-matrix route (`pipeline_measure_arrays`) to each slice and
+compares it with the closed forms at a 1e-10 gate; `monogamy_grid`
 gates the four identities. Both fold each slice's peaks, so their
 reports are the ones a whole-grid pass gives.
 """
@@ -32,9 +31,7 @@ from .dilaton import (
     closed_measure_arrays,
     critical_dilatons,
     monogamy_residual_arrays,
-    partial_trace_batch,  # noqa: F401  (re-exported: the batch route's names stay valid here)
     pipeline_measure_arrays,
-    tripartite_batch,
 )
 from .measures import REGIMES, STEERING_ZERO_THRESHOLD, regime_index
 
@@ -337,10 +334,9 @@ def verify_grid(cfg: SweepConfig) -> VerifyReport:
     """
     worst = {}
     for omega, dslice, _, c2, s2, c, s in _walk(cfg):
-        rho8 = tripartite_batch(c, s)
         for pair in cfg.pairs:
             closed = closed_measure_arrays(c2, s2, c, s, pair)
-            pipe = pipeline_measure_arrays(c, s, pair, rho8=rho8)
+            pipe = pipeline_measure_arrays(c, s, pair)
             for key in _VERIFY_KEYS:
                 dev = np.abs(closed[key] - pipe[key])
                 _fold_peak(worst, (pair, key), dev, omega, dslice)

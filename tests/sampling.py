@@ -1,10 +1,10 @@
-"""Random X-state generators for property tests and benchmarks."""
+"""Random X-state generators for the property tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .density import XState
+from dilaton_steering.density import XState
 
 
 def random_xstate_params(rng: np.random.Generator, n: int):

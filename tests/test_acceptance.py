@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dilaton_steering import cli, kernels, sampling
+import sampling
+from dilaton_steering import cli, kernels
 from dilaton_steering.density import XState
 from dilaton_steering.dilaton import (
     DilatonParams,

@@ -1,4 +1,6 @@
+import decimal
 import json
+import math
 import os
 import re
 import subprocess
@@ -132,6 +134,20 @@ class TestSweepCommand:
         assert result.stderr == ""
         first_row = result.stdout.split("\n")[1]
         assert first_row.split(",")[2] == "inf"  # D = 0
+
+    def test_interior_concurrence_survives_a_subnormal_e_to_the_minus_x(self, capsys):
+        # At D = 0, omega = 30 the thermal argument is 754: e^{-x} is
+        # subnormal, but s = 1.88e-164 is a normal float.
+        code, out, _ = run(capsys, "sweep", "--omega", "30", "--points", "2", "--pairs", "abbar")
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            u = decimal.Decimal(-float(row["x"])).exp()
+            reference = float((u / (1 + u)).sqrt())
+        assert float(row["dilaton"]) == 0.0
+        assert abs(float(row["abbar_concurrence"]) - reference) <= 4.0 * math.ulp(reference)
+        assert 1.88e-164 < reference < 1.89e-164
 
 
 class TestVerifyCommand:
@@ -337,3 +353,18 @@ class TestVersionFlag:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "dilaton-steering" in capsys.readouterr().out
+
+
+class TestPackageLayout:
+    def test_cli_imports_every_module_of_the_package(self):
+        # A module that the program never imports is dead code, or a test helper.
+        package = Path(dilaton_steering.__file__).parent
+        modules = {f"dilaton_steering.{path.stem}" for path in package.glob("*.py")}
+        modules.discard("dilaton_steering.__init__")
+        code = "import sys, dilaton_steering.cli; print(*sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert done.returncode == 0, done.stderr
+        assert modules - set(done.stdout.split()) == set()

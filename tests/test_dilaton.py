@@ -1,3 +1,4 @@
+import decimal
 import math
 import signal
 from contextlib import contextmanager
@@ -26,9 +27,10 @@ from dilaton_steering.dilaton import (
     pipeline_measure_arrays,
     pipeline_measures,
     reduced,
-    tripartite_batch,
     tripartite_state,
 )
+from dilaton_steering.density import PureState, from_pure, partial_trace
+from dilaton_steering.kernels import spinflip_concurrence
 from dilaton_steering.measures import Regime
 
 SQRT3 = math.sqrt(3.0)
@@ -101,6 +103,20 @@ class TestBogoliubov:
     def test_no_overflow_for_large_argument(self):
         amp = bogoliubov(DilatonParams(1.0, 0.0, 500.0))
         assert amp.c == 1.0 and amp.s == 0.0 and math.isfinite(amp.x)
+
+    @pytest.mark.parametrize("x", [700.0, 708.5, 720.0, 740.0, 745.0, 800.0, 1400.0, 1490.0])
+    def test_s_keeps_its_precision_where_e_to_the_minus_x_is_subnormal(self, x):
+        # Reference s = sqrt(u/(1 + u)), u = e^{-x}, at 50 digits.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            u = decimal.Decimal(-x).exp()
+            reference = (u / (1 + u)).sqrt()
+            s = float(dl._mixing(np.array([x]))[3][0])
+            error = float(abs(decimal.Decimal(s) - reference))
+        if reference >= decimal.Decimal(np.finfo(np.float64).tiny):
+            assert error <= 4.0 * np.spacing(s)
+        else:
+            assert error <= 2.0 * 5e-324
 
 
 class TestTripartiteState:
@@ -274,12 +290,40 @@ class TestPaperClaimsOnTheDensityRoute:
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
         _, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
-        rho8 = tripartite_batch(c, s)
         for pair, conc in ((Pair.AB, c), (Pair.ABBAR, s), (Pair.BBBAR, c * s)):
-            vals = pipeline_measure_arrays(c, s, pair, rho8)
+            vals = pipeline_measure_arrays(c, s, pair)
             if pair is not Pair.AB:
                 assert vals["bell_max"][0] <= 2.0
             assert abs(vals["concurrence"][0] - conc[0]) <= 1e-10
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize("pair", list(Pair))
+    def test_gram_of_the_factor_is_the_partial_trace(self, pair):
+        # General three-mode vectors, not only the family's three amplitudes.
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=(200, 8)) + 1j * rng.normal(size=(200, 8))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        m = dl._factor(v, pair)
+        rho = dl._gram(m, m)
+        for k in range(len(v)):
+            expected = partial_trace(from_pure(PureState(v[k])), dl.PAIR_MODES[pair]).matrix
+            assert np.abs(rho[k] - expected).max() <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_mass=st.floats(-8.0, 8.0),
+        log_m_omega=st.floats(-8.0, 8.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_concurrence_from_the_factor_matches_the_kernel(self, log_mass, log_m_omega, fraction):
+        mass = 10.0**log_mass
+        omega = 10.0**log_m_omega / mass
+        _, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
+        for pair in Pair:
+            m = dl._factor(dl._state_vectors(c, s, 1.0), pair)
+            conc = pipeline_measure_arrays(c, s, pair)["concurrence"]
+            assert abs(conc[0] - spinflip_concurrence(dl._gram(m, m))[0]) <= 1e-15
 
 
 class TestDualPath:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sampling
 import spinflip_oracle as oracle
-from dilaton_steering import kernels, measures, sampling
+from dilaton_steering import kernels, measures
 from dilaton_steering.density import XState
 from dilaton_steering.measures import Direction
 
@@ -244,28 +245,21 @@ class TestCertifiedPath:
         "entry", [(i, j) for i in range(4) for j in range(4)], ids=lambda e: f"rho{e[0]}{e[1]}"
     )
     def test_nan_rows_take_the_eigh_route(self, monkeypatch, entry, hermitian):
-        # A NaN anywhere, read by the pivoted steps or not, sends its row to
-        # the eigen-factor route, which then decides the result as before.
-        rhos = random_states(np.random.default_rng(4), 3, 2)
+        # A NaN anywhere, read by the pivoted steps or not, makes its row NaN
+        # without reaching eigh (which reads one triangle only, and would
+        # give a number for a NaN in the other); the other rows keep their bits.
+        clean = random_states(np.random.default_rng(4), 3, 2)
+        expected = kernels.spinflip_concurrence(clean)
+        rhos = clean.copy()
         i, j = entry
         rhos[1, i, j] = np.nan
         if hermitian:
             rhos[1, j, i] = np.nan
-
-        def outcome(fn, states):
-            try:
-                return fn(states)
-            except np.linalg.LinAlgError as exc:
-                return str(exc)
-
-        expected = outcome(lambda r: np.maximum(0.0, kernels._spinflip_eigh(r)), rhos[1:2])
         calls = counting_eigh(monkeypatch)
-        got = outcome(kernels.spinflip_concurrence, rhos)
-        assert calls == [1]
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            np.testing.assert_array_equal(got[1:2], expected)
+        got = kernels.spinflip_concurrence(rhos)
+        assert calls == []
+        assert np.isnan(got[1])
+        np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])
 
     def test_only_uncertified_rows_reach_eigh(self, monkeypatch):
         # Rank-3 states whose third eigenvalue is 1.25x the clip fail the

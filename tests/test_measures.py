@@ -19,7 +19,7 @@ from dilaton_steering.measures import (
     steering_witness_matrix,
     witness_arguments,
 )
-from dilaton_steering.sampling import random_separable_xstate, random_xstate
+from sampling import random_separable_xstate, random_xstate
 
 SQRT3 = math.sqrt(3.0)
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)

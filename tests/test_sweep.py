@@ -300,9 +300,14 @@ class TestVerifyGrid:
     def test_memory_does_not_grow_with_the_grid(self):
         assert traced_peak(verify_grid, 20001) < 1.5 * traced_peak(verify_grid, 4097)
 
+    def test_reduced_states_come_without_8x8_stacks(self):
+        # One 4096-state stack of three-mode density matrices is 4 MB; the
+        # 4x2 factors of a slice take 0.5 MB.
+        assert traced_peak(verify_grid, 8192) < 6e6
+
     def test_states_take_no_svd(self, monkeypatch):
         # Every reduced state of the pure three-mode state has rank <= 2, so
-        # the spin-flip kernel takes its closed 2x2 step and never the SVD.
+        # its concurrence is the closed 2x2 step on its factor, never the SVD.
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called on a verify state")
 
@@ -310,8 +315,8 @@ class TestVerifyGrid:
         assert verify_grid(SweepConfig(points=101)).passed
 
     def test_states_take_no_eigh(self, monkeypatch):
-        # Two pivoted Cholesky steps certify every one of them as rank <= 2,
-        # so the kernel needs no eigendecomposition either.
+        # The route hands the exact 4x2 factor of each state to the closed
+        # step, so it needs no eigendecomposition either.
         def no_eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called on a verify state")
 
