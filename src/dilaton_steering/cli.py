@@ -74,7 +74,7 @@ def _pair_list(text: str):
 def build_parser() -> argparse.ArgumentParser:
     # Flag groups; each subcommand takes only the groups it honours.
     point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--mass", type=float, default=1.0, help="black-hole mass M > 0")
+    point.add_argument("--mass", type=float, default=SweepConfig.mass, help="black-hole mass M > 0")
     point.add_argument(
         "--omega",
         type=_float_list,
@@ -83,9 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode frequencies (comma separated)",
     )
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--d-min", type=float, default=0.0, help="grid start (default 0)")
-    grid.add_argument("--d-max", type=float, default=None, help="grid end (default mass*(1-1e-6))")
-    grid.add_argument("--points", type=int, default=2001, help="grid points per omega")
+    grid.add_argument(
+        "--d-min", type=float, default=SweepConfig.d_min, help="grid start (default 0)"
+    )
+    grid.add_argument(
+        "--d-max", type=float, default=SweepConfig.d_max, help="grid end (default mass*(1-1e-6))"
+    )
+    grid.add_argument(
+        "--points", type=int, default=SweepConfig.points, help="grid points per omega"
+    )
     pairs = argparse.ArgumentParser(add_help=False)
     pairs.add_argument(
         "--pairs",
@@ -218,20 +224,18 @@ def cmd_classify(args) -> int:
         mass = args.mass
         print(f"omega = {omega:g}:")
         print(f"  ab      two_way      (0, {mass:g})")
-        if points.d0 > 0.0:
-            print(
-                f"  abbar   one_way_fwd  (0, {_dilaton(points.d0)}]   "
-                f"two_way      ({_dilaton(points.d0)}, {mass:g})"
-            )
-        else:
-            print(f"  abbar   two_way      (0, {mass:g})")
-        if points.d2 > 0.0:
-            print(
-                f"  bbbar   one_way_fwd  (0, {_dilaton(points.d2)})   "
-                f"no_way       [{_dilaton(points.d2)}, {mass:g})"
-            )
-        else:
-            print(f"  bbbar   no_way       (0, {mass:g})")
+        # Each pair is one way forward below its point d and `after` above
+        # it; a d outside (0, M), as when it rounds to M, leaves one interval.
+        for name, d, after, (close, reopen) in (
+            ("abbar", points.d0, "two_way", "]("),
+            ("bbbar", points.d2, "no_way", ")["),
+        ):
+            if 0.0 < d < mass:
+                split = f"{_dilaton(d)}{close}   {after:13s}{reopen}{_dilaton(d)}"
+                print(f"  {name:8s}one_way_fwd  (0, {split}, {mass:g})")
+            else:
+                regime = "one_way_fwd" if d >= mass else after
+                print(f"  {name:8s}{regime:13s}(0, {mass:g})")
     return EXIT_OK
 
 

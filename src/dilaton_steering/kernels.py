@@ -7,9 +7,12 @@ single-state entry points live in `measures`. `l_triple` and
 floats and `xstate_measures` with arrays: the scalar and batch
 steering witnesses share one definition. `pair_gap` is the closed
 spin-flip concurrence of a rank-2 state from two factor columns, as the
-density route has them. `spinflip_concurrence` certifies any state as
-rank <= 2 from two pivoted Cholesky steps and gives it `pair_gap`; the
-rest take eigh, then the same closed step or a batched SVD.
+density route has them. `spinflip_concurrence` has one route per
+certificate: a state that two pivoted Cholesky steps certify as rank
+<= 2 takes `pair_gap`, every other finite state eigh, the eigen-clip
+and a batched SVD, and a state with a non-finite entry gives NaN. No
+CLI command calls it: it is the general oracle behind
+`measures.concurrence_general`.
 """
 
 from __future__ import annotations
@@ -154,27 +157,6 @@ def _pivoted_pair(rhos):
     return u, w, (d1 - _abs2(w)).sum(axis=1), top
 
 
-def _spinflip_eigh(rhos):
-    """sigma1 - sigma2 - sigma3 - sigma4 of L^T F L from the eigen-factor L.
-
-    A state whose two smallest eigenvalues clip to zero takes `pair_gap`
-    on its two top eigen-columns; states of rank 3 or 4 the batched SVD.
-    """
-    e, v = np.linalg.eigh(rhos)
-    e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
-    root = np.sqrt(e)
-    conc = np.empty(e.shape[0])
-    low = e[:, 1] == 0.0
-    conc[low] = pair_gap(v[low, :, 2] * root[low, 2:3], v[low, :, 3] * root[low, 3:])
-    full = ~low
-    if full.any():
-        ell = v[full] * root[full, None, :]
-        a = np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell
-        lam = np.linalg.svd(a, compute_uv=False)
-        conc[full] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return conc
-
-
 def spinflip_concurrence(rhos):
     """Spin-flip concurrence for a stack of 4x4 density matrices.
 
@@ -188,18 +170,20 @@ def spinflip_concurrence(rhos):
     first at least the largest diagonal entry): L^T F L has one nonzero
     2x2 block, and its singular-value gap has a closed form (`pair_gap`).
     A state with a non-finite entry gives NaN. Every other state takes the
-    eigen-factor (`_spinflip_eigh`).
+    clipped eigen-factor L and the batched SVD of L^T F L.
     """
     u, w, rest, top = _pivoted_pair(rhos)
     finite = np.isfinite(rhos).all(axis=(1, 2))
     certified = (rest <= _EIG_CLIP * top) & finite
-    if certified.all():
-        return np.maximum(0.0, pair_gap(u, w))
     conc = np.full(rhos.shape[0], np.nan)
     conc[certified] = pair_gap(u[certified], w[certified])
     eigen = finite & ~certified
     if eigen.any():
-        conc[eigen] = _spinflip_eigh(rhos[eigen])
+        e, v = np.linalg.eigh(rhos[eigen])
+        e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
+        ell = v * np.sqrt(e)[:, None, :]
+        lam = np.linalg.svd(np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell, compute_uv=False)
+        conc[eigen] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
     return np.maximum(0.0, conc)
 
 

@@ -108,21 +108,19 @@ def steering_asymmetry(s: XState) -> float:
 REGIMES = (Regime.NO_WAY, Regime.ONE_WAY_BACKWARD, Regime.ONE_WAY_FORWARD, Regime.TWO_WAY)
 
 
-def regime_index(s_forward, s_backward, threshold: float = STEERING_ZERO_THRESHOLD):
+def regime_index(s_forward, s_backward):
     """Position in `REGIMES` of the witnessed directions; elementwise on arrays."""
-    return 2 * (s_forward > threshold) + (s_backward > threshold)
+    return 2 * (s_forward > STEERING_ZERO_THRESHOLD) + (s_backward > STEERING_ZERO_THRESHOLD)
 
 
-def classify_from_values(
-    s_forward: float, s_backward: float, threshold: float = STEERING_ZERO_THRESHOLD
-) -> Regime:
-    return REGIMES[regime_index(s_forward, s_backward, threshold)]
+def classify_from_values(s_forward: float, s_backward: float) -> Regime:
+    return REGIMES[regime_index(s_forward, s_backward)]
 
 
-def classify_steering(s: XState, threshold: float = STEERING_ZERO_THRESHOLD) -> Regime:
-    """Steering regime of an X state at the given zero threshold."""
+def classify_steering(s: XState) -> Regime:
+    """Steering regime of an X state."""
     return classify_from_values(
-        steerability(s, Direction.A_TO_B), steerability(s, Direction.B_TO_A), threshold
+        steerability(s, Direction.A_TO_B), steerability(s, Direction.B_TO_A)
     )
 
 

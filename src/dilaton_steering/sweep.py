@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .dilaton import (
     monogamy_residual_arrays,
     pipeline_measure_arrays,
 )
-from .measures import REGIMES, STEERING_ZERO_THRESHOLD, regime_index
+from .measures import REGIMES, regime_index
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
 MEASURE_FIELDS = (
@@ -153,8 +154,8 @@ def columns(pairs=ALL_PAIRS) -> list:
 _REGIME_LABELS = np.array([r.value for r in REGIMES])
 
 
-def _regime_labels(s_forward, s_backward, threshold=STEERING_ZERO_THRESHOLD) -> np.ndarray:
-    return _REGIME_LABELS[regime_index(s_forward, s_backward, threshold)]
+def _regime_labels(s_forward, s_backward) -> np.ndarray:
+    return _REGIME_LABELS[regime_index(s_forward, s_backward)]
 
 
 # --- the grid walk, blocks and writers --------------------------------------
@@ -299,7 +300,7 @@ class VerifyReport:
     """Worst closed-form vs pipeline deviation per (pair, measure)."""
 
     deviations: list = field(default_factory=list)
-    gate: float = VERIFY_GATE
+    gate: ClassVar[float] = VERIFY_GATE
 
     @property
     def passed(self) -> bool:
@@ -356,7 +357,7 @@ class MonogamyReport:
     max_r3: float | None
     max_r4: float | None
     worst: tuple
-    gate: float = MONOGAMY_GATE
+    gate: ClassVar[float] = MONOGAMY_GATE
 
     @property
     def passed(self) -> bool:

@@ -2,11 +2,11 @@
 
 `spinflip_concurrence_svd` is the kernel's general formula applied to
 every state: eigh, the same clip, L^T F L and its batched SVD. The
-kernel now takes that route only for states that two pivoted Cholesky
-steps do not certify as rank <= 2 and whose clipped spectrum has rank 3
-or 4, and must return its bits there. `wootters_lambdas` gives the textbook
-definition (Wootters, PRL 80, 2245, 1998) from the eigenvalues of
-rho F rho* F, for well-conditioned states.
+kernel takes that route for every finite state that two pivoted
+Cholesky steps do not certify as rank <= 2, and must return its bits
+there. `wootters_lambdas` gives the textbook definition (Wootters,
+PRL 80, 2245, 1998) from the eigenvalues of rho F rho* F, for
+well-conditioned states.
 """
 
 from __future__ import annotations

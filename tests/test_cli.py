@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dilaton_steering
-from dilaton_steering import cli, density
+from dilaton_steering import cli, density, kernels
 from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
@@ -286,13 +286,23 @@ class TestClassifyCommand:
         ab_line = [line for line in out.split("\n") if line.strip().startswith("ab ")][0]
         assert "two_way" in ab_line and "one_way" not in ab_line
 
-    def test_small_omega_collapses_intervals(self, capsys):
-        code, out, _ = run(capsys, "classify", "--omega", "0.01")
+    @pytest.mark.parametrize(
+        "argv, abbar, bbbar",
+        [
+            (("--omega", "0.01"), "two_way", "no_way"),
+            # d0 and d2 round to M: the whole range lies below them.
+            (("--mass", "1", "--omega", "1e17"), "one_way_fwd", "one_way_fwd"),
+            (("--mass", "1e10", "--omega", "1e10"), "one_way_fwd", "one_way_fwd"),
+        ],
+        ids=["omega-0.01", "omega-1e17", "mass-1e10-omega-1e10"],
+    )
+    def test_small_omega_collapses_intervals(self, capsys, argv, abbar, bbbar):
+        code, out, _ = run(capsys, "classify", *argv)
         assert code == 0
-        abbar_line = [line for line in out.split("\n") if "abbar" in line][0]
-        assert "two_way" in abbar_line and "one_way" not in abbar_line
-        bbbar_line = [line for line in out.split("\n") if "bbbar" in line][0]
-        assert "no_way" in bbbar_line and "one_way" not in bbbar_line
+        for name, regime in (("abbar", abbar), ("bbbar", bbbar)):
+            line = [line for line in out.split("\n") if name in line][0]
+            # One interval, (0, M), in one regime.
+            assert line.split()[:3] == [name, regime, "(0,"] and len(line.split()) == 4
 
 
 class TestFlagsPerSubcommand:
@@ -345,6 +355,31 @@ class TestFlagsPerSubcommand:
         assert exc.value.code == 2
         assert not target.exists()
         assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+class TestGeneralConcurrenceKernel:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--omega", "0.5,3", "--points", "5"),
+            ("sweep", "--omega", "0.5,3", "--points", "5", "--format", "json"),
+            ("verify", "--omega", "0.5,3", "--points", "21"),
+            ("monogamy", "--omega", "0.5,3", "--points", "21"),
+            ("critical", "--omega", "0.01,0.5,3"),
+            ("classify", "--omega", "0.01,0.5,3"),
+        ],
+        ids=["sweep-csv", "sweep-json", "verify", "monogamy", "critical", "classify"],
+    )
+    def test_no_command_calls_it(self, capsys, monkeypatch, argv):
+        # `kernels.spinflip_concurrence` is the oracle behind
+        # `measures.concurrence_general`. The commands take the closed forms
+        # or the factor route, so no benchmark workload times this kernel.
+        def refuse(rhos):
+            raise AssertionError("spinflip_concurrence called")
+
+        monkeypatch.setattr(kernels, "spinflip_concurrence", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out != "" and err == ""
 
 
 class TestVersionFlag:

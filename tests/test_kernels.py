@@ -158,29 +158,24 @@ class TestSpinFlipConcurrence:
         conc = kernels.spinflip_concurrence(np.zeros((0, 4, 4), dtype=np.complex128))
         assert conc.shape == (0,)
 
-    @pytest.mark.parametrize("factor, takes_svd", [(0.8, False), (1.25, True)])
-    def test_third_eigenvalue_at_the_clip(self, monkeypatch, factor, takes_svd):
-        # The third eigenvalue sits just below or just above the clip, which
-        # decides between the closed 2x2 gap and the SVD.
+    @pytest.mark.parametrize("factor", [0.8, 1.25])
+    def test_third_eigenvalue_at_the_clip(self, factor):
+        # The third eigenvalue sits just below or just above the clip. Every
+        # state the Cholesky steps leave uncertified returns the SVD bits
+        # either way: below the clip its clipped columns are exact zeros.
+        # Above the clip no state can be certified.
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
         spectrum = np.array([0.0, factor * kernels._EIG_CLIP * 0.6, 0.4, 0.6])
         rhos = (q * spectrum) @ np.conj(np.swapaxes(q, 1, 2))
         reference = oracle.spinflip_concurrence_svd(rhos)
-        svd_calls = []
-        svd = np.linalg.svd
-
-        def counted_svd(*args, **kwargs):
-            svd_calls.append(None)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         conc = kernels.spinflip_concurrence(rhos)
-        assert bool(svd_calls) == takes_svd
-        if takes_svd:
-            assert np.array_equal(conc, reference)
-        else:
-            assert np.abs(conc - reference).max() <= 1e-13
+        u, w, rest, top = kernels._pivoted_pair(rhos)
+        certified = rest <= kernels._EIG_CLIP * top
+        assert factor < 1.0 or not certified.any()
+        assert np.array_equal(conc[~certified], reference[~certified])
+        assert np.array_equal(conc[certified], kernels.pair_gap(u[certified], w[certified]))
+        assert np.abs(conc - reference).max() <= 1e-13
 
 
 class TestCertifiedPath:
