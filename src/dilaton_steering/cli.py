@@ -16,13 +16,18 @@ import os
 import sys
 
 from . import __version__
-from .dilaton import CRITICAL_TOL, ResolutionError, critical_dilatons, find_critical_batch
+from .dilaton import (
+    CRITICAL_TOL,
+    ConfigError,
+    ResolutionError,
+    check_mass_and_omegas,
+    critical_dilatons,
+    find_critical_batch,
+)
 from .sweep import (
     ALL_PAIRS,
     DEFAULT_OMEGAS,
-    ConfigError,
     SweepConfig,
-    check_mass_and_omegas,
     monogamy_grid,
     verify_grid,
     write_csv,
@@ -168,6 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    # Check the whole list as given before any line is printed.
     check_mass_and_omegas(args.mass, args.omega)
     omegas = sorted(args.omega)
     numeric = find_critical_batch(args.mass, omegas)
@@ -218,6 +224,7 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # Check the whole list as given before any line is printed.
     check_mass_and_omegas(args.mass, args.omega)
     for omega in sorted(args.omega):
         points = critical_dilatons(args.mass, omega)

@@ -134,9 +134,6 @@ class XState:
                 f"|c23|^2 = {abs(self.c23) ** 2:.3e} exceeds d22*d33 = {self.d22 * self.d33:.3e}"
             )
 
-    def diagonals(self) -> tuple[float, float, float, float]:
-        return (self.d11, self.d22, self.d33, self.d44)
-
     def to_matrix(self) -> DensityMatrix:
         """Rebuild the 4x4 density matrix carrying these six parameters."""
         m = np.zeros((4, 4), dtype=np.complex128)

@@ -59,12 +59,26 @@ class RootNotFoundError(ValueError):
     """A bracketing search found no sign change."""
 
 
+class ConfigError(ValueError):
+    """A parameter outside the model's domain, or an invalid run configuration."""
+
+
+def check_mass_and_omegas(mass, omegas) -> None:
+    """Reject a mass or a frequency that is not positive and finite (`omegas` may be an array)."""
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise ConfigError(f"mass must be positive and finite, got {mass}")
+    if len(omegas) == 0:
+        raise ConfigError("at least one omega is required")
+    if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):
+        raise ConfigError(f"omegas must all be positive and finite, got {[float(w) for w in omegas]}")
+
+
 @dataclass(frozen=True)
 class DilatonParams:
     """Black-hole mass, dilaton charge, and mode frequency.
 
     Geometric units (hbar = G = c = k_B = 1); requires 0 <= dilaton < mass
-    and positive mass and frequency.
+    and a positive, finite mass and frequency (ConfigError otherwise).
     """
 
     mass: float
@@ -72,12 +86,9 @@ class DilatonParams:
     omega: float
 
     def __post_init__(self):
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        check_mass_and_omegas(self.mass, [self.omega])
         if not (0.0 <= self.dilaton < self.mass):
-            raise ValueError(
+            raise ConfigError(
                 f"dilaton must satisfy 0 <= D < M, got D={self.dilaton}, M={self.mass}"
             )
 
@@ -230,7 +241,6 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
         "bell_branch1": b1,
         "bell_branch2": b2,
         "concurrence": kernels.pair_gap(m[:, :, 0], m[:, :, 1]),
-        "asymmetry": np.abs(s_fwd - s_bwd),
     }
 
 
@@ -311,6 +321,12 @@ def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
     return _first_point(pipeline_measure_arrays(c, s, pair))
 
 
+def _dilaton_at(mass, omega, x):
+    """The dilaton D = M - x/(8 pi omega) at thermal argument x, elementwise."""
+    with np.errstate(over="ignore"):
+        return mass - x * (1.0 / (8.0 * np.pi * omega))
+
+
 def critical_dilatons(mass: float, omega: float) -> CriticalPoints:
     """Closed-form critical dilaton values with in-range flags.
 
@@ -319,17 +335,9 @@ def critical_dilatons(mass: float, omega: float) -> CriticalPoints:
     d2: death of the Bob/interior-partner steering.
     Always d1 < d0 < d2 < mass; values drop below 0 for small omega*mass.
     """
-    if not (mass > 0.0 and omega > 0.0):
-        raise ValueError(f"mass and omega must be positive, got M={mass}, omega={omega}")
-    scale = 1.0 / (8.0 * math.pi * omega)
-    d0 = mass - X_BIRTH * scale
-    d1 = mass - X_PEAK * scale
-    d2 = mass - X_DEATH * scale
-
-    def in_range(v: float) -> bool:
-        return 0.0 <= v < mass
-
-    return CriticalPoints(d0, d1, d2, in_range(d0), in_range(d1), in_range(d2))
+    check_mass_and_omegas(mass, [omega])
+    points = [_dilaton_at(mass, omega, x) for x in (X_BIRTH, X_PEAK, X_DEATH)]
+    return CriticalPoints(*points, *(0.0 <= d < mass for d in points))
 
 
 # --- numeric critical dilatons ---------------------------------------------
@@ -469,21 +477,18 @@ def find_critical_batch(mass: float, omegas) -> dict:
       through the route (`_forward_margin_slope`).
     Nothing is taken from the closed forms in `critical_dilatons`.
 
-    Raises ResolutionError when float64 cannot place a root found to
-    CRITICAL_TOL: past a mass of about 1e9 the spacing of the floats
-    near M alone exceeds the gate.
+    Raises ConfigError as `check_mass_and_omegas`, and ResolutionError
+    when float64 cannot place a root found to CRITICAL_TOL: past a mass
+    of about 1e9 the spacing of the floats near M alone exceeds the gate.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
-    if not (mass > 0.0 and np.all(omegas > 0.0)):
-        raise ValueError(f"mass and omegas must be positive, got M={mass}, omegas={omegas.tolist()}")
+    check_mass_and_omegas(mass, omegas)
     x_hi = _x_top(mass, omegas)
     zero = np.zeros_like(x_hi)
     x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, zero, x_hi)
     x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, zero, x_hi)
     x1_lo = np.where(np.isnan(x2), 0.0, x2)
     x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x1_lo, x_hi)
-    with np.errstate(over="ignore"):
-        scale = 1.0 / (8.0 * np.pi * omegas)
     found = {}
     for name, x in (("d0", x0), ("d1", x1), ("d2", x2)):
         resolution = _resolution(mass, omegas, x)
@@ -495,7 +500,7 @@ def find_critical_batch(mass: float, omegas) -> dict:
                 f"is coarser than the {CRITICAL_TOL:g} critical-point gate: float64 cannot "
                 f"place {name} more finely"
             )
-        found[name] = mass - x * scale
+        found[name] = _dilaton_at(mass, omegas, x)
     return found
 
 

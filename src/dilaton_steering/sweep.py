@@ -11,11 +11,12 @@ digits, '\\n' line endings) or as a JSON array of objects with native
 numbers. Output is deterministic: identical configurations produce
 identical bytes.
 
-Both routes live in `dilaton`. `verify_grid` adds the batch
-density-matrix route (`pipeline_measure_arrays`) to each slice and
-compares it with the closed forms at a 1e-10 gate; `monogamy_grid`
-gates the four identities. Both fold each slice's peaks, so their
-reports are the ones a whole-grid pass gives.
+Both routes, and the domain rule of `SweepConfig.validate`
+(`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
+adds the batch density-matrix route (`pipeline_measure_arrays`) to each
+slice and compares it with the closed forms at a 1e-10 gate;
+`monogamy_grid` gates the four identities. Both fold each slice's peaks,
+so their reports are the ones a whole-grid pass gives.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from typing import ClassVar
 import numpy as np
 
 from .dilaton import (
+    ConfigError,
     Pair,
     amplitude_arrays,
+    check_mass_and_omegas,
     closed_measure_arrays,
     critical_dilatons,
     monogamy_residual_arrays,
@@ -63,20 +66,6 @@ DEFAULT_OMEGAS = (0.5, 1.0, 1.5, 2.0)
 # Past 2**53 grid indices are no longer exact in float64, so `grid_slice`
 # would stop being np.linspace.
 MAX_POINTS = 2**53
-
-
-class ConfigError(ValueError):
-    """A sweep configuration violates its invariants."""
-
-
-def check_mass_and_omegas(mass, omegas) -> None:
-    """Reject a mass or a frequency that is not positive and finite."""
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise ConfigError(f"mass must be positive and finite, got {mass}")
-    if not omegas:
-        raise ConfigError("at least one omega is required")
-    if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):
-        raise ConfigError(f"omegas must all be positive and finite, got {list(omegas)}")
 
 
 @dataclass

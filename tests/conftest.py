@@ -1,7 +1,26 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from dilaton_steering import sweep
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

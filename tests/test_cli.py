@@ -1,15 +1,20 @@
 import decimal
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dilaton_steering
+from conftest import time_limit
 from dilaton_steering import cli, density, kernels
 from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
 
@@ -380,6 +385,45 @@ class TestGeneralConcurrenceKernel:
         monkeypatch.setattr(kernels, "spinflip_concurrence", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0 and out != "" and err == ""
+
+
+# Float edges of the (mass, omega) domain and past it, for every subcommand.
+EDGE_VALUES = (
+    1e-300, 1e300, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -0.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 0.5, 1.0,
+)
+GRID_COMMANDS = ("sweep", "verify", "monogamy")
+
+
+@st.composite
+def edge_argv(draw):
+    """An argv of edge values; a grid is small, or so large that it must exit 2."""
+    command = draw(st.sampled_from(GRID_COMMANDS + ("critical", "classify")))
+    mass = draw(st.sampled_from(EDGE_VALUES))
+    omegas = draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=2))
+    argv = [command, f"--mass={mass!r}", f"--omega={','.join(map(repr, omegas))}"]
+    if command in GRID_COMMANDS:
+        argv.append(f"--points={draw(st.integers(2, 64) | st.just(2**53 + 1))}")
+        for flag in sorted(draw(st.sets(st.sampled_from(("--d-min", "--d-max"))))):
+            edge = draw(st.sampled_from((mass, math.nextafter(mass, 0.0))))
+            argv.append(f"{flag}={edge!r}")
+    return argv
+
+
+class TestEdgeArguments:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(argv=edge_argv())
+    def test_exit_code_is_documented_and_usage_errors_print_nothing(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(5.0), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+                assert code == 2, err.getvalue()
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
 
 
 class TestVersionFlag:

@@ -1,7 +1,6 @@
 import decimal
 import math
-import signal
-from contextlib import contextmanager
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -9,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dilaton_steering
 import dilaton_steering.dilaton as dl
+from conftest import time_limit
+from dilaton_steering import sweep
 from dilaton_steering.dilaton import (
     CRITICAL_TOL,
+    ConfigError,
     DilatonParams,
     Pair,
     ResolutionError,
@@ -22,6 +25,7 @@ from dilaton_steering.dilaton import (
     closed_measure_arrays,
     closed_xparams,
     critical_dilatons,
+    find_critical_batch,
     find_critical_numeric,
     monogamy_residuals,
     pipeline_measure_arrays,
@@ -49,30 +53,47 @@ def extreme_params(omega=1.0, mass=1.0):
     return DilatonParams(mass, mass * (1.0 - 1e-12), omega)
 
 
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds`, so a hang fails instead of stalling."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestParams:
     @pytest.mark.parametrize(
         "mass,dilaton,omega",
-        [(0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.5, 1.0), (1.0, -0.1, 1.0), (1.0, 0.5, 0.0), (1.0, 0.5, -2.0)],
+        [(0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.5, 1.0), (1.0, -0.1, 1.0), (1.0, 0.5, 0.0), (1.0, 0.5, -2.0)]
+        + [(bad, 0.0, 1.0) for bad in (math.inf, -math.inf, math.nan)]
+        + [(1.0, 0.5, bad) for bad in (math.inf, -math.inf, math.nan)],
     )
     def test_rejects_invalid(self, mass, dilaton, omega):
         with pytest.raises(ValueError):
             DilatonParams(mass, dilaton, omega)
+
+
+class TestDomainRule:
+    """Every entry point takes (mass, omega) through `check_mass_and_omegas`."""
+
+    ENTRY_POINTS = {
+        "critical_dilatons": critical_dilatons,
+        "find_critical_batch": lambda mass, omega: find_critical_batch(mass, [1.0, omega]),
+        "find_critical_numeric": lambda mass, omega: find_critical_numeric(mass, omega, "d0"),
+        "SweepConfig.validate": lambda mass, omega: sweep.SweepConfig(mass, (omega,)).validate(),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("argument", ["mass", "omega"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_mass_or_omega_off_the_domain(self, entry, argument, bad):
+        point = {"mass": 1.0, "omega": 1.0, argument: bad}
+        with pytest.raises(ConfigError, match=f"{argument}s? must"):
+            self.ENTRY_POINTS[entry](point["mass"], point["omega"])
+
+    def test_one_config_error_class(self):
+        assert dilaton_steering.ConfigError is sweep.ConfigError is dl.ConfigError
+        assert issubclass(ConfigError, ValueError)
+
+    def test_batch_needs_a_frequency(self):
+        with pytest.raises(ConfigError, match="at least one omega"):
+            find_critical_batch(1.0, [])
+
+    def test_array_frequencies_print_as_floats(self):
+        with pytest.raises(ConfigError, match=re.escape("got [1.0, inf]")):
+            find_critical_batch(1.0, np.array([1.0, np.inf]))
 
 
 class TestBogoliubov:

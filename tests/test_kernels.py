@@ -239,7 +239,7 @@ class TestCertifiedPath:
     @pytest.mark.parametrize(
         "entry", [(i, j) for i in range(4) for j in range(4)], ids=lambda e: f"rho{e[0]}{e[1]}"
     )
-    def test_nan_rows_take_the_eigh_route(self, monkeypatch, entry, hermitian):
+    def test_nan_rows_never_reach_eigh(self, monkeypatch, entry, hermitian):
         # A NaN anywhere, read by the pivoted steps or not, makes its row NaN
         # without reaching eigh (which reads one triangle only, and would
         # give a number for a NaN in the other); the other rows keep their bits.
