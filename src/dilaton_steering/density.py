@@ -38,9 +38,10 @@ class XStructureError(StateValidationError):
 class DensityMatrix:
     """Validated density matrix for 1, 2, or 3 qubits.
 
-    Hermiticity and unit trace are enforced within 1e-12 and positive
-    semidefiniteness down to an eigenvalue floor of -1e-10. The stored
-    array is read-only, so instances are safe to share between threads.
+    Entries must be finite. Hermiticity and unit trace are enforced
+    within 1e-12 and positive semidefiniteness down to an eigenvalue
+    floor of -1e-10. The stored array is read-only, so instances are
+    safe to share between threads.
     """
 
     matrix: np.ndarray
@@ -53,6 +54,8 @@ class DensityMatrix:
             raise StateValidationError(
                 f"dimension {m.shape[0]} unsupported, must be one of {_ALLOWED_DIMS}"
             )
+        if not np.isfinite(m).all():
+            raise StateValidationError("matrix has a non-finite entry")
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > HERMITICITY_TOL:
             raise StateValidationError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
@@ -91,6 +94,8 @@ class PureState:
             raise StateValidationError(
                 f"dimension {v.shape[0]} unsupported, must be one of {_ALLOWED_DIMS}"
             )
+        if not np.isfinite(v).all():
+            raise StateValidationError("amplitudes have a non-finite entry")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > TRACE_TOL:
             raise StateValidationError(f"amplitudes must have unit norm, got {norm:.17g}")
@@ -121,6 +126,8 @@ class XState:
 
     def __post_init__(self):
         diag = (self.d11, self.d22, self.d33, self.d44)
+        if not np.isfinite(np.array(diag + (self.c14, self.c23), dtype=np.complex128)).all():
+            raise StateValidationError("X-state parameters have a non-finite entry")
         if min(diag) < PSD_EIGENVALUE_FLOOR:
             raise StateValidationError(f"negative probability {min(diag):.3e}")
         if abs(sum(diag) - 1.0) > TRACE_TOL:
@@ -198,6 +205,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     a = m.matrix if isinstance(m, DensityMatrix) else np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     dev = np.abs(a - a.conj().T).max()
     if dev > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

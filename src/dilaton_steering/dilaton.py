@@ -64,9 +64,14 @@ class ConfigError(ValueError):
 
 
 def check_mass_and_omegas(mass, omegas) -> None:
-    """Reject a mass or a frequency that is not positive and finite (`omegas` may be an array)."""
+    """Reject a mass or a frequency that is not positive and finite.
+
+    `omegas` is a flat sequence or 1-D array; any other shape is rejected too.
+    """
     if not (mass > 0.0 and math.isfinite(mass)):
         raise ConfigError(f"mass must be positive and finite, got {mass}")
+    if np.ndim(omegas) != 1:
+        raise ConfigError(f"omegas must be a flat sequence, got {np.ndim(omegas)} dimension(s)")
     if len(omegas) == 0:
         raise ConfigError("at least one omega is required")
     if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):

@@ -7,12 +7,10 @@ single-state entry points live in `measures`. `l_triple` and
 floats and `xstate_measures` with arrays: the scalar and batch
 steering witnesses share one definition. `pair_gap` is the closed
 spin-flip concurrence of a rank-2 state from two factor columns, as the
-density route has them. `spinflip_concurrence` has one route per
-certificate: a state that two pivoted Cholesky steps certify as rank
-<= 2 takes `pair_gap`, every other finite state eigh, the eigen-clip
-and a batched SVD, and a state with a non-finite entry gives NaN. No
-CLI command calls it: it is the general oracle behind
-`measures.concurrence_general`.
+density route has them. `spinflip_concurrence` has one route: every
+finite state takes eigh, the eigen-clip and a batched SVD, and a state
+with a non-finite entry gives NaN. No CLI command calls it: it is the
+general oracle behind `measures.concurrence_general`.
 """
 
 from __future__ import annotations
@@ -91,8 +89,6 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
 # Spectral weights of rho below _EIG_CLIP * (largest eigenvalue) are zeroed
 # before taking the matrix square root; they are indistinguishable from 0 at
 # working precision and their roots would otherwise inject sqrt(eps) noise.
-# The same factor bounds the Schur-complement trace that certifies rank <= 2
-# without eigh: trace(S) <= _EIG_CLIP * max(diag rho).
 _EIG_CLIP = 64.0 * np.finfo(np.float64).eps
 
 
@@ -129,61 +125,24 @@ def pair_gap(u, w):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def _inv_sqrt(x):
-    """1/sqrt(x) where x > 0, else 0: a zero pivot gives a zero column."""
-    root = np.sqrt(np.maximum(x, 0.0))
-    return np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
-
-
-def _pivoted_pair(rhos):
-    """Two steps of diagonally pivoted Cholesky on stacked 4x4 states.
-
-    Returns the columns u and w, so that rho = u u^dagger + w w^dagger
-    + S with S the Schur complement left on the two unpivoted indices,
-    the trace of S, and the largest diagonal entry of rho.
-    """
-    rows = np.arange(rhos.shape[0])
-    d = rhos.diagonal(axis1=1, axis2=2).real
-    p = d.argmax(axis=1)
-    top = d[rows, p]
-    u = rhos[rows, :, p] * _inv_sqrt(top)[:, None]
-    d1 = d - _abs2(u)
-    d1[rows, p] = 0.0
-    q = d1.argmax(axis=1)
-    w = rhos[rows, :, q] - u * np.conj(u[rows, q])[:, None]
-    w *= _inv_sqrt(d1[rows, q])[:, None]
-    # Summed over all four indices: at the two pivots the entries are 0 up
-    # to rounding.
-    return u, w, (d1 - _abs2(w)).sum(axis=1), top
-
-
 def spinflip_concurrence(rhos):
     """Spin-flip concurrence for a stack of 4x4 density matrices.
 
     The flipped-overlap spectrum is obtained as the singular values of
     L^T F L for a factor rho = L L^dagger, which keeps relative precision
     where the eigenvalues of rho (F rho* F) pass through zero; any factor
-    gives the same singular values. Two pivoted Cholesky steps give the
-    columns u, w of L and the Schur complement S that remains. A finite
-    state with trace(S) <= _EIG_CLIP * max(diag rho) is one the eigen-clip
-    also calls rank <= 2 (the third eigenvalue is at most trace(S), the
-    first at least the largest diagonal entry): L^T F L has one nonzero
-    2x2 block, and its singular-value gap has a closed form (`pair_gap`).
-    A state with a non-finite entry gives NaN. Every other state takes the
-    clipped eigen-factor L and the batched SVD of L^T F L.
+    gives the same singular values. L is the eigen-factor with the
+    eigen-clip applied. A state with a non-finite entry gives NaN without
+    reaching eigh, which reads one triangle only and would give a number
+    for a NaN in the other.
     """
-    u, w, rest, top = _pivoted_pair(rhos)
     finite = np.isfinite(rhos).all(axis=(1, 2))
-    certified = (rest <= _EIG_CLIP * top) & finite
     conc = np.full(rhos.shape[0], np.nan)
-    conc[certified] = pair_gap(u[certified], w[certified])
-    eigen = finite & ~certified
-    if eigen.any():
-        e, v = np.linalg.eigh(rhos[eigen])
-        e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
-        ell = v * np.sqrt(e)[:, None, :]
-        lam = np.linalg.svd(np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell, compute_uv=False)
-        conc[eigen] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    e, v = np.linalg.eigh(rhos[finite])
+    e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
+    ell = v * np.sqrt(e)[:, None, :]
+    lam = np.linalg.svd(np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell, compute_uv=False)
+    conc[finite] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
     return np.maximum(0.0, conc)
 
 

@@ -1,10 +1,9 @@
 """Reference spin-flip concurrences for the kernel tests.
 
-`spinflip_concurrence_svd` is the kernel's general formula applied to
-every state: eigh, the same clip, L^T F L and its batched SVD. The
-kernel takes that route for every finite state that two pivoted
-Cholesky steps do not certify as rank <= 2, and must return its bits
-there. `wootters_lambdas` gives the textbook definition (Wootters,
+`spinflip_concurrence_svd` is the kernel's formula applied to every
+state: eigh, the same clip, L^T F L and its batched SVD. The kernel
+takes that route for every finite state and must return its bits.
+`wootters_lambdas` gives the textbook definition (Wootters,
 PRL 80, 2245, 1998) from the eigenvalues of rho F rho* F, for
 well-conditioned states.
 """

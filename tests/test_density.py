@@ -277,3 +277,43 @@ class TestXState:
             assert abs(red.matrix.trace().real - 1.0) < 1e-12
             ev = hermitian_eigenvalues(red)
             assert ev[-1] > -1e-10
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity fails every `dev > tol` comparison, so each
+    validated type checks for non-finite entries before its tolerances."""
+
+    ENTRIES = [(i, j) for i in range(4) for j in range(4)]
+    BAD = [math.nan, math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: f"rho{e[0]}{e[1]}")
+    def test_density_matrix(self, entry, bad):
+        m = bell_matrix().matrix.copy()
+        m[entry] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("index", range(4))
+    def test_pure_state(self, index, bad):
+        v = np.full(4, 0.5, dtype=complex)
+        v[index] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            PureState(v)
+
+    @pytest.mark.parametrize("bad", BAD + [complex(0.0, math.nan)])
+    @pytest.mark.parametrize("index", range(6))
+    def test_xstate(self, index, bad):
+        params = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+        params[index] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            XState(*params)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(2) for j in range(2)])
+    def test_hermitian_eigenvalues(self, entry, bad):
+        a = np.eye(2)
+        a[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(a)

@@ -5,7 +5,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dilaton_steering
@@ -90,6 +90,11 @@ class TestDomainRule:
     def test_batch_needs_a_frequency(self):
         with pytest.raises(ConfigError, match="at least one omega"):
             find_critical_batch(1.0, [])
+
+    @pytest.mark.parametrize("omegas", [1.0, [[1.0, 2.0]]], ids=["scalar", "nested"])
+    def test_batch_needs_a_flat_frequency_sequence(self, omegas):
+        with pytest.raises(ConfigError, match="omegas must be a flat sequence"):
+            find_critical_batch(1.0, omegas)
 
     def test_array_frequencies_print_as_floats(self):
         with pytest.raises(ConfigError, match=re.escape("got [1.0, inf]")):
@@ -522,3 +527,26 @@ class TestMonotonicity:
         assert np.all(fwd[dead] == 0.0)
         alive = (d > 0.0) & (d < D2_REF)
         assert np.all(fwd[alive] > 0.0)
+
+    # M log-uniform over 12 decades, M omega log-uniform in 0.1..30.
+    @settings(max_examples=200, deadline=None)
+    @given(log_mass=st.floats(-6.0, 6.0), log_m_omega=st.floats(-1.0, math.log10(30.0)))
+    def test_interior_steering_peaks_at_d1_while_entanglement_rises(self, log_mass, log_m_omega):
+        # The paper's shape claim, exactly on the float grid: the inaccessible
+        # steering rises to its peak at d1 and falls after it, while the
+        # inaccessible entanglement only grows with D.
+        mass = 10.0**log_mass
+        omega = 10.0**log_m_omega / mass
+        points = critical_dilatons(mass, omega)
+        assume(points.d1_in_range)
+        d = np.linspace(0.0, mass, 2001, endpoint=False)
+        _, c2, s2, c, s = amplitude_arrays(mass, omega, d)
+        bbbar = closed_measure_arrays(c2, s2, c, s, Pair.BBBAR)
+        abbar = closed_measure_arrays(c2, s2, c, s, Pair.ABBAR)
+        fwd = bbbar["s_forward"]
+        peak = int(np.argmax(fwd))
+        assert np.all(np.diff(fwd[: peak + 1]) >= 0.0)
+        assert np.all(np.diff(fwd[peak:]) <= 0.0)
+        assert abs(d[peak] - points.d1) <= d[1] - d[0]
+        assert np.all(np.diff(abbar["concurrence"]) >= 0.0)
+        assert np.all(np.diff(bbbar["concurrence"]) >= 0.0)
