@@ -200,9 +200,14 @@ _FACTOR_AXES = {Pair.AB: (0, 1, 2, 3), Pair.ABBAR: (0, 1, 3, 2), Pair.BBBAR: (0,
 
 
 def _state_vectors(c, s, vacuum):
-    """Stacked three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2)."""
+    """Stacked three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2).
+
+    The amplitudes are real, so the stack is float64, and so are the
+    factors, reduced states and tangents built from it: real arithmetic
+    gives the bits complex arithmetic gives with a zero imaginary part.
+    """
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    v = np.zeros((c.shape[0], 8), dtype=np.complex128)
+    v = np.zeros((c.shape[0], 8))
     v[:, 0] = c * inv_sqrt2
     v[:, 3] = s * inv_sqrt2
     v[:, 6] = vacuum * inv_sqrt2

@@ -11,6 +11,15 @@ density route has them. `spinflip_concurrence` has one route: every
 finite state takes eigh, the eigen-clip and a batched SVD, and a state
 with a non-finite entry gives NaN. No CLI command calls it: it is the
 general oracle behind `measures.concurrence_general`.
+
+`chsh_max` calls no LAPACK routine. A real stack stays real: the
+correlation matrix T takes the real and imaginary parts of the Pauli
+table as separate real products, K = T^T T comes from elementwise
+products, and K's eigenvalues from a cyclic Jacobi run over the whole
+stack (`jacobi_eigenvalues`). Each state stops at the first check that
+finds every off-diagonal entry of K within eps of its diagonal, so an
+exactly diagonal K, as every X state with real coherences gives, keeps
+its diagonal bits. A state with a non-finite entry gives NaN.
 """
 
 from __future__ import annotations
@@ -40,6 +49,12 @@ PAULI_KRON.setflags(write=False)
 # table gives the nine correlations tr(rho sigma_i (x) sigma_j).
 _CORRELATION_TABLE = PAULI_KRON.transpose(2, 1, 0).reshape(16, 9)
 _CORRELATION_TABLE.setflags(write=False)
+# Its real and imaginary parts, transposed: with one flattened state per
+# column, T = _TABLE_RE @ rho.real - _TABLE_IM @ rho.imag.
+_TABLE_RE = np.ascontiguousarray(_CORRELATION_TABLE.real.T)
+_TABLE_IM = np.ascontiguousarray(_CORRELATION_TABLE.imag.T)
+_TABLE_RE.setflags(write=False)
+_TABLE_IM.setflags(write=False)
 
 
 def l_triple(d11, d22, d33, d44):
@@ -146,13 +161,92 @@ def spinflip_concurrence(rhos):
     return np.maximum(0.0, conc)
 
 
+# A stack of 3x3 symmetric matrices is held as two (3, n) arrays: the
+# diagonals d, and the off-diagonals o, with o[r] the entry at (p, q) for
+# the two indices p = _P[r], q = _Q[r] other than r.
+_P = np.array([1, 2, 0])
+_Q = np.array([2, 0, 1])
+_EPS = np.finfo(np.float64).eps
+# Cap on Jacobi sweeps. A 3x3 stack converges quadratically: random
+# states need at most 4 sweeps.
+JACOBI_MAX_SWEEPS = 10
+
+
+def _rotate(d, o, r):
+    """Jacobi rotation zeroing o[r] of every column (Golub and Van Loan, 8.5.2).
+
+    t = tan(theta) is the smaller root of t^2 + 2 tau t - 1 = 0 with
+    tau = (d_q - d_p) / (2 o_pq), taken through hypot so that no square
+    overflows; a column with o_pq = 0 gets t = 0, the identity.
+    """
+    p, q = _P[r], _Q[r]
+    opq = o[r]
+    h = 0.5 * d[q] - 0.5 * d[p]
+    den = h + np.copysign(np.hypot(h, opq), h)
+    t = np.divide(opq, den, out=np.zeros_like(opq), where=den != 0.0)
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    shift = t * opq
+    d[p] -= shift
+    d[q] += shift
+    orp, orq = o[q].copy(), o[p]
+    o[q] = c * orp - s * orq
+    o[p] = s * orp + c * orq
+    o[r] = 0.0
+
+
+def jacobi_eigenvalues(d, o):
+    """Eigenvalues of a stack of real symmetric 3x3 matrices, by cyclic Jacobi.
+
+    d and o are (3, n) arrays as above, one matrix per column; both are
+    overwritten. A matrix stops at the first check that finds every
+    |o_pq| <= eps * sqrt(|d_p|) * sqrt(|d_q|), at the latest after
+    JACOBI_MAX_SWEEPS sweeps, so a diagonal matrix is returned as it
+    came. Returns (d, sweeps taken): d holds the eigenvalues of each
+    column in no particular order.
+    """
+    cols = np.arange(d.shape[1])
+    dc, oc = d, o
+    sweeps = 0
+    while True:
+        root = np.sqrt(np.abs(dc))
+        busy = ~(np.abs(oc) <= _EPS * root[_P] * root[_Q]).all(axis=0)
+        cols, dc, oc = cols[busy], dc[:, busy], oc[:, busy]
+        if cols.size == 0 or sweeps == JACOBI_MAX_SWEEPS:
+            return d, sweeps
+        sweeps += 1
+        for r in (2, 1, 0):
+            _rotate(dc, oc, r)
+        d[:, cols] = dc
+        o[:, cols] = oc
+
+
 def chsh_max(rhos):
     """Maximal CHSH signal for a stack of 4x4 density matrices.
 
     Builds the 3x3 correlation matrix T of each state and returns
-    2*sqrt of the sum of the two largest eigenvalues of T^T T.
+    2*sqrt of the sum of the two largest eigenvalues of K = T^T T
+    (Horodecki, Phys. Lett. A 200, 340, 1995). A real stack is never
+    promoted to complex, and K comes from elementwise products. Its
+    eigenvalues come from `jacobi_eigenvalues`: a state stops at the first
+    check that finds every off-diagonal entry of K within eps of the
+    diagonal, so an exactly diagonal K takes no rotation and gives its
+    diagonal. A state with a non-finite entry gives NaN, without a
+    warning; the other rows keep their values.
     """
-    t = (rhos.reshape(-1, 16) @ _CORRELATION_TABLE).real.reshape(-1, 3, 3)
-    k = np.swapaxes(t, 1, 2) @ t
-    ev = np.linalg.eigvalsh(k)
-    return 2.0 * np.sqrt(np.maximum(0.0, ev[:, 1] + ev[:, 2]))
+    flat = rhos.reshape(-1, 16).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = _TABLE_RE @ flat.real
+        if np.iscomplexobj(flat):
+            t -= _TABLE_IM @ flat.imag
+        # Rows k of T, one state per column: K_ij = sum_k T_ki T_kj.
+        tx, ty, tz = t[0:3], t[3:6], t[6:9]
+        d = tx * tx + ty * ty + tz * tz
+        o = tx[_P] * tx[_Q] + ty[_P] * ty[_Q] + tz[_P] * tz[_Q]
+    finite = np.isfinite(d).all(axis=0) & np.isfinite(o).all(axis=0)
+    ev, _ = jacobi_eigenvalues(d[:, finite], o[:, finite])
+    # The two largest of three, as a sort would order them.
+    hi01, lo01 = np.maximum(ev[0], ev[1]), np.minimum(ev[0], ev[1])
+    top2 = np.full(finite.shape, np.nan)
+    top2[finite] = np.maximum(hi01, ev[2]) + np.maximum(lo01, np.minimum(hi01, ev[2]))
+    return 2.0 * np.sqrt(np.maximum(0.0, top2))

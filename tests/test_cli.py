@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,19 +363,23 @@ class TestFlagsPerSubcommand:
         assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
+# One small run of every subcommand.
+EVERY_COMMAND = pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--omega", "0.5,3", "--points", "5"),
+        ("sweep", "--omega", "0.5,3", "--points", "5", "--format", "json"),
+        ("verify", "--omega", "0.5,3", "--points", "21"),
+        ("monogamy", "--omega", "0.5,3", "--points", "21"),
+        ("critical", "--omega", "0.01,0.5,3"),
+        ("classify", "--omega", "0.01,0.5,3"),
+    ],
+    ids=["sweep-csv", "sweep-json", "verify", "monogamy", "critical", "classify"],
+)
+
+
 class TestGeneralConcurrenceKernel:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sweep", "--omega", "0.5,3", "--points", "5"),
-            ("sweep", "--omega", "0.5,3", "--points", "5", "--format", "json"),
-            ("verify", "--omega", "0.5,3", "--points", "21"),
-            ("monogamy", "--omega", "0.5,3", "--points", "21"),
-            ("critical", "--omega", "0.01,0.5,3"),
-            ("classify", "--omega", "0.01,0.5,3"),
-        ],
-        ids=["sweep-csv", "sweep-json", "verify", "monogamy", "critical", "classify"],
-    )
+    @EVERY_COMMAND
     def test_no_command_calls_it(self, capsys, monkeypatch, argv):
         # `kernels.spinflip_concurrence` is the oracle behind
         # `measures.concurrence_general`. The commands take the closed forms
@@ -383,6 +388,19 @@ class TestGeneralConcurrenceKernel:
             raise AssertionError("spinflip_concurrence called")
 
         monkeypatch.setattr(kernels, "spinflip_concurrence", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out != "" and err == ""
+
+
+class TestNoLapackEigenvalues:
+    @EVERY_COMMAND
+    def test_no_command_calls_eigvalsh(self, capsys, monkeypatch, argv):
+        # The CHSH kernel takes its eigenvalues by Jacobi, and no command
+        # builds a validated DensityMatrix, whose check would call eigvalsh.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 0 and out != "" and err == ""
 

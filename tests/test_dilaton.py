@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +351,46 @@ class TestFactorRoute:
             m = dl._factor(dl._state_vectors(c, s, 1.0), pair)
             conc = pipeline_measure_arrays(c, s, pair)["concurrence"]
             assert abs(conc[0] - spinflip_concurrence(dl._gram(m, m))[0]) <= 1e-15
+
+
+def complex_state_vectors(c, s, vacuum):
+    """The batch route's stacked three-mode vectors as complex128: the reference of the real route."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    v = np.zeros((c.shape[0], 8), dtype=np.complex128)
+    v[:, 0] = c * inv_sqrt2
+    v[:, 3] = s * inv_sqrt2
+    v[:, 6] = vacuum * inv_sqrt2
+    return v
+
+
+class TestRealRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_mass=st.floats(-8.0, 8.0),
+        log_m_omega=st.floats(-8.0, 8.0),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_real_stacks_give_the_complex_bits(self, log_mass, log_m_omega, fraction):
+        mass = 10.0**log_mass
+        omega = 10.0**log_m_omega / mass
+        x, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
+
+        def route():
+            out = []
+            for pair in Pair:
+                vals = pipeline_measure_arrays(c, s, pair)
+                out += [vals[key] for key in sorted(vals)]
+                out += [dl._margin(x, pair, backward) for backward in (False, True)]
+                out.append(dl._forward_margin_slope(x, pair))
+            return out
+
+        real = route()
+        with mock.patch.object(dl, "_state_vectors", complex_state_vectors):
+            reference = route()
+        assert len(real) == 3 * 9
+        for got, expected in zip(real, reference):
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestDualPath:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chsh_oracle
 import sampling
 import spinflip_oracle as oracle
 from dilaton_steering import kernels, measures
@@ -221,3 +222,86 @@ class TestSpinFlipConcurrence:
         assert stacks and all(np.isfinite(a).all() for a in stacks)
         assert np.isnan(got[1])
         np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])
+
+
+def jacobi_stack(ks):
+    """The (d, o) arrays that `kernels.jacobi_eigenvalues` takes for stacked 3x3 matrices."""
+    d = np.stack([ks[:, 0, 0], ks[:, 1, 1], ks[:, 2, 2]])
+    o = np.stack([ks[:, 1, 2], ks[:, 2, 0], ks[:, 0, 1]])
+    return d, o
+
+
+class TestChshMax:
+    @pytest.mark.parametrize("kind", ["full-rank", "pure", "complex-x"])
+    def test_matches_eigvalsh_reference(self, kind):
+        rng = np.random.default_rng(21)
+        if kind == "full-rank":
+            rhos = random_states(rng, 3000, 4)
+        elif kind == "pure":
+            rhos = random_states(rng, 3000, 1)
+        else:
+            rhos = sampling.xstate_matrices(*sampling.random_xstate_params(rng, 3000))
+        got = kernels.chsh_max(rhos)
+        assert np.abs(got - chsh_oracle.chsh_max_eigvalsh(rhos)).max() <= 1e-14
+        ks = chsh_oracle.correlation_products(rhos)
+        _, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
+        assert 0 < sweeps < kernels.JACOBI_MAX_SWEEPS
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [(0.6, 0.6, 0.1), (0.1, 0.1, 0.8), (0.4, 0.4, 0.4), (0.9, 0.0, 0.0), (0.5, 0.0, 1e-20)],
+        ids=["double-top", "double-bottom", "triple", "rank-1", "near-rank-1"],
+    )
+    def test_degenerate_spectra_in_random_frames(self, spectrum):
+        rng = np.random.default_rng(22)
+        q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
+        ks = (q * np.array(spectrum)) @ np.swapaxes(q, 1, 2)
+        ks = 0.5 * (ks + np.swapaxes(ks, 1, 2))
+        ev, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
+        assert 0 < sweeps < kernels.JACOBI_MAX_SWEEPS
+        assert np.abs(np.sort(ev, axis=0) - np.linalg.eigvalsh(ks).T).max() <= 1e-14
+
+    def test_diagonal_k_is_returned_with_eigvalsh_bits(self):
+        # eigvalsh returns a diagonal matrix's sorted diagonal exactly while its
+        # largest entry is above about 1e-146, where LAPACK starts to rescale.
+        rng = np.random.default_rng(23)
+        diag = 10.0 ** rng.uniform(-100.0, 0.0, size=(3000, 3))
+        diag[::7, 1] = 0.0
+        ks = np.zeros((3000, 3, 3))
+        ks[:, [0, 1, 2], [0, 1, 2]] = diag
+        ev, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
+        assert sweeps == 0
+        assert np.array_equal(np.sort(ev, axis=0), np.linalg.eigvalsh(ks).T)
+
+    def test_x_states_with_real_coherences_keep_the_reference_bits(self):
+        rng = np.random.default_rng(24)
+        d11, d22, d33, d44, c14, c23 = sampling.random_xstate_params(rng, 3000)
+        rhos = sampling.xstate_matrices(d11, d22, d33, d44, np.abs(c14), np.abs(c23)).real.copy()
+        ks = chsh_oracle.correlation_products(rhos)
+        assert not np.any(ks[:, [0, 0, 1], [1, 2, 2]])
+        assert np.array_equal(kernels.chsh_max(rhos), chsh_oracle.chsh_max_eigvalsh(rhos))
+
+    def test_real_and_complex_stacks_agree_bit_for_bit(self):
+        rhos = random_states(np.random.default_rng(25), 500, 4).real.copy()
+        assert np.array_equal(kernels.chsh_max(rhos), kernels.chsh_max(rhos.astype(np.complex128)))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry", [(0, 0), (0, 3), (2, 1), (3, 3)], ids=lambda e: f"rho{e[0]}{e[1]}"
+    )
+    def test_non_finite_row_gives_nan(self, entry, value, dtype):
+        clean = random_states(np.random.default_rng(26), 3, 4)
+        clean = clean.astype(dtype) if dtype is np.complex128 else clean.real.copy()
+        expected = kernels.chsh_max(clean)
+        rhos = clean.copy()
+        rhos[1][entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.chsh_max(rhos)
+        assert np.isnan(got[1])
+        np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_empty_stack(self, dtype):
+        assert kernels.chsh_max(np.zeros((0, 4, 4), dtype=dtype)).shape == (0,)

@@ -323,6 +323,15 @@ class TestVerifyGrid:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         assert verify_grid(SweepConfig(points=101)).passed
 
+    def test_states_take_no_eigvalsh(self, monkeypatch):
+        # Their correlation products K = T^T T are diagonal, and the CHSH
+        # kernel takes K's eigenvalues by Jacobi, with no LAPACK call.
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called on a verify state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert verify_grid(SweepConfig(points=101)).passed
+
     def test_nan_in_last_slice_fails_the_gate(self, nan_s_forward_at):
         cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(0.5, 1.0), pairs=(Pair.ABBAR,))
         last = float(cfg.dilaton_grid()[-1])
