@@ -1,114 +1,46 @@
 """Steering, Bell nonlocality, and entanglement of two-qubit X states,
 applied to fermionic modes outside a GHS dilaton black hole.
 
-The package provides exact small density-matrix arithmetic (`density`),
-the two-qubit measure toolkit with independent closed-form and
-general-matrix routes (`measures`), the dilaton state family with its
-critical points and monogamy identities, with both the closed-form and
-the batch density-matrix route (`dilaton`), and deterministic grids,
-writers and gates plus a CLI (`sweep`, `cli`). The batch numpy kernels
-of the density-matrix route live in `kernels`.
+`dilaton` holds the model: its domain rule, the mode-mixing amplitudes,
+the closed-form and the batch density-matrix route of each
+bipartition's measures, the monogamy residuals, and the critical
+dilatons in closed form and from the lockstep numeric search. The numpy
+kernels of the density-matrix route live in `kernels`. `sweep` walks
+the dilaton grid, writes the records and runs the verify and monogamy
+gates; `cli` is the command line.
 """
 
-from .density import (
-    DensityMatrix,
-    PureState,
-    StateValidationError,
-    XState,
-    XStructureError,
-    as_xstate,
-    from_pure,
-    hermitian_eigenvalues,
-    partial_trace,
-    tensor,
-)
 from .dilaton import (
-    BogoliubovAmplitudes,
     ConfigError,
     CriticalPoints,
-    DilatonParams,
-    MonogamyResiduals,
     Pair,
     ResolutionError,
-    RootNotFoundError,
-    bogoliubov,
-    closed_form_measures,
+    amplitude_arrays,
+    check_mass_and_omegas,
+    closed_measure_arrays,
     critical_dilatons,
     find_critical_batch,
-    find_critical_numeric,
-    monogamy_residuals,
-    pipeline_measures,
-    reduced,
-    tripartite_state,
-)
-from .measures import (
-    ChshBranches,
-    Direction,
-    LTriple,
-    MeasureSet,
-    Regime,
-    chsh_max_general,
-    chsh_max_x,
-    classify_steering,
-    concurrence_general,
-    concurrence_x,
-    l_triple,
-    measure_xstate,
-    steerability,
-    steering_asymmetry,
-    steering_witness_matrix,
-    witness_arguments,
+    monogamy_residual_arrays,
+    pipeline_measure_arrays,
 )
 from .sweep import SweepConfig, monogamy_grid, sweep_blocks, verify_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BogoliubovAmplitudes",
-    "ChshBranches",
     "ConfigError",
     "CriticalPoints",
-    "DensityMatrix",
-    "DilatonParams",
-    "Direction",
-    "LTriple",
-    "MeasureSet",
-    "MonogamyResiduals",
     "Pair",
-    "PureState",
-    "Regime",
     "ResolutionError",
-    "RootNotFoundError",
-    "StateValidationError",
     "SweepConfig",
-    "XState",
-    "XStructureError",
-    "as_xstate",
-    "bogoliubov",
-    "chsh_max_general",
-    "chsh_max_x",
-    "classify_steering",
-    "closed_form_measures",
-    "concurrence_general",
-    "concurrence_x",
+    "amplitude_arrays",
+    "check_mass_and_omegas",
+    "closed_measure_arrays",
     "critical_dilatons",
     "find_critical_batch",
-    "find_critical_numeric",
-    "from_pure",
-    "hermitian_eigenvalues",
-    "l_triple",
-    "measure_xstate",
     "monogamy_grid",
-    "monogamy_residuals",
-    "partial_trace",
-    "pipeline_measures",
-    "reduced",
-    "steerability",
-    "steering_asymmetry",
-    "steering_witness_matrix",
+    "monogamy_residual_arrays",
+    "pipeline_measure_arrays",
     "sweep_blocks",
-    "tensor",
-    "tripartite_state",
     "verify_grid",
-    "witness_arguments",
 ]

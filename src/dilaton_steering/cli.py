@@ -12,6 +12,7 @@ parameters at which float64 cannot resolve a critical dilaton to the
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -164,10 +165,9 @@ def cmd_verify(args) -> int:
         print(f"PASS: all deviations within {report.gate:g}")
         return EXIT_OK
     w = report.worst
-    print(
+    _to_stderr(
         f"FAIL: {w.pair.value} {w.measure} deviates {w.value:.3e} at "
-        f"omega={w.omega:g}, D={w.dilaton:.17g} (gate {report.gate:g})",
-        file=sys.stderr,
+        f"omega={w.omega:g}, D={w.dilaton:.17g} (gate {report.gate:g})"
     )
     return EXIT_VERIFY_FAIL
 
@@ -197,7 +197,7 @@ def cmd_critical(args) -> int:
             flag = "" if ok else "  MISMATCH"
             print(f"  {name}  closed = {_dilaton(closed)}  numeric = {_dilaton(value)}  |delta| = {delta:.2e}{flag}")
     if not all_ok:
-        print(f"FAIL: numeric and closed-form critical points differ beyond {CRITICAL_TOL:g}", file=sys.stderr)
+        _to_stderr(f"FAIL: numeric and closed-form critical points differ beyond {CRITICAL_TOL:g}")
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 
@@ -216,10 +216,7 @@ def cmd_monogamy(args) -> int:
         print(f"PASS: residuals within {report.gate:g}")
         return EXIT_OK
     name, value, omega, dil = report.worst
-    print(
-        f"FAIL: |{name}| = {value:.3e} at omega={omega:g}, D={dil:.17g} (gate {report.gate:g})",
-        file=sys.stderr,
-    )
+    _to_stderr(f"FAIL: |{name}| = {value:.3e} at omega={omega:g}, D={dil:.17g} (gate {report.gate:g})")
     return EXIT_VERIFY_FAIL
 
 
@@ -246,16 +243,48 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+class _ClosedStream:
+    """Stands in for a stdout whose descriptor was closed at start.
+
+    Python sets such a stdout to None and drops every print to it. Here
+    a write fails as the closed descriptor would, so a command that
+    needed stdout exits 3; a flush of nothing written passes, so a run
+    that wrote only to --out exits 0.
+    """
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+    def flush(self):
+        pass
+
+
+def _to_stderr(line: str) -> None:
+    """Print a diagnostic line; a stderr closed at start loses it, and the exit code still tells.
+
+    Python sets such a stderr to None, or keeps one whose writes fail.
+    print(file=None) would write to stdout, so a None stderr is skipped.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:
+        sys.stdout = _ClosedStream()
     try:
         code = args.func(args)
         # Flush here, not at exit, so a closed pipe lands in the handler below.
         sys.stdout.flush()
         return code
     except (ConfigError, ResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
@@ -264,10 +293,7 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        try:
-            print(f"error: {exc}", file=sys.stderr)
-        except OSError:
-            pass
+        _to_stderr(f"error: {exc}")
         return EXIT_IO
 
 

@@ -8,14 +8,12 @@ x = 8*pi*(M - D)*omega, with mass M, dilaton charge D < M, and mode
 frequency omega (geometric units).
 
 Each bipartition's measures come in two routes that must agree to
-1e-10. The closed-form route (`closed_measure_arrays`, and
-`closed_form_measures` for one point) evaluates the analytic
-expressions in x. The batch density-matrix route
-(`pipeline_measure_arrays`, and `pipeline_measures` for one point)
-stacks the three-mode state vectors, reshapes each into the 4x2 factor
-M of a bipartition, takes its reduced state as M M^dagger and runs the
-`kernels`. `tripartite_state` and `reduced` rebuild one state through
-the validated `density` layer, an independent check of the batch route.
+1e-10. The closed-form route (`closed_measure_arrays`) evaluates the
+analytic expressions in x. The batch density-matrix route
+(`pipeline_measure_arrays`) stacks the three-mode state vectors,
+reshapes each into the 4x2 factor M of a bipartition, takes its reduced
+state as M M^dagger and runs the `kernels`. Both take the amplitudes of
+`amplitude_arrays`, one point or a whole grid at a time.
 
 The numeric critical dilatons (`find_critical_batch`) come from a
 lockstep search in x on the batch route, independent of the closed
@@ -31,9 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .density import DensityMatrix, PureState, XState, as_xstate, from_pure, partial_trace
 from .kernels import SQRT3
-from .measures import MeasureSet, measure_set
 
 # Thermal arguments of the three critical dilaton values (mass- and
 # frequency-independent): birth of the backward exterior-interior
@@ -49,14 +45,6 @@ class Pair(Enum):
     AB = "ab"
     ABBAR = "abbar"
     BBBAR = "bbbar"
-
-
-# Modes kept by the partial trace down to each bipartition.
-PAIR_MODES = {Pair.AB: (0, 1), Pair.ABBAR: (0, 2), Pair.BBBAR: (1, 2)}
-
-
-class RootNotFoundError(ValueError):
-    """A bracketing search found no sign change."""
 
 
 class ConfigError(ValueError):
@@ -79,40 +67,6 @@ def check_mass_and_omegas(mass, omegas) -> None:
 
 
 @dataclass(frozen=True)
-class DilatonParams:
-    """Black-hole mass, dilaton charge, and mode frequency.
-
-    Geometric units (hbar = G = c = k_B = 1); requires 0 <= dilaton < mass
-    and a positive, finite mass and frequency (ConfigError otherwise).
-    """
-
-    mass: float
-    dilaton: float
-    omega: float
-
-    def __post_init__(self):
-        check_mass_and_omegas(self.mass, [self.omega])
-        if not (0.0 <= self.dilaton < self.mass):
-            raise ConfigError(
-                f"dilaton must satisfy 0 <= D < M, got D={self.dilaton}, M={self.mass}"
-            )
-
-
-@dataclass(frozen=True)
-class BogoliubovAmplitudes:
-    """Mode-mixing amplitudes c, s with c^2 + s^2 = 1.
-
-    x is the thermal argument 8*pi*(M - D)*omega and temperature the
-    Hawking temperature 1/(8*pi*(M - D)).
-    """
-
-    x: float
-    c: float
-    s: float
-    temperature: float
-
-
-@dataclass(frozen=True)
 class CriticalPoints:
     """Critical dilaton values with in-range flags (value in [0, mass))."""
 
@@ -122,37 +76,6 @@ class CriticalPoints:
     d0_in_range: bool
     d1_in_range: bool
     d2_in_range: bool
-
-
-@dataclass(frozen=True)
-class MonogamyResiduals:
-    """Left minus right side of the four steering-entanglement identities.
-
-    r3 and r4 only hold past the birth point of the backward
-    exterior-interior steering; their validity flags record whether
-    that condition is met.
-    """
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    r3_valid: bool
-    r4_valid: bool
-
-
-def bogoliubov(p: DilatonParams) -> BogoliubovAmplitudes:
-    """Mode-mixing amplitudes for the given parameters.
-
-    A length-1 call of `amplitude_arrays`.
-    """
-    x, _, _, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
-    return BogoliubovAmplitudes(
-        x=float(x[0]),
-        c=float(c[0]),
-        s=float(s[0]),
-        temperature=1.0 / (8.0 * math.pi * (p.mass - p.dilaton)),
-    )
 
 
 def amplitude_arrays(mass, omega, dilatons):
@@ -174,22 +97,6 @@ def _mixing(x):
     # Where u is subnormal (x > 708.4), s^2 has lost the digits s keeps up to x = 1417.
     s = np.where(u < np.finfo(np.float64).tiny, np.exp(-0.5 * x) / np.sqrt(1.0 + u), np.sqrt(s2))
     return c2, s2, np.sqrt(c2), s
-
-
-def tripartite_state(p: DilatonParams) -> DensityMatrix:
-    """Pure three-mode state in the ordering (Alice, Bob, interior partner)."""
-    amp = bogoliubov(p)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    v = np.zeros(8, dtype=np.complex128)
-    v[0] = amp.c * inv_sqrt2  # |000>
-    v[3] = amp.s * inv_sqrt2  # |011>
-    v[6] = inv_sqrt2  # |110>
-    return from_pure(PureState(v))
-
-
-def reduced(p: DilatonParams, pair: Pair) -> XState:
-    """Two-mode reduced state of the chosen bipartition, in X form."""
-    return as_xstate(partial_trace(tripartite_state(p), PAIR_MODES[pair]))
 
 
 # --- batch density-matrix route --------------------------------------------
@@ -306,29 +213,6 @@ def closed_measure_arrays(c2, s2, c, s, pair: Pair) -> dict:
         "concurrence": conc,
         "asymmetry": np.abs(s_fwd - s_bwd),
     }
-
-
-def _first_point(vals: dict) -> MeasureSet:
-    """The MeasureSet of the first point of a measure dictionary."""
-    keys = ("s_forward", "s_backward", "bell_max", "bell_branch1", "bell_branch2", "concurrence")
-    return measure_set(*(float(vals[key][0]) for key in keys))
-
-
-def closed_form_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
-    """Analytic measures of one bipartition at a single parameter point."""
-    _, c2, s2, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
-    return _first_point(closed_measure_arrays(c2, s2, c, s, pair))
-
-
-def pipeline_measures(p: DilatonParams, pair: Pair) -> MeasureSet:
-    """Measures of one bipartition via the density-matrix route.
-
-    A length-1 call of `pipeline_measure_arrays`: witness steerability
-    and branch CHSH on the extracted X parameters, spin-flip concurrence
-    and correlation-matrix CHSH on the reduced matrix itself.
-    """
-    _, _, _, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
-    return _first_point(pipeline_measure_arrays(c, s, pair))
 
 
 def _dilaton_at(mass, omega, x):
@@ -526,26 +410,6 @@ def _resolution(mass, omega, x):
         return 4.0 * (np.spacing(mass) + np.spacing(x) / (8.0 * np.pi * omega))
 
 
-def find_critical_numeric(mass: float, omega: float, which: str) -> float:
-    """One critical dilaton from the density-matrix route.
-
-    `which` is "d0", "d1", or "d2": a length-1 call of
-    `find_critical_batch`, which documents the search. Raises
-    RootNotFoundError (with the bracket) when the point does not lie in
-    the searched range, and ResolutionError as `find_critical_batch`.
-    """
-    if which not in ("d0", "d1", "d2"):
-        raise ValueError(f"unknown critical point {which!r}, expected 'd0', 'd1', or 'd2'")
-    value = float(find_critical_batch(mass, [omega])[which][0])
-    if math.isnan(value):
-        x_hi = float(_x_top(mass, omega))
-        raise RootNotFoundError(
-            f"no sign change for {which} on the bracket x in [0, {x_hi:.12g}] "
-            f"(mass={mass:g}, omega={omega:g})"
-        )
-    return value
-
-
 def monogamy_residual_arrays(ab: dict, abbar: dict, bbbar: dict, dilatons, d0: float) -> dict:
     """Residuals of the four steering-entanglement identities on a grid.
 
@@ -564,20 +428,3 @@ def monogamy_residual_arrays(ab: dict, abbar: dict, bbbar: dict, dilatons, d0: f
     r3 = 0.5 * (3.0 - SQRT3) * (ab["s_backward"] - abbar["s_backward"]) - diff
     r4 = 0.5 * (3.0 + SQRT3) * (ab["s_backward"] + abbar["s_backward"]) - (c2_ab + c2_abbar)
     return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "valid": np.asarray(dilatons) > d0}
-
-
-def monogamy_residuals(p: DilatonParams) -> MonogamyResiduals:
-    """Residuals of the four steering-entanglement identities at one point."""
-    _, c2, s2, c, s = amplitude_arrays(p.mass, p.omega, [p.dilaton])
-    ab, abbar, bbbar = (closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair)
-    d0 = critical_dilatons(p.mass, p.omega).d0
-    res = monogamy_residual_arrays(ab, abbar, bbbar, [p.dilaton], d0)
-    valid = bool(res["valid"][0])
-    return MonogamyResiduals(
-        r1=float(res["r1"][0]),
-        r2=float(res["r2"][0]),
-        r3=float(res["r3"][0]),
-        r4=float(res["r4"][0]),
-        r3_valid=valid,
-        r4_valid=valid,
-    )

@@ -1,16 +1,12 @@
 """Batch kernels for the hot numeric paths, in numpy.
 
-`xstate_measures`, `spinflip_concurrence` and `chsh_max` take stacked
-float64/complex128 arrays and perform no validation; validated
-single-state entry points live in `measures`. `l_triple` and
-`witness_margins` are plain arithmetic, so `measures` calls them with
-floats and `xstate_measures` with arrays: the scalar and batch
-steering witnesses share one definition. `pair_gap` is the closed
-spin-flip concurrence of a rank-2 state from two factor columns, as the
-density route has them. `spinflip_concurrence` has one route: every
-finite state takes eigh, the eigen-clip and a batched SVD, and a state
-with a non-finite entry gives NaN. No CLI command calls it: it is the
-general oracle behind `measures.concurrence_general`.
+`xstate_measures` and `chsh_max` take stacked float64/complex128 arrays
+and perform no validation. `l_triple` and `witness_margins` are plain
+arithmetic, so `xstate_measures` calls them with arrays and the
+critical-point search in `dilaton` with dual numbers: one definition of
+the steering witness serves both. `pair_gap` is the closed spin-flip
+concurrence of a rank-2 state from two factor columns, as the density
+route has them.
 
 `chsh_max` calls no LAPACK routine. A real stack stays real: the
 correlation matrix T takes the real and imaginary parts of the Pauli
@@ -33,12 +29,6 @@ SQRT3 = math.sqrt(3.0)
 STEER_SCALE = 8.0 / SQRT3
 _LA_SMALL = 0.5 * (2.0 - SQRT3)
 _LA_BIG = 0.5 * (2.0 + SQRT3)
-
-# sigma_y (x) sigma_y: the two-qubit spin flip is real in the computational basis.
-SPIN_FLIP = np.zeros((4, 4), dtype=np.complex128)
-SPIN_FLIP[0, 3] = SPIN_FLIP[3, 0] = -1.0
-SPIN_FLIP[1, 2] = SPIN_FLIP[2, 1] = 1.0
-SPIN_FLIP.setflags(write=False)
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -101,12 +91,6 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
     return s_fwd, s_bwd, b1, b2, conc
 
 
-# Spectral weights of rho below _EIG_CLIP * (largest eigenvalue) are zeroed
-# before taking the matrix square root; they are indistinguishable from 0 at
-# working precision and their roots would otherwise inject sqrt(eps) noise.
-_EIG_CLIP = 64.0 * np.finfo(np.float64).eps
-
-
 def _flip_overlap(x, y):
     """Stacked x^T F y for the spin flip F, written out as the swap it is."""
     return x[:, 1] * y[:, 2] + x[:, 2] * y[:, 1] - x[:, 0] * y[:, 3] - x[:, 3] * y[:, 0]
@@ -138,27 +122,6 @@ def pair_gap(u, w):
     num = np.hypot(aa - gg, 2.0 * q)
     den = np.sqrt(aa + 2.0 * bb + gg + 2.0 * np.abs(alpha * gamma - beta * beta))
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-
-def spinflip_concurrence(rhos):
-    """Spin-flip concurrence for a stack of 4x4 density matrices.
-
-    The flipped-overlap spectrum is obtained as the singular values of
-    L^T F L for a factor rho = L L^dagger, which keeps relative precision
-    where the eigenvalues of rho (F rho* F) pass through zero; any factor
-    gives the same singular values. L is the eigen-factor with the
-    eigen-clip applied. A state with a non-finite entry gives NaN without
-    reaching eigh, which reads one triangle only and would give a number
-    for a NaN in the other.
-    """
-    finite = np.isfinite(rhos).all(axis=(1, 2))
-    conc = np.full(rhos.shape[0], np.nan)
-    e, v = np.linalg.eigh(rhos[finite])
-    e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
-    ell = v * np.sqrt(e)[:, None, :]
-    lam = np.linalg.svd(np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell, compute_uv=False)
-    conc[finite] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return np.maximum(0.0, conc)
 
 
 # A stack of 3x3 symmetric matrices is held as two (3, n) arrays: the

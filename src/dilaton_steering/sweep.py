@@ -37,7 +37,6 @@ from .dilaton import (
     monogamy_residual_arrays,
     pipeline_measure_arrays,
 )
-from .measures import REGIMES, regime_index
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
 MEASURE_FIELDS = (
@@ -140,7 +139,18 @@ def columns(pairs=ALL_PAIRS) -> list:
     return cols
 
 
-_REGIME_LABELS = np.array([r.value for r in REGIMES])
+# Steerability below this counts as "not witnessed" when classifying regimes.
+STEERING_ZERO_THRESHOLD = 1e-12
+# Regime labels in the order of 2 * (forward witnessed) + (backward
+# witnessed). "no_way" means no steering was witnessed in either
+# direction, not a proof that the state is unsteerable.
+REGIMES = ("no_way", "one_way_bwd", "one_way_fwd", "two_way")
+_REGIME_LABELS = np.array(REGIMES)
+
+
+def regime_index(s_forward, s_backward):
+    """Position in `REGIMES` of the witnessed directions; elementwise on arrays."""
+    return 2 * (s_forward > STEERING_ZERO_THRESHOLD) + (s_backward > STEERING_ZERO_THRESHOLD)
 
 
 def _regime_labels(s_forward, s_backward) -> np.ndarray:

@@ -1,16 +1,23 @@
-"""Exact density-matrix arithmetic for one to three qubits.
+"""Validated density-matrix reference for the tests.
 
-Small validated complex matrices are the trusted numerical path of the
-package: every closed-form quantity elsewhere is cross-checked against
-values computed from these objects.
+Exact density-matrix arithmetic for one to three qubits, on small
+validated complex matrices: the model's three-mode state built as a
+projector, its two-mode reductions by partial tracing, and the steering
+witness state. The package's batch route builds each reduced state as
+M M^dagger of a 4x2 factor instead; the tests compare the two. Nothing
+here is imported by the package.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
 import numpy as np
+
+from dilaton_steering.dilaton import ConfigError, Pair, amplitude_arrays, check_mass_and_omegas
+from dilaton_steering.kernels import SQRT3
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -196,23 +203,6 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.kron(a.matrix, b.matrix))
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Accepts a DensityMatrix or any Hermitian ndarray (e.g. the real
-    symmetric 3x3 correlation products used by the CHSH computation).
-    """
-    a = m.matrix if isinstance(m, DensityMatrix) else np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    dev = np.abs(a - a.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(a)[::-1]
-
-
 def as_xstate(m: DensityMatrix) -> XState:
     """Extract the six X parameters of a 4x4 density matrix.
 
@@ -237,3 +227,50 @@ def as_xstate(m: DensityMatrix) -> XState:
         c14=complex(a[0, 3]),
         c23=complex(a[1, 2]),
     )
+
+
+# Modes kept by the partial trace down to each bipartition.
+PAIR_MODES = {Pair.AB: (0, 1), Pair.ABBAR: (0, 2), Pair.BBBAR: (1, 2)}
+
+
+def tripartite_state(mass, dilaton, omega) -> DensityMatrix:
+    """Pure three-mode state in the ordering (Alice, Bob, interior partner).
+
+    Requires 0 <= dilaton < mass and a positive, finite mass and
+    frequency (ConfigError otherwise).
+    """
+    check_mass_and_omegas(mass, [omega])
+    if not (0.0 <= dilaton < mass):
+        raise ConfigError(f"dilaton must satisfy 0 <= D < M, got D={dilaton}, M={mass}")
+    _, _, _, c, s = amplitude_arrays(mass, omega, [dilaton])
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    v = np.zeros(8, dtype=np.complex128)
+    v[0] = c[0] * inv_sqrt2  # |000>
+    v[3] = s[0] * inv_sqrt2  # |011>
+    v[6] = inv_sqrt2  # |110>
+    return from_pure(PureState(v))
+
+
+def reduced(mass, dilaton, omega, pair: Pair) -> XState:
+    """Two-mode reduced state of the chosen bipartition, in X form."""
+    return as_xstate(partial_trace(tripartite_state(mass, dilaton, omega), PAIR_MODES[pair]))
+
+
+def steering_witness_matrix(m: DensityMatrix, backward: bool) -> DensityMatrix:
+    """Witness state whose entanglement certifies steering, forward or backward.
+
+    Forward means the first qubit steers the second. The state is a
+    fixed convex mixture of the input with one marginal padded by white
+    noise on the other side, so it is always a valid density matrix; it
+    is entangled exactly when the witness margins of that direction are
+    positive.
+    """
+    if m.dim != 4:
+        raise ValueError(f"witness needs a two-qubit state, got dimension {m.dim}")
+    half_identity = DensityMatrix(0.5 * np.eye(2))
+    if backward:
+        padded = tensor(partial_trace(m, (0,)), half_identity)
+    else:
+        padded = tensor(half_identity, partial_trace(m, (1,)))
+    mix = m.matrix / SQRT3 + ((3.0 - SQRT3) / 3.0) * padded.matrix
+    return DensityMatrix(mix)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dilaton_steering.density import XState
+from density_oracle import XState
 
 
 def random_xstate_params(rng: np.random.Generator, n: int):
@@ -78,3 +78,15 @@ def random_separable_xstate(rng: np.random.Generator) -> XState:
     """One random separable X state (explicit product-state mixture)."""
     d11, d22, d33, d44, c14, c23 = random_separable_xstate_params(rng, 1)
     return XState(d11[0], d22[0], d33[0], d44[0], complex(c14[0]), complex(c23[0]))
+
+
+def xstate_params(states):
+    """Stacked (d11, d22, d33, d44, |c14|, |c23|) of X states, as `kernels.xstate_measures` takes them."""
+    names = ("d11", "d22", "d33", "d44", "c14", "c23")
+    d11, d22, d33, d44, c14, c23 = (np.array([getattr(s, name) for s in states]) for name in names)
+    return d11, d22, d33, d44, np.abs(c14), np.abs(c23)
+
+
+def density_stack(matrices) -> np.ndarray:
+    """Stack the 4x4 arrays of validated density matrices."""
+    return np.array([m.matrix for m in matrices])

@@ -1,28 +1,49 @@
-"""Reference spin-flip concurrences for the kernel tests.
+"""Reference spin-flip concurrences for the tests.
 
-`spinflip_concurrence_svd` is the kernel's formula applied to every
-state: eigh, the same clip, L^T F L and its batched SVD. The kernel
-takes that route for every finite state and must return its bits.
-`wootters_lambdas` gives the textbook definition (Wootters,
-PRL 80, 2245, 1998) from the eigenvalues of rho F rho* F, for
-well-conditioned states.
+`spinflip_concurrence` is the general oracle for any stack of two-qubit
+states: eigh, an eigen-clip, and the batched SVD of L^T F L. The
+package's density route takes the closed `kernels.pair_gap` of its
+rank-2 factors instead, and the tests compare the two.
+`wootters_lambdas` gives the textbook definition (Wootters, PRL 80,
+2245, 1998) from the eigenvalues of rho F rho* F, for well-conditioned
+states.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dilaton_steering.kernels import _EIG_CLIP, SPIN_FLIP
+# sigma_y (x) sigma_y: the two-qubit spin flip is real in the computational basis.
+SPIN_FLIP = np.zeros((4, 4), dtype=np.complex128)
+SPIN_FLIP[0, 3] = SPIN_FLIP[3, 0] = -1.0
+SPIN_FLIP[1, 2] = SPIN_FLIP[2, 1] = 1.0
+SPIN_FLIP.setflags(write=False)
+
+# Spectral weights of rho below EIG_CLIP * (largest eigenvalue) are zeroed
+# before taking the matrix square root; they are indistinguishable from 0 at
+# working precision and their roots would otherwise inject sqrt(eps) noise.
+EIG_CLIP = 64.0 * np.finfo(np.float64).eps
 
 
-def spinflip_concurrence_svd(rhos):
-    """Concurrence of stacked 4x4 states from the singular values of L^T F L."""
-    e, v = np.linalg.eigh(rhos)
-    e = np.where(e < _EIG_CLIP * e[:, -1:], 0.0, e)
+def spinflip_concurrence(rhos):
+    """Spin-flip concurrence for a stack of 4x4 density matrices.
+
+    The flipped-overlap spectrum is obtained as the singular values of
+    L^T F L for a factor rho = L L^dagger, which keeps relative precision
+    where the eigenvalues of rho (F rho* F) pass through zero; any factor
+    gives the same singular values. L is the eigen-factor with the
+    eigen-clip applied. A state with a non-finite entry gives NaN without
+    reaching eigh, which reads one triangle only and would give a number
+    for a NaN in the other.
+    """
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    conc = np.full(rhos.shape[0], np.nan)
+    e, v = np.linalg.eigh(rhos[finite])
+    e = np.where(e < EIG_CLIP * e[:, -1:], 0.0, e)
     ell = v * np.sqrt(e)[:, None, :]
-    a = np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell
-    lam = np.linalg.svd(a, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    lam = np.linalg.svd(np.swapaxes(ell, 1, 2) @ SPIN_FLIP @ ell, compute_uv=False)
+    conc[finite] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.maximum(0.0, conc)
 
 
 def wootters_lambdas(rho, rank=4):

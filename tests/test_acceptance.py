@@ -12,27 +12,18 @@ import numpy as np
 import pytest
 
 import sampling
+from density_oracle import XState
 from dilaton_steering import cli, kernels
-from dilaton_steering.density import XState
 from dilaton_steering.dilaton import (
-    DilatonParams,
     Pair,
     amplitude_arrays,
-    closed_form_measures,
     closed_measure_arrays,
     critical_dilatons,
-    find_critical_numeric,
-    pipeline_measures,
-)
-from dilaton_steering.measures import (
-    Direction,
-    chsh_max_general,
-    chsh_max_x,
-    concurrence_general,
-    concurrence_x,
-    steerability,
+    find_critical_batch,
+    pipeline_measure_arrays,
 )
 from dilaton_steering.sweep import SweepConfig, monogamy_grid, verify_grid
+from spinflip_oracle import spinflip_concurrence
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 S_FORWARD_LIMIT = 0.35566243270259357  # 1/2 - 1/(4 sqrt 3)
@@ -66,47 +57,46 @@ def test_criterion_01_dual_path_equivalence_on_default_grid():
 
 def test_criterion_02_normalization_anchors():
     bell = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
-    matrix = bell.to_matrix()
+    s_fwd, s_bwd, b1, b2, conc = kernels.xstate_measures(*sampling.xstate_params([bell]))
+    matrix = sampling.density_stack([bell.to_matrix()])
     checks = [
-        abs(concurrence_x(bell) - 1.0) <= 1e-12,
-        abs(concurrence_general(matrix) - 1.0) <= 1e-12,
-        abs(steerability(bell, Direction.A_TO_B) - 1.0) <= 1e-12,
-        abs(steerability(bell, Direction.B_TO_A) - 1.0) <= 1e-12,
-        abs(chsh_max_x(bell).bell - TWO_SQRT2) <= 1e-12,
-        abs(chsh_max_general(matrix) - TWO_SQRT2) <= 1e-12,
+        abs(conc[0] - 1.0) <= 1e-12,
+        abs(spinflip_concurrence(matrix)[0] - 1.0) <= 1e-12,
+        abs(s_fwd[0] - 1.0) <= 1e-12,
+        abs(s_bwd[0] - 1.0) <= 1e-12,
+        abs(max(b1[0], b2[0]) - TWO_SQRT2) <= 1e-12,
+        abs(kernels.chsh_max(matrix)[0] - TWO_SQRT2) <= 1e-12,
     ]
     _verdict(2, "Bell state gives concurrence 1, steerability 1 both ways, CHSH 2*sqrt(2)", all(checks))
 
 
 def test_criterion_03_extreme_limit_values():
     omegas = (0.5, 1.0, 2.0)
+    edge = [1.0 - 1e-12]
     bundles = {
-        pair: [closed_form_measures(DilatonParams(1.0, 1.0 - 1e-12, w), pair) for w in omegas]
+        pair: [closed_measure_arrays(*amplitude_arrays(1.0, w, edge)[1:], pair) for w in omegas]
         for pair in Pair
     }
     ab = bundles[Pair.AB][1]
-    pipe_ab = pipeline_measures(DilatonParams(1.0, 1.0 - 1e-12, 1.0), Pair.AB)
-    checks = [
-        abs(ab.s_forward - S_FORWARD_LIMIT) <= 1e-9,
-        abs(ab.s_backward - S_BACKWARD_LIMIT) <= 1e-9,
-        abs(ab.bell - 2.0) <= 1e-6,
-        abs(pipe_ab.s_forward - S_FORWARD_LIMIT) <= 1e-9,
-        abs(pipe_ab.s_backward - S_BACKWARD_LIMIT) <= 1e-9,
-        abs(pipe_ab.bell - 2.0) <= 1e-6,
-    ]
+    pipe_ab = pipeline_measure_arrays(*amplitude_arrays(1.0, 1.0, edge)[3:], Pair.AB)
+    checks = []
+    for vals in (ab, pipe_ab):
+        checks += [
+            abs(vals["s_forward"][0] - S_FORWARD_LIMIT) <= 1e-9,
+            abs(vals["s_backward"][0] - S_BACKWARD_LIMIT) <= 1e-9,
+            abs(vals["bell_max"][0] - 2.0) <= 1e-6,
+        ]
     for pair in Pair:
-        for name in ("s_forward", "s_backward", "concurrence", "bell"):
-            values = [getattr(b, name) for b in bundles[pair]]
+        for name in ("s_forward", "s_backward", "concurrence", "bell_max"):
+            values = [b[name][0] for b in bundles[pair]]
             checks.append(max(values) - min(values) <= 1e-9)
     _verdict(3, "extreme-limit anchors and frequency independence at D = M(1 - 1e-12)", all(checks))
 
 
 def test_criterion_04_critical_points():
     points = critical_dilatons(1.0, 1.0)
-    deltas = {
-        name: abs(find_critical_numeric(1.0, 1.0, name) - getattr(points, name))
-        for name in ("d0", "d1", "d2")
-    }
+    numeric = find_critical_batch(1.0, [1.0])
+    deltas = {name: abs(numeric[name][0] - getattr(points, name)) for name in ("d0", "d1", "d2")}
     ok = all(delta <= 1e-6 for delta in deltas.values())
     detail = ", ".join(f"{k}: {v:.1e}" for k, v in deltas.items())
     _verdict(4, f"numeric critical dilatons match closed forms within 1e-6 ({detail})", ok)
@@ -157,7 +147,7 @@ def test_criterion_07_random_state_property_suite():
     a14, a23 = np.abs(c14), np.abs(c23)
     matrices = sampling.xstate_matrices(d11, d22, d33, d44, c14, c23)
     s_fwd, s_bwd, b1, b2, conc_x_vals = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
-    conc_dev = np.abs(conc_x_vals - kernels.spinflip_concurrence(matrices)).max()
+    conc_dev = np.abs(conc_x_vals - spinflip_concurrence(matrices)).max()
     bell_dev = np.abs(np.maximum(b1, b2) - kernels.chsh_max(matrices)).max()
     witnessed = (s_fwd > 0.0) | (s_bwd > 0.0)
     hierarchy_ok = bool(np.all(conc_x_vals[witnessed] > 0.0))

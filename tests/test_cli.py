@@ -1,4 +1,5 @@
 import decimal
+import importlib.util
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import dilaton_steering
 from conftest import time_limit
-from dilaton_steering import cli, density, kernels
+from dilaton_steering import cli, kernels
 from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
@@ -236,16 +237,6 @@ class TestCriticalCommand:
         assert "dilaton resolution 6.7e+04" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_builds_no_validated_density_matrix(self, capsys, monkeypatch):
-        # The CLI search runs on the batch route only.
-        def refuse(self):
-            raise AssertionError("validated DensityMatrix built on the critical path")
-
-        monkeypatch.setattr(density.DensityMatrix, "__post_init__", refuse)
-        code, out, _ = run(capsys, "critical", "--omega", "0.5,1,2")
-        assert code == 0
-        assert out.count("numeric = ") == 9
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -309,6 +300,50 @@ class TestClassifyCommand:
             line = [line for line in out.split("\n") if name in line][0]
             # One interval, (0, M), in one regime.
             assert line.split()[:3] == [name, regime, "(0,"] and len(line.split()) == 4
+
+
+class TestClosedStreams:
+    """A stream closed at start, as by `>&-` or `2>&-`: Python sets a closed
+    stdout to None and keeps a stderr whose every write fails."""
+
+    @pytest.mark.parametrize("closed", [">&-", "2>&-", ">&- 2>&-"], ids=["stdout", "stderr", "both"])
+    @pytest.mark.parametrize(
+        "argv, needs_stdout",
+        [
+            (("sweep", "--omega", "1", "--points", "5"), True),
+            (("sweep", "--omega", "1", "--points", "5", "--out", "F"), False),
+            (("verify", "--omega", "1", "--points", "21"), True),
+            (("monogamy", "--omega", "1", "--points", "21"), True),
+            (("critical", "--omega", "1"), True),
+            (("classify", "--omega", "1"), True),
+        ],
+        ids=["sweep", "sweep-out", "verify", "monogamy", "critical", "classify"],
+    )
+    @pytest.mark.parametrize("bad", [False, True], ids=["passing", "bad-mass"])
+    def test_exit_code_is_documented_and_no_traceback(self, tmp_path, closed, argv, needs_stdout, bad):
+        argv = [str(tmp_path / "F") if a == "F" else a for a in argv] + ["--mass=-1"] * bad
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-c", CLI, *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        stdout_closed = closed != "2>&-"
+        # 2 bad arguments, 3 output that stdout could not take, else 0.
+        expected = 2 if bad else 3 if stdout_closed and needs_stdout else 0
+        assert result.returncode == expected, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        if bad:
+            # A closed stderr loses the error line; stdout never takes it.
+            assert result.stdout == ""
+        elif not needs_stdout:
+            assert (tmp_path / "F").read_text().count("\n") == 6
+
+    @pytest.mark.parametrize("stderr", [None, cli._ClosedStream()], ids=["none", "unwritable"])
+    def test_gate_failure_keeps_exit_1(self, capsys, monkeypatch, perturbed_s_forward, stderr):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code, out, _ = run(capsys, "verify", "--points", "11", "--omega", "1")
+        assert code == 1
+        assert "FAIL" not in out and "PASS" not in out
 
 
 class TestFlagsPerSubcommand:
@@ -378,20 +413,6 @@ EVERY_COMMAND = pytest.mark.parametrize(
 )
 
 
-class TestGeneralConcurrenceKernel:
-    @EVERY_COMMAND
-    def test_no_command_calls_it(self, capsys, monkeypatch, argv):
-        # `kernels.spinflip_concurrence` is the oracle behind
-        # `measures.concurrence_general`. The commands take the closed forms
-        # or the factor route, so no benchmark workload times this kernel.
-        def refuse(rhos):
-            raise AssertionError("spinflip_concurrence called")
-
-        monkeypatch.setattr(kernels, "spinflip_concurrence", refuse)
-        code, out, err = run(capsys, *argv)
-        assert code == 0 and out != "" and err == ""
-
-
 class TestNoLapackEigenvalues:
     @EVERY_COMMAND
     def test_no_command_calls_eigvalsh(self, capsys, monkeypatch, argv):
@@ -453,6 +474,32 @@ class TestVersionFlag:
 
 
 class TestPackageLayout:
+    def test_public_names(self):
+        assert dilaton_steering.__all__ == [
+            "ConfigError",
+            "CriticalPoints",
+            "Pair",
+            "ResolutionError",
+            "SweepConfig",
+            "amplitude_arrays",
+            "check_mass_and_omegas",
+            "closed_measure_arrays",
+            "critical_dilatons",
+            "find_critical_batch",
+            "monogamy_grid",
+            "monogamy_residual_arrays",
+            "pipeline_measure_arrays",
+            "sweep_blocks",
+            "verify_grid",
+        ]
+        for name in dilaton_steering.__all__:
+            getattr(dilaton_steering, name)
+
+    def test_validated_scalar_layer_lives_in_the_tests(self):
+        assert importlib.util.find_spec("dilaton_steering.density") is None
+        assert importlib.util.find_spec("dilaton_steering.measures") is None
+        assert not hasattr(kernels, "spinflip_concurrence")
+
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.
         package = Path(dilaton_steering.__file__).parent

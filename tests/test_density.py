@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dilaton_steering.density import (
+from density_oracle import (
     DensityMatrix,
     PureState,
     StateValidationError,
@@ -11,7 +11,6 @@ from dilaton_steering.density import (
     XStructureError,
     as_xstate,
     from_pure,
-    hermitian_eigenvalues,
     partial_trace,
     tensor,
 )
@@ -194,35 +193,6 @@ class TestTensor:
         assert np.abs(padded.matrix - expected).max() < 1e-14
 
 
-class TestHermitianEigenvalues:
-    def test_maximally_mixed_qubit(self):
-        ev = hermitian_eigenvalues(DensityMatrix(0.5 * np.eye(2)))
-        assert np.allclose(ev, [0.5, 0.5], atol=1e-15)
-
-    def test_bell_state_is_rank_one(self):
-        ev = hermitian_eigenvalues(bell_matrix())
-        assert np.allclose(ev, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_diagonal_passthrough_descending(self):
-        ev = hermitian_eigenvalues(DensityMatrix(np.diag([0.7, 0.2, 0.1, 0.0])))
-        assert np.allclose(ev, [0.7, 0.2, 0.1, 0.0], atol=1e-15)
-
-    def test_sum_matches_trace(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            rho = random_density(rng, 2)
-            assert abs(hermitian_eigenvalues(rho).sum() - 1.0) < 1e-10
-
-    def test_accepts_plain_symmetric_array(self):
-        k = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        ev = hermitian_eigenvalues(k)
-        assert np.allclose(ev, [3.0, 1.0, 1.0], atol=1e-12)
-
-    def test_rejects_non_hermitian_array(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestXState:
     def test_bell_extraction(self):
         s = as_xstate(bell_matrix())
@@ -275,8 +245,7 @@ class TestXState:
             rho = random_density(rng, 3)
             red = partial_trace(rho, (0, 2))
             assert abs(red.matrix.trace().real - 1.0) < 1e-12
-            ev = hermitian_eigenvalues(red)
-            assert ev[-1] > -1e-10
+            assert np.linalg.eigvalsh(red.matrix)[0] > -1e-10
 
 
 class TestNonFiniteInput:
@@ -309,11 +278,3 @@ class TestNonFiniteInput:
         params[index] = bad
         with pytest.raises(StateValidationError, match="non-finite"):
             XState(*params)
-
-    @pytest.mark.parametrize("bad", BAD)
-    @pytest.mark.parametrize("entry", [(i, j) for i in range(2) for j in range(2)])
-    def test_hermitian_eigenvalues(self, entry, bad):
-        a = np.eye(2)
-        a[entry] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(a)

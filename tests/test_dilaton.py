@@ -12,31 +12,23 @@ from hypothesis import strategies as st
 import dilaton_steering
 import dilaton_steering.dilaton as dl
 from conftest import time_limit
+from density_oracle import PAIR_MODES, PureState, from_pure, partial_trace, reduced, tripartite_state
 from dilaton_steering import sweep
 from dilaton_steering.dilaton import (
     CRITICAL_TOL,
     ConfigError,
-    DilatonParams,
     Pair,
     ResolutionError,
-    RootNotFoundError,
     amplitude_arrays,
-    bogoliubov,
-    closed_form_measures,
     closed_measure_arrays,
     closed_xparams,
     critical_dilatons,
     find_critical_batch,
-    find_critical_numeric,
-    monogamy_residuals,
+    monogamy_residual_arrays,
     pipeline_measure_arrays,
-    pipeline_measures,
-    reduced,
-    tripartite_state,
 )
-from dilaton_steering.density import PureState, from_pure, partial_trace
-from dilaton_steering.kernels import spinflip_concurrence
-from dilaton_steering.measures import Regime
+from dilaton_steering.sweep import REGIMES, regime_index
+from spinflip_oracle import spinflip_concurrence
 
 SQRT3 = math.sqrt(3.0)
 EIGHT_PI = 8.0 * math.pi
@@ -47,11 +39,27 @@ D0_REF = 0.9781438029646212
 D1_REF = 0.9475999102151271
 D2_REF = 0.9875896801171044
 
-MEASURE_FIELDS = ("s_forward", "s_backward", "concurrence", "bell_branch1", "bell_branch2", "bell")
+MEASURE_FIELDS = ("s_forward", "s_backward", "concurrence", "bell_branch1", "bell_branch2", "bell_max")
+# The dilaton next to the horizon at M = 1, where the extreme limits hold.
+EXTREME = 1.0 - 1e-12
 
 
-def extreme_params(omega=1.0, mass=1.0):
-    return DilatonParams(mass, mass * (1.0 - 1e-12), omega)
+def closed_at(mass, omega, dilatons, pair):
+    return closed_measure_arrays(*amplitude_arrays(mass, omega, dilatons)[1:], pair)
+
+
+def pipeline_at(mass, omega, dilatons, pair):
+    return pipeline_measure_arrays(*amplitude_arrays(mass, omega, dilatons)[3:], pair)
+
+
+def regimes(vals):
+    return [REGIMES[i] for i in regime_index(vals["s_forward"], vals["s_backward"])]
+
+
+def residuals_at(mass, omega, dilatons):
+    _, c2, s2, c, s = amplitude_arrays(mass, omega, dilatons)
+    ab, abbar, bbbar = (closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair)
+    return monogamy_residual_arrays(ab, abbar, bbbar, dilatons, critical_dilatons(mass, omega).d0)
 
 
 class TestParams:
@@ -62,8 +70,8 @@ class TestParams:
         + [(1.0, 0.5, bad) for bad in (math.inf, -math.inf, math.nan)],
     )
     def test_rejects_invalid(self, mass, dilaton, omega):
-        with pytest.raises(ValueError):
-            DilatonParams(mass, dilaton, omega)
+        with pytest.raises(ConfigError):
+            tripartite_state(mass, dilaton, omega)
 
 
 class TestDomainRule:
@@ -72,7 +80,6 @@ class TestDomainRule:
     ENTRY_POINTS = {
         "critical_dilatons": critical_dilatons,
         "find_critical_batch": lambda mass, omega: find_critical_batch(mass, [1.0, omega]),
-        "find_critical_numeric": lambda mass, omega: find_critical_numeric(mass, omega, "d0"),
         "SweepConfig.validate": lambda mass, omega: sweep.SweepConfig(mass, (omega,)).validate(),
     }
 
@@ -104,18 +111,19 @@ class TestDomainRule:
 
 class TestBogoliubov:
     def test_symmetric_limit(self):
-        amp = bogoliubov(extreme_params())
-        assert abs(amp.c - 1.0 / math.sqrt(2.0)) < 1e-10
-        assert abs(amp.s - 1.0 / math.sqrt(2.0)) < 1e-10
+        _, _, _, c, s = amplitude_arrays(1.0, 1.0, [EXTREME])
+        assert abs(c[0] - 1.0 / math.sqrt(2.0)) < 1e-10
+        assert abs(s[0] - 1.0 / math.sqrt(2.0)) < 1e-10
 
     def test_zero_dilaton_values(self):
-        amp = bogoliubov(DilatonParams(1.0, 0.0, 1.0))
-        assert abs(amp.x - EIGHT_PI) < 1e-12
-        assert amp.s**2 < 1.3e-11 and amp.s > 0.0
+        x, _, _, _, s = amplitude_arrays(1.0, 1.0, [0.0])
+        assert abs(x[0] - EIGHT_PI) < 1e-12
+        assert s[0] ** 2 < 1.3e-11 and s[0] > 0.0
 
     def test_hawking_temperature(self):
-        amp = bogoliubov(DilatonParams(1.0, 0.0, 1.0))
-        assert abs(amp.temperature - 0.039788735772973836) < 1e-15
+        # T_H = 1/(8 pi (M - D)) = omega / x.
+        x, _, _, _, _ = amplitude_arrays(1.0, 1.0, [0.0])
+        assert abs(1.0 / x[0] - 0.039788735772973836) < 1e-15
 
     def test_unitarity_across_grid(self):
         for omega in (0.5, 1.0, 2.0, 10.0):
@@ -123,13 +131,12 @@ class TestBogoliubov:
             assert np.abs(c2 + s2 - 1.0).max() < 1e-14
 
     def test_amplitude_ordering(self):
-        for dilaton in (0.0, 0.5, 0.9):
-            amp = bogoliubov(DilatonParams(1.0, dilaton, 1.0))
-            assert 0.0 < amp.s < 1.0 / math.sqrt(2.0) < amp.c < 1.0
+        _, _, _, c, s = amplitude_arrays(1.0, 1.0, [0.0, 0.5, 0.9])
+        assert np.all((0.0 < s) & (s < 1.0 / math.sqrt(2.0)) & (1.0 / math.sqrt(2.0) < c) & (c < 1.0))
 
     def test_no_overflow_for_large_argument(self):
-        amp = bogoliubov(DilatonParams(1.0, 0.0, 500.0))
-        assert amp.c == 1.0 and amp.s == 0.0 and math.isfinite(amp.x)
+        x, _, _, c, s = amplitude_arrays(1.0, 500.0, [0.0])
+        assert c[0] == 1.0 and s[0] == 0.0 and math.isfinite(x[0])
 
     @pytest.mark.parametrize("x", [700.0, 708.5, 720.0, 740.0, 745.0, 800.0, 1400.0, 1490.0])
     def test_s_keeps_its_precision_where_e_to_the_minus_x_is_subnormal(self, x):
@@ -148,14 +155,12 @@ class TestBogoliubov:
 
 class TestTripartiteState:
     def test_trace_and_purity(self):
-        rho = tripartite_state(DilatonParams(1.0, 0.3, 1.0))
+        rho = tripartite_state(1.0, 0.3, 1.0)
         assert abs(rho.matrix.trace().real - 1.0) < 1e-14
         assert abs(rho.purity() - 1.0) < 1e-12
 
     def test_entries_match_literal_pattern(self):
-        p = DilatonParams(1.0, 0.9, 1.0)
-        amp = bogoliubov(p)
-        c, s = amp.c, amp.s
+        _, _, _, (c,), (s,) = amplitude_arrays(1.0, 1.0, [0.9])
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = 0.5 * c * c
         expected[0, 3] = expected[3, 0] = 0.5 * c * s
@@ -163,19 +168,19 @@ class TestTripartiteState:
         expected[3, 3] = 0.5 * s * s
         expected[3, 6] = expected[6, 3] = 0.5 * s
         expected[6, 6] = 0.5
-        assert np.abs(tripartite_state(p).matrix - expected).max() < 1e-15
+        assert np.abs(tripartite_state(1.0, 0.9, 1.0).matrix - expected).max() < 1e-15
 
     def test_zero_dilaton_is_bell_pair_with_empty_interior(self):
         # Residual interior weight at D = 0, omega = 1 is s/2 with
         # s = (e^{8 pi} + 1)^{-1/2}, about 1.7e-6.
-        rho = tripartite_state(DilatonParams(1.0, 0.0, 1.0))
+        rho = tripartite_state(1.0, 0.0, 1.0)
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = expected[0, 6] = expected[6, 0] = expected[6, 6] = 0.5
         assert np.abs(rho.matrix - expected).max() < 2e-6
         assert rho.matrix[3, 3].real < 1e-11
 
     def test_extreme_limit_corner_block(self):
-        rho = tripartite_state(extreme_params())
+        rho = tripartite_state(1.0, EXTREME, 1.0)
         half = 1.0 / math.sqrt(2.0)
         for (i, j), value in {(0, 0): 0.25, (0, 3): 0.25, (0, 6): 0.5 * half, (3, 3): 0.25, (3, 6): 0.5 * half, (6, 6): 0.5}.items():
             assert abs(rho.matrix[i, j] - value) < 1e-10
@@ -183,7 +188,7 @@ class TestTripartiteState:
 
 class TestReducedStates:
     def test_exterior_pair_limit_values(self):
-        s = reduced(extreme_params(), Pair.AB)
+        s = reduced(1.0, EXTREME, 1.0, Pair.AB)
         assert abs(s.d11 - 0.25) < 1e-10
         assert abs(s.d22 - 0.25) < 1e-10
         assert s.d33 == 0.0
@@ -192,14 +197,14 @@ class TestReducedStates:
         assert s.c23 == 0.0
 
     def test_alice_interior_at_zero_dilaton_is_separable(self):
-        s = reduced(DilatonParams(1.0, 0.0, 1.0), Pair.ABBAR)
+        s = reduced(1.0, 0.0, 1.0, Pair.ABBAR)
         assert abs(s.d11 - 0.5) < 1e-10
         assert abs(s.d33 - 0.5) < 1e-10
         assert s.d22 < 1e-10 and s.d44 == 0.0
         assert abs(s.c23) < 1e-5 and s.c14 == 0.0
 
     def test_interior_pair_limit_values(self):
-        s = reduced(extreme_params(), Pair.BBBAR)
+        s = reduced(1.0, EXTREME, 1.0, Pair.BBBAR)
         assert abs(s.d11 - 0.25) < 1e-10
         assert s.d22 == 0.0
         assert abs(s.d33 - 0.5) < 1e-12
@@ -208,7 +213,7 @@ class TestReducedStates:
 
     @pytest.mark.parametrize("pair", list(Pair))
     def test_structural_zeros(self, pair):
-        s = reduced(DilatonParams(1.0, 0.4, 1.3), pair)
+        s = reduced(1.0, 0.4, 1.3, pair)
         if pair is Pair.AB:
             assert s.d33 == 0.0 and s.c23 == 0.0
         elif pair is Pair.ABBAR:
@@ -219,9 +224,7 @@ class TestReducedStates:
     @pytest.mark.parametrize("pair", list(Pair))
     def test_partial_trace_matches_literal_entries(self, pair):
         # The reduced matrices written directly in the mixing amplitudes.
-        p = DilatonParams(1.0, 0.7, 0.8)
-        amp = bogoliubov(p)
-        c, s = amp.c, amp.s
+        _, _, _, (c,), (s,) = amplitude_arrays(1.0, 0.8, [0.7])
         expected = np.zeros((4, 4), dtype=complex)
         if pair is Pair.AB:
             expected[0, 0], expected[1, 1], expected[3, 3] = 0.5 * c * c, 0.5 * s * s, 0.5
@@ -232,18 +235,18 @@ class TestReducedStates:
         else:
             expected[0, 0], expected[2, 2], expected[3, 3] = 0.5 * c * c, 0.5, 0.5 * s * s
             expected[0, 3] = expected[3, 0] = 0.5 * c * s
-        assert np.abs(reduced(p, pair).to_matrix().matrix - expected).max() < 1e-12
+        assert np.abs(reduced(1.0, 0.7, 0.8, pair).to_matrix().matrix - expected).max() < 1e-12
 
 
 class TestClosedForms:
     def test_exterior_pair_limit_anchors(self):
-        m = closed_form_measures(extreme_params(), Pair.AB)
-        assert abs(m.s_forward - 0.35566243270259357) < 1e-9
-        assert abs(m.s_backward - 0.21132486540518708) < 1e-9
-        assert abs(m.concurrence - 0.7071067811865475) < 1e-9
-        assert abs(m.bell - 2.0) < 1e-6
-        assert abs(m.bell_branch2 - SQRT3) < 1e-6
-        assert m.regime is Regime.TWO_WAY
+        m = closed_at(1.0, 1.0, [EXTREME], Pair.AB)
+        assert abs(m["s_forward"][0] - 0.35566243270259357) < 1e-9
+        assert abs(m["s_backward"][0] - 0.21132486540518708) < 1e-9
+        assert abs(m["concurrence"][0] - 0.7071067811865475) < 1e-9
+        assert abs(m["bell_max"][0] - 2.0) < 1e-6
+        assert abs(m["bell_branch2"][0] - SQRT3) < 1e-6
+        assert regimes(m) == ["two_way"]
 
     def test_interior_backward_steering_is_zero_everywhere(self):
         _, c2, s2, c, s = amplitude_arrays(1.0, 1.0, np.linspace(0.0, 1.0 - 1e-9, 2001))
@@ -251,26 +254,24 @@ class TestClosedForms:
         assert np.all(vals["s_backward"] == 0.0)
 
     def test_alice_interior_at_zero_dilaton_is_uncorrelated(self):
-        m = closed_form_measures(DilatonParams(1.0, 0.0, 1.0), Pair.ABBAR)
-        assert m.s_forward < 1e-10
-        assert m.s_backward == 0.0
-        assert m.concurrence < 1e-5
+        m = closed_at(1.0, 1.0, [0.0], Pair.ABBAR)
+        assert m["s_forward"][0] < 1e-10
+        assert m["s_backward"][0] == 0.0
+        assert m["concurrence"][0] < 1e-5
 
     def test_exterior_pair_at_zero_dilaton_is_nearly_maximal(self):
         # Horizon mixing is negligible at D = 0, so the exterior pair keeps
         # the quantum maximum of the Bell signal.
-        m = closed_form_measures(DilatonParams(1.0, 0.0, 1.0), Pair.AB)
-        assert abs(m.bell - 2.0 * math.sqrt(2.0)) < 1e-9
-        pipe = pipeline_measures(DilatonParams(1.0, 0.0, 1.0), Pair.AB)
-        assert abs(pipe.bell - 2.0 * math.sqrt(2.0)) < 1e-9
+        for route in (closed_at, pipeline_at):
+            assert abs(route(1.0, 1.0, [0.0], Pair.AB)["bell_max"][0] - 2.0 * math.sqrt(2.0)) < 1e-9
 
     def test_asymmetry_at_birth_point_equals_forward_steering(self):
         # At the birth dilaton the backward steering is exactly zero, so
         # the asymmetry coincides with the forward value.
         d0 = critical_dilatons(1.0, 1.0).d0
-        m = closed_form_measures(DilatonParams(1.0, d0, 1.0), Pair.ABBAR)
-        assert m.s_backward <= 1e-12
-        assert abs(m.asymmetry - m.s_forward) <= 1e-12
+        m = closed_at(1.0, 1.0, [d0], Pair.ABBAR)
+        assert m["s_backward"][0] <= 1e-12
+        assert abs(m["asymmetry"][0] - m["s_forward"][0]) <= 1e-12
 
     @pytest.mark.parametrize("pair", list(Pair))
     def test_bell_is_max_of_branches(self, pair):
@@ -334,7 +335,7 @@ class TestFactorRoute:
         m = dl._factor(v, pair)
         rho = dl._gram(m, m)
         for k in range(len(v)):
-            expected = partial_trace(from_pure(PureState(v[k])), dl.PAIR_MODES[pair]).matrix
+            expected = partial_trace(from_pure(PureState(v[k])), PAIR_MODES[pair]).matrix
             assert np.abs(rho[k] - expected).max() <= 1e-15
 
     @settings(max_examples=200, deadline=None)
@@ -343,7 +344,7 @@ class TestFactorRoute:
         log_m_omega=st.floats(-8.0, 8.0),
         fraction=st.floats(0.0, 1.0, exclude_max=True),
     )
-    def test_concurrence_from_the_factor_matches_the_kernel(self, log_mass, log_m_omega, fraction):
+    def test_concurrence_from_the_factor_matches_the_spinflip_oracle(self, log_mass, log_m_omega, fraction):
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
         _, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
@@ -396,22 +397,19 @@ class TestRealRoute:
 class TestDualPath:
     @pytest.mark.parametrize("pair", list(Pair))
     def test_pointwise_agreement(self, pair):
-        for dilaton in (0.0, 0.25, 0.5, 0.9, 0.97, 1.0 - 1e-9):
-            for omega in (0.5, 1.0, 2.0):
-                p = DilatonParams(1.0, dilaton, omega)
-                closed = closed_form_measures(p, pair)
-                pipe = pipeline_measures(p, pair)
-                for name in MEASURE_FIELDS:
-                    assert abs(getattr(closed, name) - getattr(pipe, name)) < 1e-10, name
-                assert closed.regime is pipe.regime
+        dilatons = [0.0, 0.25, 0.5, 0.9, 0.97, 1.0 - 1e-9]
+        for omega in (0.5, 1.0, 2.0):
+            closed = closed_at(1.0, omega, dilatons, pair)
+            pipe = pipeline_at(1.0, omega, dilatons, pair)
+            for name in MEASURE_FIELDS:
+                assert np.abs(closed[name] - pipe[name]).max() < 1e-10, name
+            assert regimes(closed) == regimes(pipe)
 
     def test_regimes_match_the_known_structure(self):
-        p = DilatonParams(1.0, 0.99, 1.0)
-        assert pipeline_measures(p, Pair.ABBAR).regime is Regime.TWO_WAY
-        assert pipeline_measures(p, Pair.BBBAR).regime is Regime.NO_WAY
-        p_low = DilatonParams(1.0, 0.95, 1.0)
-        assert pipeline_measures(p_low, Pair.ABBAR).regime is Regime.ONE_WAY_FORWARD
-        assert pipeline_measures(p_low, Pair.AB).regime is Regime.TWO_WAY
+        assert regimes(pipeline_at(1.0, 1.0, [0.99], Pair.ABBAR)) == ["two_way"]
+        assert regimes(pipeline_at(1.0, 1.0, [0.99], Pair.BBBAR)) == ["no_way"]
+        assert regimes(pipeline_at(1.0, 1.0, [0.95], Pair.ABBAR)) == ["one_way_fwd"]
+        assert regimes(pipeline_at(1.0, 1.0, [0.95], Pair.AB)) == ["two_way"]
 
 
 class TestCriticalPoints:
@@ -441,15 +439,17 @@ class TestCriticalPoints:
         assert abs((faster.d0 - 1.0) - 0.5 * (base.d0 - 1.0)) < 1e-12
 
     def test_numeric_agrees_with_closed_forms(self):
-        assert abs(find_critical_numeric(1.0, 1.0, "d0") - D0_REF) < 1e-8
-        assert abs(find_critical_numeric(1.0, 1.0, "d2") - D2_REF) < 1e-8
-        assert abs(find_critical_numeric(1.0, 1.0, "d1") - D1_REF) < 1e-6
+        found = find_critical_batch(1.0, [1.0])
+        assert abs(found["d0"][0] - D0_REF) < 1e-8
+        assert abs(found["d2"][0] - D2_REF) < 1e-8
+        assert abs(found["d1"][0] - D1_REF) < 1e-6
 
     def test_numeric_agrees_at_other_parameters(self):
         for mass, omega in ((1.0, 0.5), (2.0, 1.0)):
             points = critical_dilatons(mass, omega)
-            assert abs(find_critical_numeric(mass, omega, "d0") - points.d0) < 1e-8
-            assert abs(find_critical_numeric(mass, omega, "d2") - points.d2) < 1e-8
+            found = find_critical_batch(mass, [omega])
+            assert abs(found["d0"][0] - points.d0) < 1e-8
+            assert abs(found["d2"][0] - points.d2) < 1e-8
 
     @pytest.mark.parametrize("pair", list(Pair))
     def test_margin_slope_matches_central_differences(self, pair):
@@ -464,7 +464,7 @@ class TestCriticalPoints:
     def test_peak_agrees_to_1e_9(self):
         for mass, omega in ((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)):
             d1 = critical_dilatons(mass, omega).d1
-            assert abs(find_critical_numeric(mass, omega, "d1") - d1) < 1e-9
+            assert abs(find_critical_batch(mass, [omega])["d1"][0] - d1) < 1e-9
 
     # M log-uniform over 24 decades; M omega over six, across the edges of
     # the range (d1 enters [0, M) near M omega = 0.05, d2 near 0.012).
@@ -474,70 +474,67 @@ class TestCriticalPoints:
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
         points = critical_dilatons(mass, omega)
+        with time_limit(5.0):
+            try:
+                found = find_critical_batch(mass, [omega])
+            except ResolutionError:
+                # Below 2**29 the float spacing near M is under 1e-7: no excuse.
+                assert mass >= 2.0**29
+                return
         for name in ("d0", "d1", "d2"):
-            with time_limit(5.0):
-                try:
-                    numeric = find_critical_numeric(mass, omega, name)
-                except ResolutionError:
-                    # Below 2**29 the float spacing near M is under 1e-7: no excuse.
-                    assert mass >= 2.0**29
-                    continue
-                except RootNotFoundError:
-                    assert not getattr(points, f"{name}_in_range")
-                    continue
-            assert abs(numeric - getattr(points, name)) <= CRITICAL_TOL
+            numeric = found[name][0]
+            if math.isnan(numeric):
+                # No root in the searched bracket.
+                assert not getattr(points, f"{name}_in_range")
+            else:
+                assert abs(numeric - getattr(points, name)) <= CRITICAL_TOL
 
     def test_point_next_to_the_horizon_is_bracketed(self):
         # d2 = 1 - 6.2e-13 at omega 2e10: inside [0, M), closer to M than 1e-12.
         points = critical_dilatons(1.0, 2e10)
         assert points.d2_in_range
-        assert abs(find_critical_numeric(1.0, 2e10, "d2") - points.d2) < 1e-14
+        assert abs(find_critical_batch(1.0, [2e10])["d2"][0] - points.d2) < 1e-14
 
-    def test_out_of_range_reports_bracket(self):
-        with pytest.raises(RootNotFoundError, match="bracket"):
-            find_critical_numeric(1.0, 0.01, "d0")
-
-    def test_unknown_point_name(self):
-        with pytest.raises(ValueError, match="d0"):
-            find_critical_numeric(1.0, 1.0, "d9")
+    def test_out_of_range_is_nan(self):
+        found = find_critical_batch(1.0, [0.01])
+        assert all(math.isnan(found[name][0]) for name in ("d0", "d1", "d2"))
 
 
 class TestMonogamy:
     def test_identities_at_symmetric_limit(self):
-        res = monogamy_residuals(extreme_params())
-        assert abs(res.r1) < 1e-12
-        assert abs(res.r2) < 1e-12
+        res = residuals_at(1.0, 1.0, [EXTREME])
+        assert abs(res["r1"][0]) < 1e-12
+        assert abs(res["r2"][0]) < 1e-12
         # Common value of the sum identity: 1 - 1/(2 sqrt 3).
-        m_ab = closed_form_measures(extreme_params(), Pair.AB)
-        m_abbar = closed_form_measures(extreme_params(), Pair.ABBAR)
-        assert abs(m_ab.s_forward + m_abbar.s_forward - 0.7113248654051871) < 1e-10
+        s_ab = closed_at(1.0, 1.0, [EXTREME], Pair.AB)["s_forward"][0]
+        s_abbar = closed_at(1.0, 1.0, [EXTREME], Pair.ABBAR)["s_forward"][0]
+        assert abs(s_ab + s_abbar - 0.7113248654051871) < 1e-10
 
     def test_backward_identities_hold_past_birth_point(self):
-        res = monogamy_residuals(DilatonParams(1.0, 0.99, 1.0))
-        assert res.r3_valid and res.r4_valid
-        assert abs(res.r3) < 1e-10
-        assert abs(res.r4) < 1e-10
+        res = residuals_at(1.0, 1.0, [0.99])
+        assert res["valid"][0]
+        assert abs(res["r3"][0]) < 1e-10
+        assert abs(res["r4"][0]) < 1e-10
 
     def test_backward_identities_flagged_before_birth_point(self):
-        res = monogamy_residuals(DilatonParams(1.0, 0.5, 1.0))
-        assert not res.r3_valid and not res.r4_valid
-        assert abs(res.r1) < 1e-12
-        assert abs(res.r2) < 1e-12
+        res = residuals_at(1.0, 1.0, [0.5])
+        assert not res["valid"][0]
+        assert abs(res["r1"][0]) < 1e-12
+        assert abs(res["r2"][0]) < 1e-12
 
     def test_forward_identities_hold_on_whole_range(self):
-        for dilaton in np.linspace(0.0, 1.0 - 1e-9, 101):
-            res = monogamy_residuals(DilatonParams(1.0, float(dilaton), 1.0))
-            assert abs(res.r1) < 1e-12
-            assert abs(res.r2) < 1e-12
+        res = residuals_at(1.0, 1.0, np.linspace(0.0, 1.0 - 1e-9, 101))
+        assert np.abs(res["r1"]).max() < 1e-12
+        assert np.abs(res["r2"]).max() < 1e-12
 
 
 class TestFrequencyIndependenceAtExtremeLimit:
     def test_measures_match_across_frequencies(self):
         omegas = (0.5, 1.0, 2.0)
         for pair in Pair:
-            bundles = [closed_form_measures(extreme_params(w), pair) for w in omegas]
-            for name in ("s_forward", "s_backward", "concurrence", "bell"):
-                values = [getattr(b, name) for b in bundles]
+            bundles = [closed_at(1.0, w, [EXTREME], pair) for w in omegas]
+            for name in ("s_forward", "s_backward", "concurrence", "bell_max"):
+                values = [b[name][0] for b in bundles]
                 assert max(values) - min(values) < 1e-9, (pair, name)
 
 

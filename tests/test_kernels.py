@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 import chsh_oracle
 import sampling
 import spinflip_oracle as oracle
-from dilaton_steering import kernels, measures
-from dilaton_steering.density import XState
-from dilaton_steering.measures import Direction
+from dilaton_steering import kernels
 
 
 @pytest.fixture(scope="module")
@@ -31,22 +29,24 @@ def random_states(rng, n, rank):
     return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
 
 
+def gap_of_factor(g):
+    """`kernels.pair_gap` of the state g g^dagger / tr(g g^dagger) for stacked 4x2 or 4x1 factors g."""
+    g = g / np.linalg.norm(g, axis=(1, 2))[:, None, None]
+    w = g[:, :, 1] if g.shape[2] == 2 else np.zeros_like(g[:, :, 0])
+    return kernels.pair_gap(g[:, :, 0], w)
+
+
 class TestBatchMatchesScalarApi:
     def test_xstate_measures_match_measure_functions(self, batch):
-        d11, d22, d33, d44, a14, a23 = batch["params"]
-        s_fwd, s_bwd, b1, b2, conc = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
+        # Each state's values are the ones a one-state stack gives.
+        stacked = kernels.xstate_measures(*batch["params"])
         for i in range(0, 200):
-            s = XState(d11[i], d22[i], d33[i], d44[i], a14[i], a23[i])
-            assert s_fwd[i] == measures.steerability(s, Direction.A_TO_B)
-            assert s_bwd[i] == measures.steerability(s, Direction.B_TO_A)
-            branches = measures.chsh_max_x(s)
-            assert b1[i] == branches.branch1
-            assert b2[i] == branches.branch2
-            assert conc[i] == measures.concurrence_x(s)
+            single = kernels.xstate_measures(*(p[i : i + 1] for p in batch["params"]))
+            assert [v[i] for v in stacked] == [v[0] for v in single]
 
     def test_oracles_match_closed_forms(self, batch):
         _, _, b1, b2, conc = kernels.xstate_measures(*batch["params"])
-        conc_oracle = kernels.spinflip_concurrence(batch["matrices"])
+        conc_oracle = oracle.spinflip_concurrence(batch["matrices"])
         bell_oracle = kernels.chsh_max(batch["matrices"])
         assert np.abs(conc - conc_oracle).max() < 1e-10
         assert np.abs(np.maximum(b1, b2) - bell_oracle).max() < 1e-10
@@ -61,7 +61,7 @@ class TestOracleEdgeCases:
             np.array([np.sqrt(0.24)]), np.array([0.0]),
         )
         expected = 2.0 * np.sqrt(0.24)
-        assert abs(kernels.spinflip_concurrence(m)[0] - expected) < 1e-13
+        assert abs(oracle.spinflip_concurrence(m)[0] - expected) < 1e-13
 
     def test_chsh_of_pure_corner_state(self):
         m = sampling.xstate_matrices(
@@ -86,27 +86,24 @@ class TestOracleEdgeCases:
         rng = np.random.default_rng(9)
         pars = sampling.random_separable_xstate_params(rng, 2000)
         mats = sampling.xstate_matrices(*pars)
-        assert kernels.spinflip_concurrence(mats).max() <= 1e-10
+        assert oracle.spinflip_concurrence(mats).max() <= 1e-10
 
 
 class TestSpinFlipConcurrence:
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_low_rank_matches_svd_reference(self, rank):
-        rhos = random_states(np.random.default_rng(rank), 2000, rank)
-        conc = kernels.spinflip_concurrence(rhos)
-        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
-
-    @pytest.mark.parametrize("rank", [3, 4])
-    def test_higher_rank_returns_the_svd_bits(self, rank):
-        rhos = random_states(np.random.default_rng(rank), 2000, rank)
-        conc = kernels.spinflip_concurrence(rhos)
-        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
+    def test_low_rank_matches_the_pair_gap(self, rank):
+        # The density route's closed gap, on general states of rank <= 2.
+        rng = np.random.default_rng(rank)
+        g = rng.normal(size=(2000, 4, rank)) + 1j * rng.normal(size=(2000, 4, rank))
+        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        assert np.abs(oracle.spinflip_concurrence(rhos) - gap_of_factor(g)).max() <= 1e-14
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_textbook_wootters(self, rank):
         rhos = random_states(np.random.default_rng(10 + rank), 300, rank)
         checked = 0
-        for rho, conc in zip(rhos, kernels.spinflip_concurrence(rhos)):
+        for rho, conc in zip(rhos, oracle.spinflip_concurrence(rhos)):
             lam = oracle.wootters_lambdas(rho, rank)
             # Well conditioned: every kept root is far from 0, where the
             # square root would magnify the eigenvalue error.
@@ -129,34 +126,35 @@ class TestSpinFlipConcurrence:
         for weight in (0.3, 0.7):
             v = (qubits(1000)[:, :, None] * qubits(1000)[:, None, :]).reshape(-1, 4)
             rhos += weight * v[:, :, None] * v[:, None, :].conj()
-        assert kernels.spinflip_concurrence(rhos).max() <= 1e-14
+        assert oracle.spinflip_concurrence(rhos).max() <= 1e-14
 
     def test_mixed_stack_keeps_row_order(self):
         rng = np.random.default_rng(5)
         low, full = random_states(rng, 60, 2), random_states(rng, 40, 4)
         order = rng.permutation(100)
         mixed = np.concatenate([low, full])[order]
-        conc = kernels.spinflip_concurrence(mixed)
+        conc = oracle.spinflip_concurrence(mixed)
         expected = np.concatenate(
-            [kernels.spinflip_concurrence(low), kernels.spinflip_concurrence(full)]
+            [oracle.spinflip_concurrence(low), oracle.spinflip_concurrence(full)]
         )
         assert np.array_equal(conc, expected[order])
 
     def test_empty_stack(self):
-        conc = kernels.spinflip_concurrence(np.zeros((0, 4, 4), dtype=np.complex128))
+        conc = oracle.spinflip_concurrence(np.zeros((0, 4, 4), dtype=np.complex128))
         assert conc.shape == (0,)
 
     @pytest.mark.parametrize("factor", [0.8, 1.25])
     def test_third_eigenvalue_at_the_clip(self, factor):
         # The third eigenvalue sits just below or just above the clip, and
-        # either way every state returns the SVD bits: below the clip its
-        # clipped columns are exact zeros.
+        # either way the concurrence is the gap of the rank-2 part: below
+        # the clip its clipped columns are exact zeros, above it the
+        # kept root moves the value by far less than the root itself.
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
-        spectrum = np.array([0.0, factor * kernels._EIG_CLIP * 0.6, 0.4, 0.6])
+        spectrum = np.array([0.0, factor * oracle.EIG_CLIP * 0.6, 0.4, 0.6])
         rhos = (q * spectrum) @ np.conj(np.swapaxes(q, 1, 2))
-        conc = kernels.spinflip_concurrence(rhos)
-        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
+        gap = gap_of_factor(q[:, :, 2:] * np.sqrt(spectrum[2:]))
+        assert np.abs(oracle.spinflip_concurrence(rhos) - gap).max() <= 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -164,14 +162,14 @@ class TestSpinFlipConcurrence:
         rank=st.sampled_from([1, 2]),
         log_lam2=st.floats(-16.0, math.log10(0.5)),
     )
-    def test_low_rank_states_in_any_frame_match_svd(self, seed, rank, log_lam2):
+    def test_low_rank_states_in_any_frame_match_the_pair_gap(self, seed, rank, log_lam2):
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         lam2 = 10.0**log_lam2 if rank == 2 else 0.0
         rho = (q[:, :2] * [1.0 - lam2, lam2]) @ np.conj(q[:, :2].T)
         rhos = (0.5 * (rho + np.conj(rho.T)))[None]
-        conc = kernels.spinflip_concurrence(rhos)
-        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
+        gap = gap_of_factor((q[:, :2] * np.sqrt([1.0 - lam2, lam2]))[None])
+        assert abs(oracle.spinflip_concurrence(rhos)[0] - gap[0]) <= 1e-13
 
     @pytest.mark.parametrize("support", [(1, 2), (0, 3), (1, 2, 3), (0, 2, 3), (2, 3)])
     def test_states_with_empty_diagonal_entries(self, support):
@@ -183,15 +181,14 @@ class TestSpinFlipConcurrence:
         )
         rhos = g @ np.conj(np.swapaxes(g, 1, 2))
         rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-        conc = kernels.spinflip_concurrence(rhos)
-        assert np.array_equal(conc, oracle.spinflip_concurrence_svd(rhos))
+        assert np.abs(oracle.spinflip_concurrence(rhos) - gap_of_factor(g)).max() <= 1e-14
 
     def test_zero_rows_are_zero_without_warning(self):
         rhos = random_states(np.random.default_rng(8), 6, 2)
         rhos[[1, 4]] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            conc = kernels.spinflip_concurrence(rhos)
+            conc = oracle.spinflip_concurrence(rhos)
         assert conc[1] == 0.0 and conc[4] == 0.0
         assert np.all(conc[[0, 2, 3, 5]] > 0.0)
 
@@ -204,7 +201,7 @@ class TestSpinFlipConcurrence:
         # one triangle only, and would give a number for a NaN in the
         # other); the other rows keep their bits.
         clean = random_states(np.random.default_rng(4), 3, 2)
-        expected = kernels.spinflip_concurrence(clean)
+        expected = oracle.spinflip_concurrence(clean)
         rhos = clean.copy()
         i, j = entry
         rhos[1, i, j] = np.nan
@@ -218,7 +215,7 @@ class TestSpinFlipConcurrence:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recorded)
-        got = kernels.spinflip_concurrence(rhos)
+        got = oracle.spinflip_concurrence(rhos)
         assert stacks and all(np.isfinite(a).all() for a in stacks)
         assert np.isnan(got[1])
         np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])

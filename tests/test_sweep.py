@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dilaton_steering import sweep
+from density_oracle import reduced
+from dilaton_steering import kernels, sweep
 from dilaton_steering.dilaton import (
     Pair,
     amplitude_arrays,
@@ -28,6 +29,8 @@ from dilaton_steering.sweep import (
     write_csv,
     write_json,
 )
+from sampling import density_stack, xstate_params
+from spinflip_oracle import spinflip_concurrence
 
 GOLDEN_HEADER = (
     "omega,dilaton,x,"
@@ -344,27 +347,22 @@ class TestVerifyGrid:
         assert (worst.omega, worst.dilaton) == (1.0, last)
 
     def test_pipeline_arrays_match_scalar_route(self):
-        # The validated scalar route (`reduced` through the `density` layer)
-        # is the independent oracle of the batch stacks.
-        from dilaton_steering.dilaton import DilatonParams, amplitude_arrays, reduced
-        from dilaton_steering.measures import (
-            Direction,
-            chsh_max_general,
-            concurrence_general,
-            steerability,
-        )
-
+        # The validated reference (`reduced`, by partial tracing of a
+        # validated density matrix) is the independent oracle of the batch stacks.
         d = np.linspace(0.0, 1.0 - 1e-6, 9)
         _, _, _, c, s = amplitude_arrays(1.0, 1.0, d)
         for pair in Pair:
             arrays = pipeline_measure_arrays(c, s, pair)
-            for i in (0, 4, 8):
-                st = reduced(DilatonParams(1.0, float(d[i]), 1.0), pair)
-                rho = st.to_matrix()
-                assert abs(arrays["s_forward"][i] - steerability(st, Direction.A_TO_B)) < 1e-13
-                assert abs(arrays["s_backward"][i] - steerability(st, Direction.B_TO_A)) < 1e-13
-                assert abs(arrays["concurrence"][i] - concurrence_general(rho)) < 1e-13
-                assert abs(arrays["bell_max"][i] - chsh_max_general(rho)) < 1e-13
+            states = [reduced(1.0, float(d[i]), 1.0, pair) for i in (0, 4, 8)]
+            rhos = density_stack(st.to_matrix() for st in states)
+            s_fwd, s_bwd, _, _, _ = kernels.xstate_measures(*xstate_params(states))
+            for got, expected in (
+                (arrays["s_forward"], s_fwd),
+                (arrays["s_backward"], s_bwd),
+                (arrays["concurrence"], spinflip_concurrence(rhos)),
+                (arrays["bell_max"], kernels.chsh_max(rhos)),
+            ):
+                assert np.abs(got[[0, 4, 8]] - expected).max() < 1e-13
 
 
 class TestMonogamyGrid:
