@@ -12,7 +12,6 @@ gates; `cli` is the command line.
 
 from .dilaton import (
     ConfigError,
-    CriticalPoints,
     Pair,
     ResolutionError,
     amplitude_arrays,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CriticalPoints",
     "Pair",
     "ResolutionError",
     "SweepConfig",

@@ -21,13 +21,13 @@ from .dilaton import (
     CRITICAL_TOL,
     ConfigError,
     ResolutionError,
-    check_mass_and_omegas,
     critical_dilatons,
     find_critical_batch,
 )
 from .sweep import (
     ALL_PAIRS,
     DEFAULT_OMEGAS,
+    RESIDUALS,
     SweepConfig,
     monogamy_grid,
     verify_grid,
@@ -156,46 +156,48 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     report = verify_grid(cfg)
-    for dev in sorted(report.deviations, key=lambda d: (d.pair.value, d.measure)):
+    by_name = sorted(report.peaks.items(), key=lambda item: (item[0][0].value, item[0][1]))
+    for (pair, measure), (value, omega, dilaton) in by_name:
         print(
-            f"{dev.pair.value:6s} {dev.measure:13s} max|closed-pipeline| = {dev.value:.3e} "
-            f"(omega={dev.omega:g}, D={dev.dilaton:.17g})"
+            f"{pair.value:6s} {measure:13s} max|closed-pipeline| = {value:.3e} "
+            f"(omega={omega:g}, D={dilaton:.17g})"
         )
     if report.passed:
         print(f"PASS: all deviations within {report.gate:g}")
         return EXIT_OK
-    w = report.worst
+    (pair, measure), value, omega, dilaton = report.worst
     _to_stderr(
-        f"FAIL: {w.pair.value} {w.measure} deviates {w.value:.3e} at "
-        f"omega={w.omega:g}, D={w.dilaton:.17g} (gate {report.gate:g})"
+        f"FAIL: {pair.value} {measure} deviates {value:.3e} at "
+        f"omega={omega:g}, D={dilaton:.17g} (gate {report.gate:g})"
     )
     return EXIT_VERIFY_FAIL
 
 
+def _ascending_critical_dilatons(args):
+    # One closed-form call checks the whole list as given, before any line is printed.
+    closed = critical_dilatons(args.mass, args.omega)
+    order = sorted(range(len(args.omega)), key=args.omega.__getitem__)
+    return [args.omega[k] for k in order], {name: d[order] for name, d in closed.items()}
+
+
 def cmd_critical(args) -> int:
-    # Check the whole list as given before any line is printed.
-    check_mass_and_omegas(args.mass, args.omega)
-    omegas = sorted(args.omega)
+    omegas, closed = _ascending_critical_dilatons(args)
     numeric = find_critical_batch(args.mass, omegas)
     all_ok = True
     for k, omega in enumerate(omegas):
-        points = critical_dilatons(args.mass, omega)
         print(f"omega = {omega:g}:")
-        for name, closed, in_range in (
-            ("d0", points.d0, points.d0_in_range),
-            ("d1", points.d1, points.d1_in_range),
-            ("d2", points.d2, points.d2_in_range),
-        ):
-            if not in_range:
-                print(f"  {name}  closed = {_dilaton(closed)}  out of range [0, {args.mass:g})")
+        for name in ("d0", "d1", "d2"):
+            d = closed[name][k]
+            if not 0.0 <= d < args.mass:
+                print(f"  {name}  closed = {_dilaton(d)}  out of range [0, {args.mass:g})")
                 continue
             # NaN where the search found no root: a gate failure, like any miss.
-            value = float(numeric[name][k])
-            delta = abs(value - closed)
+            value = numeric[name][k]
+            delta = abs(value - d)
             ok = delta <= CRITICAL_TOL
             all_ok = all_ok and ok
             flag = "" if ok else "  MISMATCH"
-            print(f"  {name}  closed = {_dilaton(closed)}  numeric = {_dilaton(value)}  |delta| = {delta:.2e}{flag}")
+            print(f"  {name}  closed = {_dilaton(d)}  numeric = {_dilaton(value)}  |delta| = {delta:.2e}{flag}")
     if not all_ok:
         _to_stderr(f"FAIL: numeric and closed-form critical points differ beyond {CRITICAL_TOL:g}")
         return EXIT_VERIFY_FAIL
@@ -205,34 +207,32 @@ def cmd_critical(args) -> int:
 def cmd_monogamy(args) -> int:
     cfg = _config(args)
     report = monogamy_grid(cfg)
-    print(f"max |r1| = {report.max_r1:.3e}")
-    print(f"max |r2| = {report.max_r2:.3e}")
-    for name, value in (("r3", report.max_r3), ("r4", report.max_r4)):
-        if value is None:
+    for name in RESIDUALS:
+        peak = report.select(lambda key: key[1] == name).worst
+        if peak is None:
             print(f"max |{name}| = n/a (no grid point above the steering birth dilaton)")
         else:
-            print(f"max |{name}| = {value:.3e}  (D above birth point only)")
+            note = "  (D above birth point only)" if name in ("r3", "r4") else ""
+            print(f"max |{name}| = {peak[1]:.3e}{note}")
     if report.passed:
         print(f"PASS: residuals within {report.gate:g}")
         return EXIT_OK
-    name, value, omega, dil = report.worst
+    (_, name), value, omega, dil = report.worst
     _to_stderr(f"FAIL: |{name}| = {value:.3e} at omega={omega:g}, D={dil:.17g} (gate {report.gate:g})")
     return EXIT_VERIFY_FAIL
 
 
 def cmd_classify(args) -> int:
-    # Check the whole list as given before any line is printed.
-    check_mass_and_omegas(args.mass, args.omega)
-    for omega in sorted(args.omega):
-        points = critical_dilatons(args.mass, omega)
-        mass = args.mass
+    omegas, closed = _ascending_critical_dilatons(args)
+    mass = args.mass
+    for k, omega in enumerate(omegas):
         print(f"omega = {omega:g}:")
         print(f"  ab      two_way      (0, {mass:g})")
         # Each pair is one way forward below its point d and `after` above
         # it; a d outside (0, M), as when it rounds to M, leaves one interval.
         for name, d, after, (close, reopen) in (
-            ("abbar", points.d0, "two_way", "]("),
-            ("bbbar", points.d2, "no_way", ")["),
+            ("abbar", closed["d0"][k], "two_way", "]("),
+            ("bbbar", closed["d2"][k], "no_way", ")["),
         ):
             if 0.0 < d < mass:
                 split = f"{_dilaton(d)}{close}   {after:13s}{reopen}{_dilaton(d)}"
@@ -275,10 +275,18 @@ def _to_stderr(line: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     if sys.stdout is None:
         sys.stdout = _ClosedStream()
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0:
+                # --help or --version: argparse drops a failed write to stdout,
+                # so an empty write and a flush repeat the failure.
+                sys.stdout.write("")
+                sys.stdout.flush()
+            raise
         code = args.func(args)
         # Flush here, not at exit, so a closed pipe lands in the handler below.
         sys.stdout.flush()

@@ -23,7 +23,6 @@ forms in `critical_dilatons`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -64,18 +63,6 @@ def check_mass_and_omegas(mass, omegas) -> None:
         raise ConfigError("at least one omega is required")
     if any(not (w > 0.0 and math.isfinite(w)) for w in omegas):
         raise ConfigError(f"omegas must all be positive and finite, got {[float(w) for w in omegas]}")
-
-
-@dataclass(frozen=True)
-class CriticalPoints:
-    """Critical dilaton values with in-range flags (value in [0, mass))."""
-
-    d0: float
-    d1: float
-    d2: float
-    d0_in_range: bool
-    d1_in_range: bool
-    d2_in_range: bool
 
 
 def amplitude_arrays(mass, omega, dilatons):
@@ -221,17 +208,22 @@ def _dilaton_at(mass, omega, x):
         return mass - x * (1.0 / (8.0 * np.pi * omega))
 
 
-def critical_dilatons(mass: float, omega: float) -> CriticalPoints:
-    """Closed-form critical dilaton values with in-range flags.
+def critical_dilatons(mass: float, omegas) -> dict:
+    """Closed-form critical dilatons, in the shape `find_critical_batch` gives.
 
-    d0: birth of the backward Alice/interior-partner steering;
-    d1: peak of the Bob/interior-partner steering;
-    d2: death of the Bob/interior-partner steering.
-    Always d1 < d0 < d2 < mass; values drop below 0 for small omega*mass.
+    Returns {"d0": D, "d1": D, "d2": D}, arrays aligned with `omegas`: d0
+    the birth of the backward Alice/interior-partner steering, d1 the peak
+    and d2 the death of the Bob/interior-partner steering. Always d1 < d0
+    < d2 < mass; a value is in the model's range where 0 <= D < mass, and
+    drops below 0 for small omega*mass. Raises ConfigError as
+    `check_mass_and_omegas`.
     """
-    check_mass_and_omegas(mass, [omega])
-    points = [_dilaton_at(mass, omega, x) for x in (X_BIRTH, X_PEAK, X_DEATH)]
-    return CriticalPoints(*points, *(0.0 <= d < mass for d in points))
+    omegas = np.asarray(omegas, dtype=np.float64)
+    check_mass_and_omegas(mass, omegas)
+    return {
+        name: _dilaton_at(mass, omegas, x)
+        for name, x in (("d0", X_BIRTH), ("d1", X_PEAK), ("d2", X_DEATH))
+    }
 
 
 # --- numeric critical dilatons ---------------------------------------------

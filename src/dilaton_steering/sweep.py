@@ -15,15 +15,15 @@ Both routes, and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
 adds the batch density-matrix route (`pipeline_measure_arrays`) to each
 slice and compares it with the closed forms at a 1e-10 gate;
-`monogamy_grid` gates the four identities. Both fold each slice's peaks,
-so their reports are the ones a whole-grid pass gives.
+`monogamy_grid` gates the four identities. Both fold each slice's peaks
+into a `GateReport`, so the report is the one a whole-grid pass gives;
+it holds the one rule of a gate, under which a NaN fails and is the worst.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -51,7 +51,7 @@ MEASURE_FIELDS = (
 RESIDUALS = ("r1", "r2", "r3", "r4")
 VERIFY_GATE = 1e-10
 MONOGAMY_GATE = 1e-10
-# Compared measure columns: closed-form key -> pipeline key.
+# Measure columns that `verify_grid` compares, under the same key in both routes.
 _VERIFY_KEYS = (
     "s_forward",
     "s_backward",
@@ -188,11 +188,12 @@ def _closed_walk(cfg: SweepConfig):
     closed-form measures of all three pairs, and `mono` the monogamy
     residuals, which always take all three.
     """
+    # From the omegas as given, so a bad list raises as `SweepConfig.validate` does.
+    d0 = dict(zip(cfg.omegas, critical_dilatons(cfg.mass, cfg.omegas)["d0"]))
     for omega, dslice, x, c2, s2, c, s in _walk(cfg):
         closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
-        d0 = critical_dilatons(cfg.mass, omega).d0
         mono = monogamy_residual_arrays(
-            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0
+            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0[omega]
         )
         yield omega, dslice, x, closed, mono
         del x, c2, s2, c, s, closed, mono
@@ -277,16 +278,7 @@ def write_json(cfg: SweepConfig, stream) -> None:
     stream.write("\n]\n")
 
 
-# --- verification ---------------------------------------------------------
-
-
-@dataclass
-class Deviation:
-    pair: Pair
-    measure: str
-    value: float
-    omega: float
-    dilaton: float
+# --- the gates ------------------------------------------------------------
 
 
 def _rank(value: float) -> tuple:
@@ -295,95 +287,73 @@ def _rank(value: float) -> tuple:
 
 
 @dataclass
-class VerifyReport:
-    """Worst closed-form vs pipeline deviation per (pair, measure)."""
+class GateReport:
+    """Peak deviations over a grid, each held against one gate.
 
-    deviations: list = field(default_factory=list)
-    gate: ClassVar[float] = VERIFY_GATE
+    `peaks` maps each key, in the order it was first folded, to the
+    (value, omega, dilaton) of its largest deviation.
+    """
+
+    gate: float
+    peaks: dict = field(default_factory=dict)
+
+    def fold(self, key, dev: np.ndarray, omega: float, dilatons: np.ndarray) -> None:
+        """Fold one slice's peak of `dev` into peaks[key], in grid order.
+
+        An entry stays unless a later one ranks strictly higher, so on a tie
+        the earlier grid point stays, as np.argmax keeps the first.
+        """
+        if dev.size:
+            i = int(np.argmax(dev))
+            old = self.peaks.get(key)
+            if old is None or _rank(dev[i]) > _rank(old[0]):
+                self.peaks[key] = (float(dev[i]), omega, float(dilatons[i]))
+
+    def select(self, keep) -> GateReport:
+        """The report on the keys for which keep(key) is true, in the same order."""
+        return GateReport(self.gate, {key: peak for key, peak in self.peaks.items() if keep(key)})
 
     @property
     def passed(self) -> bool:
-        return all(d.value <= self.gate for d in self.deviations)
+        return all(value <= self.gate for value, _, _ in self.peaks.values())
 
     @property
-    def worst(self) -> Deviation:
-        return max(self.deviations, key=lambda d: _rank(d.value))
+    def worst(self):
+        """(key, value, omega, dilaton) of the first highest-ranked peak; None if there is none."""
+        entries = ((key, *peak) for key, peak in self.peaks.items())
+        return max(entries, key=lambda entry: _rank(entry[1]), default=None)
 
 
-def _fold_peak(worst: dict, key, dev: np.ndarray, omega: float, dilatons: np.ndarray) -> None:
-    """Fold one slice's peak of `dev` into worst[key] = (value, omega, dilaton).
-
-    The fold runs in grid order and keeps an entry unless a later one
-    ranks strictly higher, so on a tie the earlier grid point stays, as
-    np.argmax keeps the first.
-    """
-    if dev.size:
-        i = int(np.argmax(dev))
-        old = worst.get(key)
-        if old is None or _rank(dev[i]) > _rank(old[0]):
-            worst[key] = (float(dev[i]), omega, float(dilatons[i]))
-
-
-def verify_grid(cfg: SweepConfig) -> VerifyReport:
+def verify_grid(cfg: SweepConfig) -> GateReport:
     """Compare the closed-form and pipeline routes on the whole grid.
 
-    The density-matrix stacks are built one slice of the grid walk at a
+    Each (pair, measure) key holds its largest |closed - pipeline|. The
+    density-matrix stacks are built one slice of the grid walk at a
     time, so they, and the memory of a run, do not grow with the grid.
     Bell values are compared branch to branch, plus the branch maximum
     against the correlation-matrix value.
     """
-    worst = {}
+    report = GateReport(VERIFY_GATE)
     for omega, dslice, _, c2, s2, c, s in _walk(cfg):
         for pair in cfg.pairs:
             closed = closed_measure_arrays(c2, s2, c, s, pair)
             pipe = pipeline_measure_arrays(c, s, pair)
             for key in _VERIFY_KEYS:
-                dev = np.abs(closed[key] - pipe[key])
-                _fold_peak(worst, (pair, key), dev, omega, dslice)
-    return VerifyReport([Deviation(pair, key, *peak) for (pair, key), peak in worst.items()])
+                report.fold((pair, key), np.abs(closed[key] - pipe[key]), omega, dslice)
+    return report
 
 
-@dataclass
-class MonogamyReport:
-    """Grid maxima of the monogamy residuals.
+def monogamy_grid(cfg: SweepConfig) -> GateReport:
+    """Evaluate the four identities over the grid, one key per (omega, residual).
 
-    max_r3/max_r4 are None when no grid point satisfies the
-    applicability condition (dilaton above the steering birth point).
+    r3/r4 count only where they apply: an omega with no grid point above
+    its birth dilaton d0 has no r3/r4 key. Keys enter in (omega, r1..r4)
+    order, so ties go to the first in (omega, r1..r4, grid point) order.
     """
-
-    max_r1: float
-    max_r2: float
-    max_r3: float | None
-    max_r4: float | None
-    worst: tuple
-    gate: ClassVar[float] = MONOGAMY_GATE
-
-    @property
-    def passed(self) -> bool:
-        values = [self.max_r1, self.max_r2, self.max_r3, self.max_r4]
-        return all(v is None or v <= self.gate for v in values)
-
-
-def monogamy_grid(cfg: SweepConfig) -> MonogamyReport:
-    """Evaluate the four identities over the grid and report maxima.
-
-    r3/r4 count only where they apply. Slice peaks fold per (omega,
-    residual), so the maxima and the worst point are the ones a
-    whole-grid pass gives, with ties going to the first in (omega,
-    r1..r4, grid point) order.
-    """
-    peaks = {}
+    report = GateReport(MONOGAMY_GATE)
     for omega, dslice, x, closed, mono in _closed_walk(cfg):
         del x, closed  # the fold needs only the residuals (see `_walk`)
         for name in RESIDUALS:
             rows = mono["valid"] if name in ("r3", "r4") else slice(None)
-            _fold_peak(peaks, (omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
-    maxima = [
-        max((peak[0] for (_, n), peak in peaks.items() if n == name), key=_rank, default=None)
-        for name in RESIDUALS
-    ]
-    # `peaks` is in (omega, r1..r4) order: r1 and r2 enter with an omega's
-    # first slice, r3 and r4 together with its first valid one. max keeps
-    # the first of equal ranks.
-    (_, name), peak = max(peaks.items(), key=lambda item: _rank(item[1][0]))
-    return MonogamyReport(*maxima, worst=(name, *peak))
+            report.fold((omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
+    return report

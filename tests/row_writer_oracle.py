@@ -32,7 +32,7 @@ def sweep_records(cfg):
             pair: _regime_labels(closed[pair]["s_forward"], closed[pair]["s_backward"])
             for pair in cfg.pairs
         }
-        d0 = critical_dilatons(cfg.mass, omega).d0
+        d0 = critical_dilatons(cfg.mass, [omega])["d0"][0]
         mono = monogamy_residual_arrays(
             closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dgrid, d0
         )

@@ -172,8 +172,10 @@ class TestVerifyCommand:
     def test_perturbed_closed_form_exits_1(self, capsys, perturbed_s_forward):
         code, out, err = run(capsys, "verify", "--points", "11", "--omega", "1")
         assert code == 1
-        assert "FAIL" in err
-        assert "s_forward" in err
+        assert "PASS" not in out
+        assert err == (
+            "FAIL: ab s_forward deviates 1.000e-08 at omega=1, D=0.69999929999999999 (gate 1e-10)\n"
+        )
 
     def test_nan_in_last_slice_exits_1(self, capsys, nan_s_forward_at):
         points = SLICE_ROWS + 1
@@ -181,7 +183,10 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--points", str(points), "--omega", "0.5,1")
         assert code == 1
         assert "PASS" not in out
-        assert "s_forward deviates nan at omega=1" in err
+        # Every pair's s_forward is NaN there; the first key folded, ab's, is the worst.
+        assert err == (
+            "FAIL: ab s_forward deviates nan at omega=1, D=0.99999899999999997 (gate 1e-10)\n"
+        )
 
 
 class TestCriticalCommand:
@@ -259,9 +264,15 @@ class TestMonogamyCommand:
         assert "PASS" in out
 
     def test_restricted_grid_reports_na(self, capsys):
-        code, out, _ = run(capsys, "monogamy", "--points", "21", "--omega", "1", "--d-max", "0.9")
-        assert code == 0
-        assert "n/a" in out
+        code, out, err = run(capsys, "monogamy", "--d-max", "0.9", "--omega", "1", "--points", "51")
+        assert (code, err) == (0, "")
+        assert out == (
+            "max |r1| = 2.220e-16\n"
+            "max |r2| = 2.220e-16\n"
+            "max |r3| = n/a (no grid point above the steering birth dilaton)\n"
+            "max |r4| = n/a (no grid point above the steering birth dilaton)\n"
+            "PASS: residuals within 1e-10\n"
+        )
 
     def test_nan_residual_exits_1(self, capsys, nan_r1_after_first_omega):
         code, out, err = run(capsys, "monogamy", "--points", "21", "--omega", "0.5,1")
@@ -302,11 +313,25 @@ class TestClassifyCommand:
             assert line.split()[:3] == [name, regime, "(0,"] and len(line.split()) == 4
 
 
+CLOSED = pytest.mark.parametrize(
+    "closed", [">&-", "2>&-", ">&- 2>&-"], ids=["stdout", "stderr", "both"]
+)
+
+
+def run_closed(closed, argv):
+    """The CLI in a child process with the streams in `closed` shut at start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-c", CLI, *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
 class TestClosedStreams:
     """A stream closed at start, as by `>&-` or `2>&-`: Python sets a closed
     stdout to None and keeps a stderr whose every write fails."""
 
-    @pytest.mark.parametrize("closed", [">&-", "2>&-", ">&- 2>&-"], ids=["stdout", "stderr", "both"])
+    @CLOSED
     @pytest.mark.parametrize(
         "argv, needs_stdout",
         [
@@ -322,11 +347,7 @@ class TestClosedStreams:
     @pytest.mark.parametrize("bad", [False, True], ids=["passing", "bad-mass"])
     def test_exit_code_is_documented_and_no_traceback(self, tmp_path, closed, argv, needs_stdout, bad):
         argv = [str(tmp_path / "F") if a == "F" else a for a in argv] + ["--mass=-1"] * bad
-        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
-        result = subprocess.run(
-            ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-c", CLI, *argv],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        result = run_closed(closed, argv)
         stdout_closed = closed != "2>&-"
         # 2 bad arguments, 3 output that stdout could not take, else 0.
         expected = 2 if bad else 3 if stdout_closed and needs_stdout else 0
@@ -337,6 +358,22 @@ class TestClosedStreams:
             assert result.stdout == ""
         elif not needs_stdout:
             assert (tmp_path / "F").read_text().count("\n") == 6
+
+    @CLOSED
+    @pytest.mark.parametrize(
+        "argv", [("--version",), ("--help",), ("sweep", "--help")], ids=["version", "help", "sweep-help"]
+    )
+    def test_help_and_version_need_stdout(self, closed, argv):
+        # argparse prints them to stdout, drops a failed write and exits 0.
+        result = run_closed(closed, argv)
+        if closed == "2>&-":
+            assert (result.returncode, result.stderr) == (0, "")
+            assert result.stdout.startswith(("dilaton-steering ", "usage: dilaton-steering"))
+        else:
+            assert result.returncode == 3
+            assert result.stdout == ""
+            stderr_closed = "2>&-" in closed
+            assert result.stderr == ("" if stderr_closed else "error: [Errno 9] stdout is closed\n")
 
     @pytest.mark.parametrize("stderr", [None, cli._ClosedStream()], ids=["none", "unwritable"])
     def test_gate_failure_keeps_exit_1(self, capsys, monkeypatch, perturbed_s_forward, stderr):
@@ -477,7 +514,6 @@ class TestPackageLayout:
     def test_public_names(self):
         assert dilaton_steering.__all__ == [
             "ConfigError",
-            "CriticalPoints",
             "Pair",
             "ResolutionError",
             "SweepConfig",

@@ -59,7 +59,8 @@ def regimes(vals):
 def residuals_at(mass, omega, dilatons):
     _, c2, s2, c, s = amplitude_arrays(mass, omega, dilatons)
     ab, abbar, bbbar = (closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair)
-    return monogamy_residual_arrays(ab, abbar, bbbar, dilatons, critical_dilatons(mass, omega).d0)
+    d0 = critical_dilatons(mass, [omega])["d0"][0]
+    return monogamy_residual_arrays(ab, abbar, bbbar, dilatons, d0)
 
 
 class TestParams:
@@ -78,7 +79,7 @@ class TestDomainRule:
     """Every entry point takes (mass, omega) through `check_mass_and_omegas`."""
 
     ENTRY_POINTS = {
-        "critical_dilatons": critical_dilatons,
+        "critical_dilatons": lambda mass, omega: critical_dilatons(mass, [1.0, omega]),
         "find_critical_batch": lambda mass, omega: find_critical_batch(mass, [1.0, omega]),
         "SweepConfig.validate": lambda mass, omega: sweep.SweepConfig(mass, (omega,)).validate(),
     }
@@ -268,7 +269,7 @@ class TestClosedForms:
     def test_asymmetry_at_birth_point_equals_forward_steering(self):
         # At the birth dilaton the backward steering is exactly zero, so
         # the asymmetry coincides with the forward value.
-        d0 = critical_dilatons(1.0, 1.0).d0
+        d0 = critical_dilatons(1.0, [1.0])["d0"][0]
         m = closed_at(1.0, 1.0, [d0], Pair.ABBAR)
         assert m["s_backward"][0] <= 1e-12
         assert abs(m["asymmetry"][0] - m["s_forward"][0]) <= 1e-12
@@ -412,31 +413,45 @@ class TestDualPath:
         assert regimes(pipeline_at(1.0, 1.0, [0.95], Pair.AB)) == ["two_way"]
 
 
+def in_range(d, mass):
+    return 0.0 <= d < mass
+
+
 class TestCriticalPoints:
     def test_closed_form_values(self):
-        points = critical_dilatons(1.0, 1.0)
-        assert abs(points.d0 - D0_REF) < 1e-12
-        assert abs(points.d1 - D1_REF) < 1e-12
-        assert abs(points.d2 - D2_REF) < 1e-12
-        assert points.d0_in_range and points.d1_in_range and points.d2_in_range
+        points = critical_dilatons(1.0, [1.0])
+        assert abs(points["d0"][0] - D0_REF) < 1e-12
+        assert abs(points["d1"][0] - D1_REF) < 1e-12
+        assert abs(points["d2"][0] - D2_REF) < 1e-12
+        assert all(in_range(points[name][0], 1.0) for name in ("d0", "d1", "d2"))
 
     def test_ordering_when_in_range(self):
-        for omega in (0.08, 0.1, 0.5, 1.0, 3.0, 10.0):
-            points = critical_dilatons(1.0, omega)
-            if points.d1_in_range:
-                assert points.d1 < points.d0 < points.d2 < 1.0
+        omegas = [0.08, 0.1, 0.5, 1.0, 3.0, 10.0]
+        points = critical_dilatons(1.0, omegas)
+        for k in range(len(omegas)):
+            if in_range(points["d1"][k], 1.0):
+                assert points["d1"][k] < points["d0"][k] < points["d2"][k] < 1.0
 
     def test_small_omega_is_out_of_range(self):
-        points = critical_dilatons(1.0, 0.01)
-        assert not (points.d0_in_range or points.d1_in_range or points.d2_in_range)
-        assert points.d0 < 0.0
+        points = critical_dilatons(1.0, [0.01])
+        assert not any(in_range(points[name][0], 1.0) for name in ("d0", "d1", "d2"))
+        assert points["d0"][0] < 0.0
+
+    def test_arrays_align_with_the_omegas(self):
+        # The closed forms of a list, as given, are those of each omega alone.
+        omegas = [3.0, 0.01, 1.0, 3.0]
+        points = critical_dilatons(2.0, omegas)
+        assert set(points) == {"d0", "d1", "d2"}
+        for name, values in points.items():
+            assert values.shape == (4,)
+            assert values.tolist() == [critical_dilatons(2.0, [w])[name][0] for w in omegas]
 
     def test_scaling_in_mass_and_frequency(self):
-        base = critical_dilatons(1.0, 1.0)
-        heavier = critical_dilatons(2.0, 1.0)
-        assert abs((heavier.d0 - 2.0) - (base.d0 - 1.0)) < 1e-12
-        faster = critical_dilatons(1.0, 2.0)
-        assert abs((faster.d0 - 1.0) - 0.5 * (base.d0 - 1.0)) < 1e-12
+        (base,) = critical_dilatons(1.0, [1.0])["d0"]
+        (heavier,) = critical_dilatons(2.0, [1.0])["d0"]
+        assert abs((heavier - 2.0) - (base - 1.0)) < 1e-12
+        (faster,) = critical_dilatons(1.0, [2.0])["d0"]
+        assert abs((faster - 1.0) - 0.5 * (base - 1.0)) < 1e-12
 
     def test_numeric_agrees_with_closed_forms(self):
         found = find_critical_batch(1.0, [1.0])
@@ -446,10 +461,10 @@ class TestCriticalPoints:
 
     def test_numeric_agrees_at_other_parameters(self):
         for mass, omega in ((1.0, 0.5), (2.0, 1.0)):
-            points = critical_dilatons(mass, omega)
+            points = critical_dilatons(mass, [omega])
             found = find_critical_batch(mass, [omega])
-            assert abs(found["d0"][0] - points.d0) < 1e-8
-            assert abs(found["d2"][0] - points.d2) < 1e-8
+            assert abs(found["d0"][0] - points["d0"][0]) < 1e-8
+            assert abs(found["d2"][0] - points["d2"][0]) < 1e-8
 
     @pytest.mark.parametrize("pair", list(Pair))
     def test_margin_slope_matches_central_differences(self, pair):
@@ -463,7 +478,7 @@ class TestCriticalPoints:
 
     def test_peak_agrees_to_1e_9(self):
         for mass, omega in ((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)):
-            d1 = critical_dilatons(mass, omega).d1
+            d1 = critical_dilatons(mass, [omega])["d1"][0]
             assert abs(find_critical_batch(mass, [omega])["d1"][0] - d1) < 1e-9
 
     # M log-uniform over 24 decades; M omega over six, across the edges of
@@ -473,7 +488,7 @@ class TestCriticalPoints:
     def test_numeric_meets_the_gate_or_says_why_not(self, log_mass, log_m_omega):
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
-        points = critical_dilatons(mass, omega)
+        points = critical_dilatons(mass, [omega])
         with time_limit(5.0):
             try:
                 found = find_critical_batch(mass, [omega])
@@ -482,18 +497,18 @@ class TestCriticalPoints:
                 assert mass >= 2.0**29
                 return
         for name in ("d0", "d1", "d2"):
-            numeric = found[name][0]
+            numeric, closed = found[name][0], points[name][0]
             if math.isnan(numeric):
                 # No root in the searched bracket.
-                assert not getattr(points, f"{name}_in_range")
+                assert not in_range(closed, mass)
             else:
-                assert abs(numeric - getattr(points, name)) <= CRITICAL_TOL
+                assert abs(numeric - closed) <= CRITICAL_TOL
 
     def test_point_next_to_the_horizon_is_bracketed(self):
         # d2 = 1 - 6.2e-13 at omega 2e10: inside [0, M), closer to M than 1e-12.
-        points = critical_dilatons(1.0, 2e10)
-        assert points.d2_in_range
-        assert abs(find_critical_batch(1.0, [2e10])["d2"][0] - points.d2) < 1e-14
+        (d2,) = critical_dilatons(1.0, [2e10])["d2"]
+        assert in_range(d2, 1.0)
+        assert abs(find_critical_batch(1.0, [2e10])["d2"][0] - d2) < 1e-14
 
     def test_out_of_range_is_nan(self):
         found = find_critical_batch(1.0, [0.01])
@@ -575,8 +590,8 @@ class TestMonotonicity:
         # inaccessible entanglement only grows with D.
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
-        points = critical_dilatons(mass, omega)
-        assume(points.d1_in_range)
+        (d1,) = critical_dilatons(mass, [omega])["d1"]
+        assume(in_range(d1, mass))
         d = np.linspace(0.0, mass, 2001, endpoint=False)
         _, c2, s2, c, s = amplitude_arrays(mass, omega, d)
         bbbar = closed_measure_arrays(c2, s2, c, s, Pair.BBBAR)
@@ -585,6 +600,6 @@ class TestMonotonicity:
         peak = int(np.argmax(fwd))
         assert np.all(np.diff(fwd[: peak + 1]) >= 0.0)
         assert np.all(np.diff(fwd[peak:]) <= 0.0)
-        assert abs(d[peak] - points.d1) <= d[1] - d[0]
+        assert abs(d[peak] - d1) <= d[1] - d[0]
         assert np.all(np.diff(abbar["concurrence"]) >= 0.0)
         assert np.all(np.diff(bbbar["concurrence"]) >= 0.0)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from density_oracle import reduced
 from dilaton_steering import kernels, sweep
@@ -20,6 +22,7 @@ from dilaton_steering.sweep import (
     RESIDUALS,
     SLICE_ROWS,
     ConfigError,
+    GateReport,
     SweepConfig,
     columns,
     monogamy_grid,
@@ -55,6 +58,12 @@ def traced_peak(run, points):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def residual_max(report, name):
+    """Grid maximum of |name| in a monogamy report; None where it applied nowhere."""
+    worst = report.select(lambda key: key[1] == name).worst
+    return None if worst is None else worst[1]
 
 
 def sweep_columns(cfg):
@@ -260,23 +269,63 @@ class TestSerialization:
         assert parsed[0]["ab_s_forward"] == sweep_columns(cfg)["ab_s_forward"][0]
 
 
+class TestGateReport:
+    DILATONS = np.array([0.1, 0.2, 0.3])
+
+    def test_a_tie_keeps_the_first_point_folded(self):
+        report = GateReport(1.0)
+        report.fold("a", np.array([0.5, 0.5, 0.1]), 1.0, self.DILATONS)
+        report.fold("a", np.array([0.5, 0.2, 0.2]), 2.0, self.DILATONS)
+        assert report.peaks == {"a": (0.5, 1.0, 0.1)}
+        assert report.passed
+
+    def test_nan_fails_and_is_the_worst(self):
+        report = GateReport(1.0)
+        report.fold("a", np.array([0.0, 3.0, 0.0]), 1.0, self.DILATONS)
+        report.fold("b", np.array([0.0, np.nan, 0.0]), 1.0, self.DILATONS)
+        report.fold("c", np.array([np.nan, 5.0, 0.0]), 1.0, self.DILATONS)
+        key, value, omega, dilaton = report.worst
+        assert (key, omega, dilaton) == ("b", 1.0, 0.2) and math.isnan(value)
+        assert not report.passed
+        assert not report.select(lambda key: key == "a").passed
+
+    def test_the_gate_is_inclusive(self):
+        report = GateReport(0.5)
+        report.fold("a", np.array([0.5]), 1.0, self.DILATONS[:1])
+        assert report.passed
+
+    def test_select_keeps_the_order_and_the_gate(self):
+        report = GateReport(1.0)
+        for key in ("a", "b", "c"):
+            report.fold(key, np.array([0.25]), 1.0, self.DILATONS[:1])
+        part = report.select(lambda key: key != "b")
+        assert list(part.peaks) == ["a", "c"] and part.gate == 1.0
+        assert list(report.peaks) == ["a", "b", "c"]
+
+    def test_no_peak_passes_and_has_no_worst(self):
+        report = GateReport(1.0)
+        report.fold("a", np.array([]), 1.0, self.DILATONS[:0])
+        assert report.peaks == {} and report.passed and report.worst is None
+
+
 class TestVerifyGrid:
     def test_small_grid_passes(self):
         report = verify_grid(SweepConfig(points=101))
         assert report.passed
-        assert report.worst.value < 1e-12
-        assert len(report.deviations) == 18  # 3 pairs x 6 measures
+        assert report.worst[1] < 1e-12
+        assert len(report.peaks) == 18  # 3 pairs x 6 measures
 
     def test_single_point_grid_report_shape(self):
         report = verify_grid(SweepConfig(points=2, d_min=0.5, d_max=0.500001, omegas=(1.0,)))
-        assert {d.pair for d in report.deviations} == set(Pair)
-        assert len(report.deviations) == 18
+        assert {pair for pair, _ in report.peaks} == set(Pair)
+        assert len(report.peaks) == 18
 
     def test_perturbation_hook_trips_the_gate(self, perturbed_s_forward):
         report = verify_grid(SweepConfig(points=11, omegas=(1.0,)))
         assert not report.passed
-        assert report.worst.measure == "s_forward"
-        assert abs(report.worst.value - 1e-8) < 1e-9
+        (_, measure), value, _, _ = report.worst
+        assert measure == "s_forward"
+        assert abs(value - 1e-8) < 1e-9
 
     @pytest.mark.parametrize(
         "points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 2 * SLICE_ROWS + 1]
@@ -296,9 +345,7 @@ class TestVerifyGrid:
                     if (pair, key) not in expected or dev[i] > expected[pair, key][0]:
                         expected[pair, key] = (float(dev[i]), omega, float(dgrid[i]))
         report = verify_grid(cfg)
-        assert len(report.deviations) == 18
-        for d in report.deviations:
-            assert (d.value, d.omega, d.dilaton) == expected[d.pair, d.measure]
+        assert report.peaks == expected
 
     def test_memory_does_not_grow_with_the_grid(self):
         assert traced_peak(verify_grid, 20001) < 1.5 * traced_peak(verify_grid, 4097)
@@ -341,10 +388,10 @@ class TestVerifyGrid:
         nan_s_forward_at(cfg.mass, 1.0, last)
         report = verify_grid(cfg)
         assert not report.passed
-        worst = report.worst
-        assert (worst.pair, worst.measure) == (Pair.ABBAR, "s_forward")
-        assert math.isnan(worst.value)
-        assert (worst.omega, worst.dilaton) == (1.0, last)
+        key, value, omega, dilaton = report.worst
+        assert key == (Pair.ABBAR, "s_forward")
+        assert math.isnan(value)
+        assert (omega, dilaton) == (1.0, last)
 
     def test_pipeline_arrays_match_scalar_route(self):
         # The validated reference (`reduced`, by partial tracing of a
@@ -369,23 +416,34 @@ class TestMonogamyGrid:
     def test_default_gates_pass(self):
         report = monogamy_grid(SweepConfig(points=201))
         assert report.passed
-        assert report.max_r1 < 1e-12 and report.max_r2 < 1e-12
-        assert report.max_r3 is not None and report.max_r3 < 1e-12
-        assert report.max_r4 is not None and report.max_r4 < 1e-12
+        for name in RESIDUALS:
+            assert residual_max(report, name) is not None and residual_max(report, name) < 1e-12
 
     def test_nan_residual_after_first_omega_fails_the_gate(self, nan_r1_after_first_omega):
         cfg = SweepConfig(points=51, omegas=(0.5, 1.0))
         report = monogamy_grid(cfg)
         assert not report.passed
-        assert math.isnan(report.max_r1)
-        name, value, omega, dilaton = report.worst
+        assert math.isnan(residual_max(report, "r1"))
+        (_, name), value, omega, dilaton = report.worst
         assert name == "r1" and math.isnan(value)
         assert (omega, dilaton) == (1.0, float(cfg.dilaton_grid()[-1]))
 
     def test_grid_below_birth_point_reports_not_applicable(self):
         report = monogamy_grid(SweepConfig(points=51, d_max=0.9, omegas=(1.0,)))
-        assert report.max_r3 is None and report.max_r4 is None
+        assert residual_max(report, "r3") is None and residual_max(report, "r4") is None
         assert report.passed
+
+    # M and omega log-uniform over the float range's 600 decades.
+    @settings(max_examples=300, deadline=None)
+    @given(log_mass=st.floats(-300.0, 300.0), log_omega=st.floats(-300.0, 300.0))
+    def test_identities_hold_with_r3_r4_only_above_d0(self, log_mass, log_omega):
+        cfg = SweepConfig(mass=10.0**log_mass, omegas=(10.0**log_omega,), points=33)
+        report = monogamy_grid(cfg)
+        assert report.passed, report.worst
+        (d0,) = critical_dilatons(cfg.mass, cfg.omegas)["d0"]
+        above = bool((cfg.dilaton_grid() > d0).any())
+        for name in RESIDUALS:
+            assert (residual_max(report, name) is not None) == (above or name in ("r1", "r2"))
 
     def test_memory_does_not_grow_with_the_grid(self):
         assert traced_peak(monogamy_grid, 20001) < 1.5 * traced_peak(monogamy_grid, 4097)
@@ -401,7 +459,7 @@ class TestMonogamyGrid:
         for omega in cfg.sorted_omegas():
             _, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
             closed = [closed_measure_arrays(c2, s2, c, s, pair) for pair in Pair]
-            d0 = critical_dilatons(cfg.mass, omega).d0
+            d0 = critical_dilatons(cfg.mass, [omega])["d0"][0]
             res = monogamy_residual_arrays(*closed, dgrid, d0)
             for name in RESIDUALS:
                 rows = res["valid"] if name in ("r3", "r4") else slice(None)
@@ -412,9 +470,9 @@ class TestMonogamyGrid:
                 if maxima[name] is None or absval[i] > maxima[name]:
                     maxima[name] = float(absval[i])
                 if worst is None or absval[i] > worst[1]:
-                    worst = (name, float(absval[i]), omega, float(dsub[i]))
+                    worst = ((omega, name), float(absval[i]), omega, float(dsub[i]))
         report = monogamy_grid(cfg)
-        assert [report.max_r1, report.max_r2, report.max_r3, report.max_r4] == [
+        assert [residual_max(report, name) for name in RESIDUALS] == [
             maxima[name] for name in RESIDUALS
         ]
         assert report.worst == worst
@@ -432,7 +490,7 @@ class TestMonogamyGrid:
     def test_nan_ties_go_to_omega_then_residual_then_point(self, monkeypatch, poison, expected):
         cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(1.0, 0.5))
         dgrid = cfg.dilaton_grid()
-        by_d0 = {critical_dilatons(cfg.mass, w).d0: spec for w, spec in poison.items()}
+        by_d0 = dict(zip(critical_dilatons(cfg.mass, list(poison))["d0"], poison.values()))
         original = sweep.monogamy_residual_arrays
 
         def poisoned(ab, abbar, bbbar, dilatons, d0):
@@ -444,6 +502,6 @@ class TestMonogamyGrid:
         monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)
         report = monogamy_grid(cfg)
         assert not report.passed
-        name, value, omega, dilaton = report.worst
+        (_, name), value, omega, dilaton = report.worst
         assert math.isnan(value)
         assert (name, omega, dilaton) == (expected[0], expected[1], float(dgrid[expected[2]]))
