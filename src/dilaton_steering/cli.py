@@ -46,8 +46,13 @@ def _dilaton(value: float) -> str:
     # dilaton the gate can pass lies below about 2.1e9 (past 2**31, four
     # spacings of float64 exceed 1e-6). From 1e10 on use .8g, so that far
     # out-of-range values (d0 is about -2e298 at omega 1e-300) print in a
-    # few characters.
-    return f"{value:.8f}" if abs(value) < 1e10 else f"{value:.8g}"
+    # few characters, and so does a nonzero value that .8f rounds to zero
+    # (all three points at mass 1e-12, omega 1e12), so that d1 < d0 < d2 shows.
+    if abs(value) < 1e10:
+        text = f"{value:.8f}"
+        if value == 0.0 or float(text) != 0.0:
+            return text
+    return f"{value:.8g}"
 
 
 def _float_list(text: str):

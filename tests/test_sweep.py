@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chsh_oracle import chsh_max_eigvalsh
 from density_oracle import reduced
 from dilaton_steering import kernels, sweep
 from dilaton_steering.dilaton import (
@@ -407,7 +408,7 @@ class TestVerifyGrid:
                 (arrays["s_forward"], s_fwd),
                 (arrays["s_backward"], s_bwd),
                 (arrays["concurrence"], spinflip_concurrence(rhos)),
-                (arrays["bell_max"], kernels.chsh_max(rhos)),
+                (arrays["bell_max"], chsh_max_eigvalsh(rhos)),
             ):
                 assert np.abs(got[[0, 4, 8]] - expected).max() < 1e-13
 
