@@ -2,7 +2,7 @@
 
 Subcommands: sweep (grid records as CSV/JSON), verify (closed-form vs
 pipeline gate), critical (closed-form vs numeric critical dilatons),
-monogamy (identity residual gate), classify (steering-regime intervals).
+monogamy (identity residual gate), classify (runs of `sweep`'s regime labels).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments (including
 parameters at which float64 cannot resolve a critical dilaton to the
@@ -23,6 +23,7 @@ from .dilaton import (
     ResolutionError,
     critical_dilatons,
     find_critical_batch,
+    regime_intervals,
 )
 from .sweep import (
     ALL_PAIRS,
@@ -178,15 +179,12 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _ascending_critical_dilatons(args):
+def cmd_critical(args) -> int:
     # One closed-form call checks the whole list as given, before any line is printed.
     closed = critical_dilatons(args.mass, args.omega)
     order = sorted(range(len(args.omega)), key=args.omega.__getitem__)
-    return [args.omega[k] for k in order], {name: d[order] for name, d in closed.items()}
-
-
-def cmd_critical(args) -> int:
-    omegas, closed = _ascending_critical_dilatons(args)
+    omegas = [args.omega[k] for k in order]
+    closed = {name: d[order] for name, d in closed.items()}
     numeric = find_critical_batch(args.mass, omegas)
     all_ok = True
     for k, omega in enumerate(omegas):
@@ -228,23 +226,15 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    omegas, closed = _ascending_critical_dilatons(args)
-    mass = args.mass
-    for k, omega in enumerate(omegas):
-        print(f"omega = {omega:g}:")
-        print(f"  ab      two_way      (0, {mass:g})")
-        # Each pair is one way forward below its point d and `after` above
-        # it; a d outside (0, M), as when it rounds to M, leaves one interval.
-        for name, d, after, (close, reopen) in (
-            ("abbar", closed["d0"][k], "two_way", "]("),
-            ("bbbar", closed["d2"][k], "no_way", ")["),
-        ):
-            if 0.0 < d < mass:
-                split = f"{_dilaton(d)}{close}   {after:13s}{reopen}{_dilaton(d)}"
-                print(f"  {name:8s}one_way_fwd  (0, {split}, {mass:g})")
-            else:
-                regime = "one_way_fwd" if d >= mass else after
-                print(f"  {name:8s}{regime:13s}(0, {mass:g})")
+    # Each call checks the whole list as given, before any line is printed.
+    runs = {pair: regime_intervals(args.mass, args.omega, pair) for pair in ALL_PAIRS}
+    for k in sorted(range(len(args.omega)), key=args.omega.__getitem__):
+        print(f"omega = {args.omega[k]:g}:")
+        for pair in ALL_PAIRS:
+            regimes, los, _ = zip(*runs[pair][k])
+            edges = ["0", *map(_dilaton, los[1:]), f"{args.mass:g}"]
+            cells = (f"{regime:13s}[{lo}, {hi})" for regime, lo, hi in zip(regimes, edges, edges[1:]))
+            print(f"  {pair.value:8s}" + "   ".join(cells))
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ state as M M^T and runs the `kernels`. Both take the amplitudes of
 
 The numeric critical dilatons (`find_critical_batch`) come from a
 lockstep search in x on the batch route, independent of the closed
-forms in `critical_dilatons`.
+forms in `critical_dilatons`. `regime_index` is the one regime rule, and
+`regime_intervals` gives its runs over D.
 """
 
 from __future__ import annotations
@@ -184,12 +185,7 @@ def closed_measure_arrays(c2, s2, c, s, pair: Pair) -> dict:
         s_bwd = np.maximum(0.0, c2 * (s2 - 1.0 / SQRT3))
         conc = c * s
         b2_printed = 2.0 * c * s
-    d11, d22, d33, d44, a14, a23 = closed_xparams(c2, s2, c, s, pair)
-    k1 = 4.0 * (a14 + a23) ** 2
-    k2 = 4.0 * (a14 - a23) ** 2
-    k3 = (d11 - d22 - d33 + d44) ** 2
-    b1 = 2.0 * np.sqrt(k1 + k2)
-    b2 = 2.0 * np.sqrt(k1 + k3)
+    b1, b2 = kernels.bell_branches(*closed_xparams(c2, s2, c, s, pair))
     return {
         "s_forward": s_fwd,
         "s_backward": s_bwd,
@@ -223,6 +219,50 @@ def critical_dilatons(mass: float, omegas) -> dict:
         name: _dilaton_at(mass, omegas, x)
         for name, x in (("d0", X_BIRTH), ("d1", X_PEAK), ("d2", X_DEATH))
     }
+
+
+# Steerability below this counts as "not witnessed" when classifying regimes.
+STEERING_ZERO_THRESHOLD = 1e-12
+# Regime labels in the order of 2 * (forward witnessed) + (backward
+# witnessed). "no_way" means no steering was witnessed in either
+# direction, not a proof that the state is unsteerable.
+REGIMES = ("no_way", "one_way_bwd", "one_way_fwd", "two_way")
+
+
+def regime_index(s_forward, s_backward):
+    """Position in `REGIMES` of the witnessed directions; elementwise on arrays."""
+    return 2 * (s_forward > STEERING_ZERO_THRESHOLD) + (s_backward > STEERING_ZERO_THRESHOLD)
+
+
+def regime_intervals(mass: float, omegas, pair: Pair) -> list:
+    """Maximal runs (regime, lo, hi) of `pair`'s `sweep` label over D in [0, mass).
+
+    One list per frequency, aligned with `omegas`; raises ConfigError as `check_mass_and_omegas`.
+    """
+    def label(x):
+        closed = closed_measure_arrays(*_mixing(x), pair)
+        return regime_index(closed["s_forward"], closed["s_backward"])
+
+    omegas = np.asarray(omegas, dtype=np.float64)
+    check_mass_and_omegas(mass, omegas)
+    # A label depends on x alone. It changes near x = 0.312 and 0.549 (X_DEATH, X_BIRTH)
+    # and 26.77, where a steerability crosses the threshold: past x = -ln(1e-12) ~ 27.6 every
+    # abbar and bbbar steerability is <= s^2 <= e^{-x}, below it, and ab is two-way at every x.
+    grid = np.arange(1025) / 16.0  # steps of 1/16 on [0, 64] bracket each change alone
+    labels = label(grid)
+    k = np.flatnonzero(labels[1:] != labels[:-1])[::-1]  # descending x is ascending D
+    xs = _halve_brackets(lambda x: label(x) == labels[k], grid[k], grid[k + 1], True)
+    found = []
+    # A list starts with the label at D = 0, from x as `sweep` computes it (maybe inf);
+    # past a change, D takes the label below it in x.
+    for omega, start in zip(omegas, label(amplitude_arrays(mass, omegas, 0.0)[0])):
+        edges, names = [0.0], [REGIMES[start]]
+        for d, after in zip(_dilaton_at(mass, omega, xs), labels[k]):
+            if 0.0 < d < mass and REGIMES[after] != names[-1]:
+                edges.append(float(d))
+                names.append(REGIMES[after])
+        found.append(list(zip(names, edges, edges[1:] + [mass])))
+    return found
 
 
 # --- numeric critical dilatons ---------------------------------------------

@@ -1,8 +1,8 @@
 """Batch kernels for the hot numeric paths, in numpy.
 
-`xstate_measures` and `chsh_max` take real float64 stacks only and
-perform no validation. `l_triple` and `witness_margins` are plain
-arithmetic, so `xstate_measures` calls them with arrays and the
+`xstate_measures` and `chsh_max` take real float64 stacks only, and
+`chsh_max` refuses any other dtype. `l_triple` and `witness_margins` are
+plain arithmetic, so `xstate_measures` calls them with arrays and the
 critical-point search in `dilaton` with dual numbers: one definition of
 the steering witness serves both. `pair_gap` is the closed spin-flip
 concurrence of a rank-2 state from two real factor columns, as the
@@ -64,6 +64,14 @@ def witness_margins(d11, d22, d33, d44, a14, a23):
     return (q14 - la - lb, q23 - lc - lb), (q14 - la + lb, q23 - lc + lb)
 
 
+def bell_branches(d11, d22, d33, d44, a14, a23):
+    """CHSH branches (b1, b2) of X states; a14 and a23 are coherence moduli."""
+    k1 = 4.0 * (a14 + a23) ** 2
+    k2 = 4.0 * (a14 - a23) ** 2
+    k3 = (d11 - d22 - d33 + d44) ** 2
+    return 2.0 * np.sqrt(k1 + k2), 2.0 * np.sqrt(k1 + k3)
+
+
 def xstate_measures(d11, d22, d33, d44, a14, a23):
     """Closed-form X-state measures for stacked parameters.
 
@@ -74,11 +82,7 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
     fwd, bwd = witness_margins(d11, d22, d33, d44, a14, a23)
     s_fwd = np.maximum(0.0, STEER_SCALE * np.maximum(*fwd))
     s_bwd = np.maximum(0.0, STEER_SCALE * np.maximum(*bwd))
-    k1 = 4.0 * (a14 + a23) ** 2
-    k2 = 4.0 * (a14 - a23) ** 2
-    k3 = (d11 - d22 - d33 + d44) ** 2
-    b1 = 2.0 * np.sqrt(k1 + k2)
-    b2 = 2.0 * np.sqrt(k1 + k3)
+    b1, b2 = bell_branches(d11, d22, d33, d44, a14, a23)
     conc = 2.0 * np.maximum(0.0, np.maximum(a14 - np.sqrt(d22 * d33), a23 - np.sqrt(d11 * d44)))
     return s_fwd, s_bwd, b1, b2, conc
 
@@ -183,8 +187,10 @@ def chsh_max(rhos):
     check that finds every off-diagonal entry of K within eps of the
     diagonal, so an exactly diagonal K takes no rotation and gives its
     diagonal. A state with a non-finite entry gives NaN, without a
-    warning; the other rows keep their values.
+    warning; the other rows keep their values. Another dtype raises TypeError.
     """
+    if rhos.dtype != np.float64:
+        raise TypeError(f"chsh_max takes a real float64 stack, got {rhos.dtype}")
     flat = rhos.reshape(-1, 16).T
     with np.errstate(invalid="ignore", over="ignore"):
         t = _TABLE @ flat

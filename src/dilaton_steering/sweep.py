@@ -11,7 +11,7 @@ digits, '\\n' line endings) or as a JSON array of objects with native
 numbers. Output is deterministic: identical configurations produce
 identical bytes.
 
-Both routes, and the domain rule of `SweepConfig.validate`
+Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
 adds the batch density-matrix route (`pipeline_measure_arrays`) to each
 slice and compares it with the closed forms at a 1e-10 gate;
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilaton import (
+    REGIMES,
     ConfigError,
     Pair,
     amplitude_arrays,
@@ -36,6 +37,7 @@ from .dilaton import (
     critical_dilatons,
     monogamy_residual_arrays,
     pipeline_measure_arrays,
+    regime_index,
 )
 
 ALL_PAIRS = (Pair.AB, Pair.ABBAR, Pair.BBBAR)
@@ -139,24 +141,6 @@ def columns(pairs=ALL_PAIRS) -> list:
     return cols
 
 
-# Steerability below this counts as "not witnessed" when classifying regimes.
-STEERING_ZERO_THRESHOLD = 1e-12
-# Regime labels in the order of 2 * (forward witnessed) + (backward
-# witnessed). "no_way" means no steering was witnessed in either
-# direction, not a proof that the state is unsteerable.
-REGIMES = ("no_way", "one_way_bwd", "one_way_fwd", "two_way")
-_REGIME_LABELS = np.array(REGIMES)
-
-
-def regime_index(s_forward, s_backward):
-    """Position in `REGIMES` of the witnessed directions; elementwise on arrays."""
-    return 2 * (s_forward > STEERING_ZERO_THRESHOLD) + (s_backward > STEERING_ZERO_THRESHOLD)
-
-
-def _regime_labels(s_forward, s_backward) -> np.ndarray:
-    return _REGIME_LABELS[regime_index(s_forward, s_backward)]
-
-
 # --- the grid walk, blocks and writers --------------------------------------
 
 # Grid points per slice of the walk: every column, density-matrix stack
@@ -213,7 +197,7 @@ def sweep_blocks(cfg: SweepConfig):
             if pair not in cfg.pairs:
                 continue
             vals = closed[pair]
-            vals["regime"] = _regime_labels(vals["s_forward"], vals["s_backward"])
+            vals["regime"] = np.array(REGIMES)[regime_index(vals["s_forward"], vals["s_backward"])]
             for name in MEASURE_FIELDS:
                 block[f"{pair.value}_{name}"] = vals[name]
         for name in RESIDUALS:

@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 
 from dilaton_steering.dilaton import (
+    REGIMES,
     Pair,
     amplitude_arrays,
     closed_measure_arrays,
     critical_dilatons,
     monogamy_residual_arrays,
+    regime_index,
 )
-from dilaton_steering.sweep import ALL_PAIRS, _regime_labels, columns
+from dilaton_steering.sweep import ALL_PAIRS, columns
 
 
 def sweep_records(cfg):
@@ -29,7 +31,7 @@ def sweep_records(cfg):
         x, c2, s2, c, s = amplitude_arrays(cfg.mass, omega, dgrid)
         closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
         labels = {
-            pair: _regime_labels(closed[pair]["s_forward"], closed[pair]["s_backward"])
+            pair: [REGIMES[i] for i in regime_index(closed[pair]["s_forward"], closed[pair]["s_backward"])]
             for pair in cfg.pairs
         }
         d0 = critical_dilatons(cfg.mass, [omega])["d0"][0]

@@ -310,9 +310,11 @@ class TestClassifyCommand:
         "argv, abbar, bbbar",
         [
             (("--omega", "0.01"), "two_way", "no_way"),
-            # d0 and d2 round to M: the whole range lies below them.
-            (("--mass", "1", "--omega", "1e17"), "one_way_fwd", "one_way_fwd"),
-            (("--mass", "1e10", "--omega", "1e10"), "one_way_fwd", "one_way_fwd"),
+            # Every change of label rounds to M, and x at D = 0 lies past the
+            # threshold crossing: every steerability of abbar and bbbar is
+            # below 1e-12 on the whole range, as `sweep` labels it.
+            (("--mass", "1", "--omega", "1e17"), "no_way", "no_way"),
+            (("--mass", "1e10", "--omega", "1e10"), "no_way", "no_way"),
         ],
         ids=["omega-0.01", "omega-1e17", "mass-1e10-omega-1e10"],
     )
@@ -321,17 +323,62 @@ class TestClassifyCommand:
         assert code == 0
         for name, regime in (("abbar", abbar), ("bbbar", bbbar)):
             line = [line for line in out.split("\n") if name in line][0]
-            # One interval, (0, M), in one regime.
-            assert line.split()[:3] == [name, regime, "(0,"] and len(line.split()) == 4
+            # One run, [0, M), in one regime.
+            assert line.split()[:3] == [name, regime, "[0,"] and len(line.split()) == 4
 
     def test_tiny_boundaries_keep_their_digits(self, capsys):
         code, out, err = run(capsys, "classify", "--mass", "1e-300", "--omega", "1e300")
         assert (code, err) == (0, "")
         assert out == (
             "omega = 1e+300:\n"
-            "  ab      two_way      (0, 1e-300)\n"
-            "  abbar   one_way_fwd  (0, 9.781438e-301]   two_way      (9.781438e-301, 1e-300)\n"
-            "  bbbar   one_way_fwd  (0, 9.8758968e-301)   no_way       [9.8758968e-301, 1e-300)\n"
+            "  ab      two_way      [0, 1e-300)\n"
+            "  abbar   one_way_fwd  [0, 9.781438e-301)   two_way      [9.781438e-301, 1e-300)\n"
+            "  bbbar   one_way_fwd  [0, 9.8758968e-301)   no_way       [9.8758968e-301, 1e-300)\n"
+        )
+
+    def test_default_runs(self, capsys):
+        # At omega 1.5 and 2, x at D = 0 lies past the threshold crossing near
+        # x = 26.77, so abbar and bbbar start with a run in which no steering
+        # is witnessed; their other boundaries print as `critical` prints d0 and d2.
+        code, out, err = run(capsys, "classify")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 0.5:\n"
+            "  ab      two_way      [0, 1)\n"
+            "  abbar   one_way_fwd  [0, 0.95628761)   two_way      [0.95628761, 1)\n"
+            "  bbbar   one_way_fwd  [0, 0.97517936)   no_way       [0.97517936, 1)\n"
+            "omega = 1:\n"
+            "  ab      two_way      [0, 1)\n"
+            "  abbar   one_way_fwd  [0, 0.97814380)   two_way      [0.97814380, 1)\n"
+            "  bbbar   one_way_fwd  [0, 0.98758968)   no_way       [0.98758968, 1)\n"
+            "omega = 1.5:\n"
+            "  ab      two_way      [0, 1)\n"
+            "  abbar   no_way       [0, 0.28990875)   one_way_fwd  [0.28990875, 0.98542920)"
+            "   two_way      [0.98542920, 1)\n"
+            "  bbbar   no_way       [0, 0.28990875)   one_way_fwd  [0.28990875, 0.99172645)"
+            "   no_way       [0.99172645, 1)\n"
+            "omega = 2:\n"
+            "  ab      two_way      [0, 1)\n"
+            "  abbar   no_way       [0, 0.46743156)   one_way_fwd  [0.46743156, 0.98907190)"
+            "   two_way      [0.98907190, 1)\n"
+            "  bbbar   no_way       [0, 0.46743156)   one_way_fwd  [0.46743156, 0.99379484)"
+            "   no_way       [0.99379484, 1)\n"
+        )
+        _, critical, _ = run(capsys, "critical")
+        for boundary in ("0.95628761", "0.97814380", "0.98542920", "0.98907190"):
+            assert f"d0  closed = {boundary}" in critical
+        for boundary in ("0.97517936", "0.98758968", "0.99172645", "0.99379484"):
+            assert f"d2  closed = {boundary}" in critical
+
+    def test_infinite_thermal_argument(self, capsys):
+        # 8 pi M omega overflows to inf at D = 0, where c = 1 and s = 0.
+        code, out, err = run(capsys, "classify", "--mass", "1e300", "--omega", "1e300")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 1e+300:\n"
+            "  ab      two_way      [0, 1e+300)\n"
+            "  abbar   no_way       [0, 1e+300)\n"
+            "  bbbar   no_way       [0, 1e+300)\n"
         )
 
 
@@ -569,6 +616,25 @@ class TestPackageLayout:
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
         assert not any(name.split(".")[0] == "dilaton_steering" for name in imported), imported
+
+    def test_regime_labels_are_written_once(self):
+        # A second table of regimes, as `classify` once kept, drifts from the
+        # rule that labels `sweep` rows; only `dilaton.REGIMES` may spell them.
+        label = re.compile(r"\b(no_way|one_way_bwd|one_way_fwd|two_way)\b")
+        package = Path(dilaton_steering.__file__).parent
+        table, stray = [], []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and path.name == "dilaton.py":
+                    if [getattr(target, "id", None) for target in node.targets] == ["REGIMES"]:
+                        allowed.update(ast.walk(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and label.search(node.value):
+                    (table if node in allowed else stray).append((path.name, node.lineno, node.value))
+        assert stray == []
+        assert [value for _, _, value in table] == ["no_way", "one_way_bwd", "one_way_fwd", "two_way"]
 
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.

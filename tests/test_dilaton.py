@@ -5,7 +5,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import dilaton_steering
@@ -15,6 +15,7 @@ from density_oracle import PAIR_MODES, PureState, from_pure, partial_trace, redu
 from dilaton_steering import sweep
 from dilaton_steering.dilaton import (
     CRITICAL_TOL,
+    REGIMES,
     ConfigError,
     Pair,
     ResolutionError,
@@ -25,8 +26,9 @@ from dilaton_steering.dilaton import (
     find_critical_batch,
     monogamy_residual_arrays,
     pipeline_measure_arrays,
+    regime_index,
+    regime_intervals,
 )
-from dilaton_steering.sweep import REGIMES, regime_index
 from spinflip_oracle import spinflip_concurrence
 
 SQRT3 = math.sqrt(3.0)
@@ -81,6 +83,7 @@ class TestDomainRule:
         "critical_dilatons": lambda mass, omega: critical_dilatons(mass, [1.0, omega]),
         "find_critical_batch": lambda mass, omega: find_critical_batch(mass, [1.0, omega]),
         "SweepConfig.validate": lambda mass, omega: sweep.SweepConfig(mass, (omega,)).validate(),
+        "regime_intervals": lambda mass, omega: regime_intervals(mass, [1.0, omega], Pair.ABBAR),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -395,6 +398,72 @@ class TestDualPath:
         assert regimes(pipeline_at(1.0, 1.0, [0.99], Pair.BBBAR)) == ["no_way"]
         assert regimes(pipeline_at(1.0, 1.0, [0.95], Pair.ABBAR)) == ["one_way_fwd"]
         assert regimes(pipeline_at(1.0, 1.0, [0.95], Pair.AB)) == ["two_way"]
+
+
+def sweep_mismatches(mass, omegas, points):
+    """Grid points at which a `sweep` label differs from its `regime_intervals` run.
+
+    Each may lie only within one grid step of a boundary; returns how many there are.
+    """
+    cfg = sweep.SweepConfig(mass=mass, omegas=tuple(omegas), points=points)
+    step = (cfg.resolved_d_max - cfg.d_min) / (points - 1)
+    runs = {pair: dict(zip(omegas, regime_intervals(mass, omegas, pair))) for pair in Pair}
+    mismatches = 0
+    for block in sweep.sweep_blocks(cfg):
+        dilatons = block["dilaton"]
+        for pair in Pair:
+            pair_runs = runs[pair][block["omega"][0]]
+            los = np.array([lo for _, lo, _ in pair_runs])
+            assert los[0] == 0.0 and pair_runs[-1][2] == mass
+            assert all(a[2] == b[1] and a[0] != b[0] for a, b in zip(pair_runs, pair_runs[1:]))
+            expected = np.array([regime for regime, _, _ in pair_runs])[np.searchsorted(los, dilatons, "right") - 1]
+            off = np.flatnonzero(block[f"{pair.value}_regime"] != expected)
+            for i in off:
+                assert np.abs(los[1:] - dilatons[i]).min() <= step, (pair, dilatons[i])
+            mismatches += off.size
+    return mismatches
+
+
+class TestRegimeIntervals:
+    """`classify`'s runs are the labels `sweep` gives its rows."""
+
+    def test_default_grid_labels_every_row_as_its_run(self):
+        assert sweep_mismatches(1.0, list(sweep.DEFAULT_OMEGAS), 2001) == 0
+
+    # Half the draws take M and omega log-uniform over 600 decades, half put
+    # M omega in 1e-3..1e3, where x at D = 0 spans every change of label.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        logs=st.one_of(
+            st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+            st.tuples(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)).map(lambda t: (t[0], t[1] - t[0])),
+        )
+    )
+    @example(logs=(0.0, math.log10(2.0)))
+    @example(logs=(6.0, -7.0))
+    @example(logs=(300.0, 300.0))
+    def test_runs_reproduce_the_sweep_labels(self, logs):
+        mass, omega = 10.0 ** logs[0], 10.0 ** logs[1]
+        mismatches = sweep_mismatches(mass, [omega], 513)
+        event(f"grid points off their run, within a step of a boundary: {mismatches}")
+        # The boundaries near d0 and d2 are the threshold crossings, at most
+        # 1e-11 in x from the critical points.
+        points = critical_dilatons(mass, [omega])
+        tol = 1e-11 / (EIGHT_PI * omega) + 4.0 * np.spacing(mass)
+        for pair, name, before, after in (
+            (Pair.ABBAR, "d0", "one_way_fwd", "two_way"),
+            (Pair.BBBAR, "d2", "one_way_fwd", "no_way"),
+        ):
+            (runs,) = regime_intervals(mass, [omega], pair)
+            near = [b[1] for a, b in zip(runs, runs[1:]) if (a[0], b[0]) == (before, after)]
+            critical = points[name][0]
+            if tol < critical < mass:
+                assert len(near) == 1
+            for boundary in near:
+                assert abs(boundary - critical) <= tol
+
+    def test_exterior_pair_is_one_run(self):
+        assert regime_intervals(3.0, [1e-300, 1.0, 1e300], Pair.AB) == [[("two_way", 0.0, 3.0)]] * 3
 
 
 def in_range(d, mass):

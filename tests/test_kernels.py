@@ -309,3 +309,13 @@ class TestChshMax:
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_empty_stack(self, dtype):
         assert CHSH_OF_DTYPE[dtype](np.zeros((0, 4, 4), dtype=dtype)).shape == (0,)
+
+    def test_a_complex_stack_is_refused(self):
+        # (|00> + i|11>)/sqrt(2) reaches 2 sqrt(2) through T_xy = T_yx = 1. The
+        # real table drops those imaginary parts, which would give 2.0.
+        psi = np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2.0)
+        rhos = np.outer(psi, psi.conj())[None]
+        np.testing.assert_allclose(chsh_oracle.chsh_max_eigvalsh(rhos), [2.0 * math.sqrt(2.0)], rtol=1e-15)
+        for stack in (rhos, rhos.astype(np.complex64), rhos.real.astype(np.float32)):
+            with pytest.raises(TypeError, match="float64"):
+                kernels.chsh_max(stack)

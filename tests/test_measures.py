@@ -6,7 +6,7 @@ import pytest
 from density_oracle import DensityMatrix, XState, as_xstate, steering_witness_matrix
 from chsh_oracle import chsh_max_eigvalsh
 from dilaton_steering.kernels import chsh_max, l_triple, witness_margins, xstate_measures
-from dilaton_steering.sweep import REGIMES, regime_index
+from dilaton_steering.dilaton import REGIMES, regime_index
 from sampling import density_stack, random_separable_xstate, random_xstate, xstate_params
 from spinflip_oracle import spinflip_concurrence
 
