@@ -12,7 +12,9 @@ Each bipartition's measures come in two routes that must agree to
 analytic expressions in x. The batch density-matrix route
 (`pipeline_measure_arrays`) stacks the three-mode state vectors,
 reshapes each into the 4x2 factor M of a bipartition, takes its reduced
-state as M M^T and runs the `kernels`. Both take the amplitudes of
+state as M M^T and runs the `kernels`. It holds one state per column:
+the stack width n is the last axis of the (8, n) vectors, (4, 2, n)
+factors and (4, 4, n) states. Both routes take the amplitudes of
 `amplitude_arrays`, one point or a whole grid at a time.
 
 The numeric critical dilatons (`find_critical_batch`) come from a
@@ -89,42 +91,38 @@ def _mixing(x):
 
 # --- batch density-matrix route --------------------------------------------
 
-# Axes of the stacked (n, A, B, Bbar) vectors that put each bipartition's
-# kept modes first and its traced mode last.
-_FACTOR_AXES = {Pair.AB: (0, 1, 2, 3), Pair.ABBAR: (0, 1, 3, 2), Pair.BBBAR: (0, 2, 3, 1)}
+# Axes of the (A, B, Bbar, n) vectors that put each bipartition's kept
+# modes first, its traced mode next and the stack width last.
+_FACTOR_AXES = {Pair.AB: (0, 1, 2, 3), Pair.ABBAR: (0, 2, 1, 3), Pair.BBBAR: (1, 2, 0, 3)}
 
 
 def _state_vectors(c, s, vacuum):
-    """Stacked three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2).
+    """Three-mode vectors (c|000> + s|011> + vacuum|110>)/sqrt(2), one per column of an (8, n) array.
 
     The amplitudes are real, so the stack is float64, and so are the
     factors, reduced states and tangents built from it.
     """
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    v = np.zeros((c.shape[0], 8))
-    v[:, 0] = c * inv_sqrt2
-    v[:, 3] = s * inv_sqrt2
-    v[:, 6] = vacuum * inv_sqrt2
+    v = np.zeros((8, c.shape[0]))
+    v[0] = c * inv_sqrt2
+    v[3] = s * inv_sqrt2
+    v[6] = vacuum * inv_sqrt2
     return v
 
 
 def _factor(v, pair: Pair):
-    """Stacked 4x2 factors M of stacked real 8-vectors v, with tr_traced |v><v| = M M^T."""
-    return v.reshape(-1, 2, 2, 2).transpose(_FACTOR_AXES[pair]).reshape(-1, 4, 2)
+    """(4, 2, n) factors M of (8, n) real vectors v, with tr_traced |v><v| = M M^T per column."""
+    return v.reshape(2, 2, 2, -1).transpose(_FACTOR_AXES[pair]).reshape(4, 2, -1)
 
 
 def _gram(m, k):
-    """Stacked m k^T of two stacked real 4x2 factors, column by column."""
-    return m[:, :, 0, None] * k[:, None, :, 0] + m[:, :, 1, None] * k[:, None, :, 1]
+    """(4, 4, n) products m k^T of two (4, 2, n) real factors, column by column."""
+    return m[:, None, 0] * k[None, :, 0] + m[:, None, 1] * k[None, :, 1]
 
 
 def _xparams(rho4):
-    """The six X parameters (d11, d22, d33, d44, |c14|, |c23|) of stacked real 4x4 states."""
-    d11 = rho4[:, 0, 0].copy()
-    d22 = rho4[:, 1, 1].copy()
-    d33 = rho4[:, 2, 2].copy()
-    d44 = rho4[:, 3, 3].copy()
-    return d11, d22, d33, d44, np.abs(rho4[:, 0, 3]), np.abs(rho4[:, 1, 2])
+    """The six X parameters (d11, d22, d33, d44, |c14|, |c23|) of (4, 4, n) real states, as rows."""
+    return rho4[0, 0], rho4[1, 1], rho4[2, 2], rho4[3, 3], np.abs(rho4[0, 3]), np.abs(rho4[1, 2])
 
 
 def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
@@ -144,7 +142,7 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
         "bell_max": kernels.chsh_max(rho4),
         "bell_branch1": b1,
         "bell_branch2": b2,
-        "concurrence": kernels.pair_gap(m[:, :, 0], m[:, :, 1]),
+        "concurrence": kernels.pair_gap(m[:, 0], m[:, 1]),
     }
 
 
@@ -336,10 +334,10 @@ def _forward_margin_slope(x, pair: Pair):
     rho4 = _gram(m, m)
     drho4 = _gram(dm, m) + _gram(m, dm)
     params = _xparams(rho4)
-    tangents = [drho4[:, i, i] for i in range(4)]
+    tangents = [drho4[i, i] for i in range(4)]
     for modulus, (i, j) in zip(params[4:], ((0, 3), (1, 2))):
         # d|z| = z dz / |z|, and 0 where z = 0 (|z|^2 is flat there).
-        num = rho4[:, i, j] * drho4[:, i, j]
+        num = rho4[i, j] * drho4[i, j]
         tangents.append(np.divide(num, modulus, out=np.zeros_like(num), where=modulus > 0.0))
     (w1, w2), _ = kernels.witness_margins(*map(_Dual, params, tangents))
     return np.where(w1.val >= w2.val, w1.der, w2.der)

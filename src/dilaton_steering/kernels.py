@@ -1,20 +1,21 @@
 """Batch kernels for the hot numeric paths, in numpy.
 
-`xstate_measures` and `chsh_max` take real float64 stacks only, and
-`chsh_max` refuses any other dtype. `l_triple` and `witness_margins` are
-plain arithmetic, so `xstate_measures` calls them with arrays and the
+Stacks hold one state per column, with the stack width n last, as the
+density route in `dilaton` builds them. `xstate_measures` and `chsh_max`
+take real float64 stacks only; `chsh_max` refuses any other dtype or a
+stack not shaped (4, 4, n). `l_triple` and `witness_margins` are plain
+arithmetic, so `xstate_measures` calls them with arrays and the
 critical-point search in `dilaton` with dual numbers: one definition of
 the steering witness serves both. `pair_gap` is the closed spin-flip
-concurrence of a rank-2 state from two real factor columns, as the
-density route has them.
+concurrence of a rank-2 state from two real (4, n) factor columns.
 
-`chsh_max` calls no LAPACK routine: the correlation matrix T is one
-real matrix product, K = T^T T comes from elementwise products, and K's
-eigenvalues from a cyclic Jacobi run over the whole stack
-(`jacobi_eigenvalues`). Each state stops at the first check that finds
-every off-diagonal entry of K within eps of its diagonal, so an exactly
-diagonal K, as every real X state gives, keeps its diagonal bits. A
-state with a non-finite entry gives NaN.
+`chsh_max` calls no LAPACK routine: T sums the table's terms in a fixed
+order, K = T^T T comes from elementwise products, and K's eigenvalues
+from a cyclic Jacobi run over the whole stack (`jacobi_eigenvalues`).
+Each state stops at the first check that finds every off-diagonal entry
+of K within eps of its diagonal, so an exactly diagonal K, as every real
+X state gives, keeps its diagonal bits. A state with a non-finite entry
+gives NaN.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # gives the nine correlations tr(rho sigma_i (x) sigma_j).
 _TABLE = np.stack([np.kron(a, b).real.T.ravel() for a in (_SX, _SY, _SZ) for b in (_SX, _SY, _SZ)])
 _TABLE.setflags(write=False)
+# Nonzero entries (k, is +1) of each _TABLE row, by ascending k. chsh_max adds them from zero
+# in that order at every stack width. A BLAS product's order, and so a state's last bits, moves
+# with the width: gemv for one column, edge blocks for some others.
+_TERMS = [[(k, c > 0) for k, c in enumerate(row) if c] for row in _TABLE.tolist()]
 
 
 def l_triple(d11, d22, d33, d44):
@@ -88,15 +93,17 @@ def xstate_measures(d11, d22, d33, d44, a14, a23):
 
 
 def _flip_overlap(x, y):
-    """Stacked x^T F y for the spin flip F, written out as the swap it is."""
-    return x[:, 1] * y[:, 2] + x[:, 2] * y[:, 1] - x[:, 0] * y[:, 3] - x[:, 3] * y[:, 0]
+    """x^T F y of (4, n) columns for the spin flip F, written out as the swap it is."""
+    return x[1] * y[2] + x[2] * y[1] - x[0] * y[3] - x[3] * y[0]
 
 
 def pair_gap(u, w):
     """Spin-flip concurrence sigma1 - sigma2 of real rank-2 states rho = u u^T + w w^T.
 
-    Any two stacked real columns u, w of a factor of rho give the same
-    Wootters values, the singular values of the flipped overlap a below.
+    u and w are (4, n), one state per column (another shape raises
+    ValueError; a row-major pair with n = 4 passes). Any two real columns
+    of a factor of rho give the same Wootters values, the singular values
+    of the flipped overlap a below.
 
     With a = [[alpha, beta], [beta, gamma]] (alpha = u^T F u, beta =
     u^T F w, gamma = w^T F w) and a^T a = [[p, q], [q, r]]:
@@ -106,6 +113,8 @@ def pair_gap(u, w):
     gap near zero keeps absolute precision. A zero overlap (a = 0) has
     gap 0.
     """
+    if not (u.ndim == 2 and u.shape[0] == 4 and u.shape == w.shape):
+        raise ValueError(f"pair_gap takes two (4, n) column stacks, got {u.shape} and {w.shape}")
     alpha = _flip_overlap(u, u)
     beta = _flip_overlap(u, w)
     gamma = _flip_overlap(w, w)
@@ -177,23 +186,30 @@ def jacobi_eigenvalues(d, o):
 
 
 def chsh_max(rhos):
-    """Maximal CHSH signal for a real float64 stack of 4x4 density matrices.
+    """Maximal CHSH signal for a real float64 (4, 4, n) stack of density matrices.
 
     Builds the 3x3 correlation matrix T of each state and returns
     2*sqrt of the sum of the two largest eigenvalues of K = T^T T
-    (Horodecki, Phys. Lett. A 200, 340, 1995). T is one real matrix
-    product and K comes from elementwise products. Its
+    (Horodecki, Phys. Lett. A 200, 340, 1995). T is the table product,
+    summed term by term, and K comes from elementwise products. Its
     eigenvalues come from `jacobi_eigenvalues`: a state stops at the first
     check that finds every off-diagonal entry of K within eps of the
     diagonal, so an exactly diagonal K takes no rotation and gives its
     diagonal. A state with a non-finite entry gives NaN, without a
-    warning; the other rows keep their values. Another dtype raises TypeError.
+    warning; the others keep their values. Another dtype raises TypeError,
+    and a stack not shaped (4, 4, n) ValueError; a row-major (n, 4, 4)
+    stack with n = 4 has the right shape, and the guard cannot tell it.
     """
     if rhos.dtype != np.float64:
         raise TypeError(f"chsh_max takes a real float64 stack, got {rhos.dtype}")
-    flat = rhos.reshape(-1, 16).T
+    if not (rhos.ndim == 3 and rhos.shape[:2] == (4, 4)):
+        raise ValueError(f"chsh_max takes a (4, 4, n) stack, one state per column, got {rhos.shape}")
+    flat = rhos.reshape(16, -1)
     with np.errstate(invalid="ignore", over="ignore"):
-        t = _TABLE @ flat
+        t = np.zeros((9, flat.shape[1]))
+        for row, terms in zip(t, _TERMS):
+            for k, plus in terms:
+                (np.add if plus else np.subtract)(row, flat[k], out=row)
         # Rows k of T, one state per column: K_ij = sum_k T_ki T_kj.
         tx, ty, tz = t[0:3], t[3:6], t[6:9]
         d = tx * tx + ty * ty + tz * tz

@@ -90,3 +90,11 @@ def xstate_params(states):
 def density_stack(matrices) -> np.ndarray:
     """Stack the 4x4 arrays of validated density matrices."""
     return np.array([m.matrix for m in matrices])
+
+
+def column_subsets(rng: np.random.Generator, width: int):
+    """Column index sets of a width-wide stack: a permutation, a random subset, and single columns."""
+    yield rng.permutation(width)
+    yield np.flatnonzero(rng.random(width) < 0.5)
+    for j in rng.choice(width, size=min(width, 64), replace=False):
+        yield np.array([j])

@@ -63,7 +63,7 @@ def test_criterion_02_normalization_anchors():
         abs(s_fwd[0] - 1.0) <= 1e-12,
         abs(s_bwd[0] - 1.0) <= 1e-12,
         abs(max(b1[0], b2[0]) - TWO_SQRT2) <= 1e-12,
-        abs(kernels.chsh_max(matrix.real.copy())[0] - TWO_SQRT2) <= 1e-12,
+        abs(kernels.chsh_max(np.moveaxis(matrix.real, 0, -1))[0] - TWO_SQRT2) <= 1e-12,
     ]
     _verdict(2, "Bell state gives concurrence 1, steerability 1 both ways, CHSH 2*sqrt(2)", all(checks))
 

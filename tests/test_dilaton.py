@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dilaton_steering
 import dilaton_steering.dilaton as dl
+import sampling
 from conftest import time_limit
 from density_oracle import PAIR_MODES, PureState, from_pure, partial_trace, reduced, tripartite_state
 from dilaton_steering import sweep
@@ -335,11 +336,11 @@ class TestFactorRoute:
         rng = np.random.default_rng(11)
         v = rng.normal(size=(200, 8))
         v /= np.linalg.norm(v, axis=1)[:, None]
-        m = dl._factor(v, pair)
+        m = dl._factor(np.moveaxis(v, 0, -1), pair)
         rho = dl._gram(m, m)
         for k in range(len(v)):
             expected = partial_trace(from_pure(PureState(v[k])), PAIR_MODES[pair]).matrix
-            assert np.abs(rho[k] - expected).max() <= 1e-15
+            assert np.abs(rho[:, :, k] - expected).max() <= 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -354,7 +355,31 @@ class TestFactorRoute:
         for pair in Pair:
             m = dl._factor(dl._state_vectors(c, s, 1.0), pair)
             conc = pipeline_measure_arrays(c, s, pair)["concurrence"]
-            assert abs(conc[0] - spinflip_concurrence(dl._gram(m, m))[0]) <= 1e-15
+            assert abs(conc[0] - spinflip_concurrence(np.moveaxis(dl._gram(m, m), -1, 0))[0]) <= 1e-15
+
+
+class TestStackIndependence:
+    @pytest.mark.parametrize("pair", list(Pair))
+    def test_stacks_hold_one_state_per_column(self, pair):
+        _, _, c, s = dl._mixing(np.linspace(0.0, 4.0, 7))
+        v = dl._state_vectors(c, s, 1.0)
+        m = dl._factor(v, pair)
+        rho = dl._gram(m, m)
+        assert (v.shape, m.shape, rho.shape) == ((8, 7), (4, 2, 7), (4, 4, 7))
+        assert v.flags.c_contiguous and rho.flags.c_contiguous
+
+    @pytest.mark.parametrize("width", [1, 3, 4096, 4097])
+    def test_each_state_keeps_its_bits_in_any_stack(self, width):
+        # `verify` folds its report slice by slice, so a state's values must not
+        # depend on the columns stacked beside it.
+        rng = np.random.default_rng(width)
+        _, _, c, s = dl._mixing(10.0 ** rng.uniform(-3.0, 3.0, width))
+        for pair in Pair:
+            whole = pipeline_measure_arrays(c, s, pair)
+            for idx in sampling.column_subsets(rng, width):
+                part = pipeline_measure_arrays(c[idx], s[idx], pair)
+                for key, values in whole.items():
+                    assert part[key].tobytes() == values[idx].tobytes(), (pair, key, idx[:4])
 
 
 class TestRealRoute:

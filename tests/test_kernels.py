@@ -37,9 +37,14 @@ def random_states(rng, n, rank, dtype=float):
 
 def gap_of_factor(g):
     """`kernels.pair_gap` of the state g g^T / tr(g g^T) for stacked real 4x2 or 4x1 factors g."""
-    g = g / np.linalg.norm(g, axis=(1, 2))[:, None, None]
-    w = g[:, :, 1] if g.shape[2] == 2 else np.zeros_like(g[:, :, 0])
-    return kernels.pair_gap(g[:, :, 0], w)
+    g = np.moveaxis(g / np.linalg.norm(g, axis=(1, 2))[:, None, None], 0, -1)
+    w = g[:, 1] if g.shape[1] == 2 else np.zeros_like(g[:, 0])
+    return kernels.pair_gap(g[:, 0], w)
+
+
+def column_chsh(rhos):
+    """`kernels.chsh_max` of a row-major (n, 4, 4) stack, moved to one state per column."""
+    return kernels.chsh_max(np.moveaxis(rhos, 0, -1))
 
 
 class TestBatchMatchesScalarApi:
@@ -73,8 +78,8 @@ class TestOracleEdgeCases:
         m = sampling.xstate_matrices(
             np.array([0.5]), np.array([0.0]), np.array([0.0]), np.array([0.5]),
             np.array([0.5]), np.array([0.0]),
-        ).real.copy()
-        assert abs(kernels.chsh_max(m)[0] - 2.0 * np.sqrt(2.0)) < 1e-12
+        ).real
+        assert abs(column_chsh(m)[0] - 2.0 * np.sqrt(2.0)) < 1e-12
 
     def test_chsh_matches_trace_definition_on_general_states(self):
         # Full-rank states with every coherence nonzero, not only X states.
@@ -82,7 +87,7 @@ class TestOracleEdgeCases:
         g = rng.normal(size=(50, 4, 4))
         rhos = g @ np.swapaxes(g, 1, 2)
         rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
-        for rho, bell in zip(rhos, kernels.chsh_max(rhos)):
+        for rho, bell in zip(rhos, column_chsh(rhos)):
             t = np.array([[np.trace(rho @ p).real for p in row] for row in chsh_oracle.PAULI_PRODUCTS])
             ev = np.linalg.eigvalsh(t.T @ t)
             assert abs(bell - 2.0 * np.sqrt(ev[1] + ev[2])) < 1e-12
@@ -186,6 +191,14 @@ class TestSpinFlipConcurrence:
         rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         assert np.abs(oracle.spinflip_concurrence(rhos) - gap_of_factor(g)).max() <= 1e-14
 
+    def test_a_row_major_pair_is_refused(self):
+        g = np.random.default_rng(6).normal(size=(4, 2, 5))
+        u, w = g[:, 0], g[:, 1]
+        assert kernels.pair_gap(u, w).shape == (5,)
+        for bad in ((u.T, w.T), (u, w[:, :4])):
+            with pytest.raises(ValueError, match=r"\(4, n\)"):
+                kernels.pair_gap(*bad)
+
     def test_zero_rows_are_zero_without_warning(self):
         rhos = random_states(np.random.default_rng(8), 6, 2, complex)
         rhos[[1, 4]] = 0.0
@@ -231,7 +244,7 @@ def jacobi_stack(ks):
     return d, o
 
 
-CHSH_OF_DTYPE = {np.float64: kernels.chsh_max, np.complex128: chsh_oracle.chsh_max_eigvalsh}
+CHSH_OF_DTYPE = {np.float64: column_chsh, np.complex128: chsh_oracle.chsh_max_eigvalsh}
 
 
 class TestChshMax:
@@ -246,7 +259,7 @@ class TestChshMax:
             real = sampling.xstate_matrices(d11, d22, d33, d44, np.abs(c14), np.abs(c23)).real.copy()
         else:
             rhos = real = random_states(rng, 3000, 4 if kind == "full-rank" else 1)
-        got = kernels.chsh_max(real)
+        got = column_chsh(real)
         assert np.abs(got - chsh_oracle.chsh_max_eigvalsh(rhos)).max() <= 1e-14
         ks = chsh_oracle.correlation_products(rhos)
         _, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
@@ -284,7 +297,22 @@ class TestChshMax:
         rhos = sampling.xstate_matrices(d11, d22, d33, d44, np.abs(c14), np.abs(c23)).real.copy()
         ks = chsh_oracle.correlation_products(rhos)
         assert not np.any(ks[:, [0, 0, 1], [1, 2, 2]])
-        assert np.array_equal(kernels.chsh_max(rhos), chsh_oracle.chsh_max_eigvalsh(rhos))
+        assert np.array_equal(column_chsh(rhos), chsh_oracle.chsh_max_eigvalsh(rhos))
+
+    @pytest.mark.parametrize("width", [1, 3, 4096, 4097])
+    def test_each_state_keeps_its_bits_in_any_stack(self, width):
+        # General states, where T sums every table term: a one-column BLAS product
+        # would sum them in another order than a wide one.
+        rng = np.random.default_rng(width)
+        rhos = np.moveaxis(random_states(rng, width, 4), 0, -1)
+        whole = kernels.chsh_max(rhos)
+        for idx in sampling.column_subsets(rng, width):
+            assert kernels.chsh_max(rhos[:, :, idx]).tobytes() == whole[idx].tobytes(), idx[:4]
+
+    def test_a_row_major_stack_is_refused(self):
+        rhos = random_states(np.random.default_rng(27), 5, 4)
+        with pytest.raises(ValueError, match=r"\(4, 4, n\)"):
+            kernels.chsh_max(rhos)
 
     # The kernel takes real stacks only; a complex stack is the complex-general
     # reference's, which must keep the same contract so that the two compare.
@@ -318,4 +346,4 @@ class TestChshMax:
         np.testing.assert_allclose(chsh_oracle.chsh_max_eigvalsh(rhos), [2.0 * math.sqrt(2.0)], rtol=1e-15)
         for stack in (rhos, rhos.astype(np.complex64), rhos.real.astype(np.float32)):
             with pytest.raises(TypeError, match="float64"):
-                kernels.chsh_max(stack)
+                column_chsh(stack)

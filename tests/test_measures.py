@@ -148,12 +148,12 @@ class TestChsh:
         assert abs(max(b1[0], b2[0]) - TWO_SQRT2) < 1e-12
         assert abs(b1[0] - TWO_SQRT2) < 1e-12
         assert abs(b2[0] - TWO_SQRT2) < 1e-12
-        assert abs(chsh_max(matrices(BELL).real.copy())[0] - TWO_SQRT2) < 1e-12
+        assert abs(chsh_max(np.moveaxis(matrices(BELL).real, 0, -1))[0] - TWO_SQRT2) < 1e-12
 
     def test_maximally_mixed_has_no_signal(self):
         _, _, b1, b2, _ = closed(MIXED)
         assert max(b1[0], b2[0]) == 0.0
-        assert chsh_max(matrices(MIXED).real.copy())[0] < 1e-7
+        assert chsh_max(np.moveaxis(matrices(MIXED).real, 0, -1))[0] < 1e-7
 
     def test_product_states_stay_below_local_bound(self):
         rng = np.random.default_rng(91)
@@ -162,7 +162,7 @@ class TestChsh:
             p, q = rng.uniform(0.0, 1.0, 2)
             product = np.kron(np.diag([p, 1 - p]), np.diag([q, 1 - q])).astype(complex)
             products.append(DensityMatrix(product))
-        assert chsh_max(density_stack(products).real.copy()).max() <= 2.0 + 1e-12
+        assert chsh_max(np.moveaxis(density_stack(products).real, 0, -1)).max() <= 2.0 + 1e-12
 
     def test_branch_formulas_match_correlation_route(self):
         rng = np.random.default_rng(17)
