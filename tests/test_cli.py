@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import dilaton_steering
 from conftest import time_limit
 from dilaton_steering import cli, kernels
-from dilaton_steering.sweep import SLICE_ROWS, SweepConfig
+from dilaton_steering.dilaton import X_BIRTH, X_DEATH, X_PEAK
+from dilaton_steering.sweep import RESIDUALS, SLICE_ROWS, SweepConfig, columns
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
 
@@ -382,6 +384,115 @@ class TestClassifyCommand:
         )
 
 
+def exact_float(q: Fraction) -> float:
+    """The float64 nearest the rational q, or +-inf past the largest float."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+# pi as the program holds it, so that a reference differs only in its rounding.
+EXACT_EIGHT_PI = 8 * Fraction(math.pi)
+
+
+def exact_x(mass, omega, dilaton) -> float:
+    return exact_float(EXACT_EIGHT_PI * (Fraction(mass) - Fraction(dilaton)) * Fraction(omega))
+
+
+def exact_dilaton(mass, omega, x) -> float:
+    return exact_float(Fraction(mass) - Fraction(x) / (EXACT_EIGHT_PI * Fraction(omega)))
+
+
+def row_at(capsys, x) -> dict:
+    """The `sweep` row at D = 0 of a mass and omega near 1/(8 pi) x and 1 whose thermal argument is x.
+
+    Every column but omega, the dilaton and the validity flags depends on x
+    alone, and 8 pi (M - D) omega comes to x with no overflow here.
+    """
+    for omega in (1.0, 0.75, 1.5, 0.625, 1.25):
+        near = x / (8.0 * math.pi * omega)
+        for mass in (near + k * math.ulp(near) for k in range(-4, 5)):
+            if 8.0 * math.pi * mass * omega == x:
+                code, out, err = run(capsys, "sweep", "--mass", repr(mass), "--omega", repr(omega), "--points", "2")
+                assert (code, err) == (0, "")
+                row = dict(zip(columns(), out.splitlines()[1].split(",")))
+                assert float(row["x"]) == x
+                return row
+    raise AssertionError(f"no mass near 1/(8 pi) x gives x = {x!r}")
+
+
+class TestThermalArgumentWithoutSpuriousOverflow:
+    """Inputs at which 8 pi (M - D) or 1/(8 pi omega) overflows, while x and D are finite.
+
+    Each expected number comes from exact rationals, or from a `sweep` row at
+    an input where nothing overflows and x is the same float.
+    """
+
+    def test_sweep_prints_the_true_x(self, capsys):
+        mass, omega = 1e308, 1e-308
+        code, out, err = run(capsys, "sweep", "--mass", "1e308", "--omega", "1e-308", "--points", "3")
+        d0 = exact_dilaton(mass, omega, X_BIRTH)
+        lines = [",".join(columns())]
+        for dilaton in SweepConfig(mass=mass, omegas=(omega,), points=3).dilaton_grid():
+            row = row_at(capsys, exact_x(mass, omega, dilaton))
+            row.update(omega=f"{omega:.17g}", dilaton=f"{dilaton:.17g}")
+            row["r3_valid"] = row["r4_valid"] = "true" if dilaton > d0 else "false"
+            lines.append(",".join(row.values()))
+        assert (code, err) == (0, "")
+        assert out == "\n".join(lines) + "\n"
+        # 8 pi and 4 pi where 8 pi M overflows, and the closed forms there say one_way_fwd.
+        rows = [dict(zip(columns(), line.split(","))) for line in out.splitlines()[1:]]
+        assert [row["x"] for row in rows] == ["25.132741228718341", "12.566383180729785", "2.5132741228605823e-05"]
+        assert [(row["abbar_regime"], row["bbbar_regime"]) for row in rows[:2]] == [("one_way_fwd",) * 2] * 2
+
+    def test_classify_starts_from_the_true_x(self, capsys):
+        mass, omega = 1e308, 1e-308
+        code, out, err = run(capsys, "classify", "--mass", "1e308", "--omega", "1e-308")
+        start = row_at(capsys, exact_x(mass, omega, 0.0))
+        d0, d2 = (exact_dilaton(mass, omega, x) for x in (X_BIRTH, X_DEATH))
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 1e-308:\n"
+            f"  ab      {start['ab_regime']:13s}[0, 1e+308)\n"
+            f"  abbar   {start['abbar_regime']:13s}[0, {d0:.8g})   two_way      [{d0:.8g}, 1e+308)\n"
+            f"  bbbar   {start['bbbar_regime']:13s}[0, {d2:.8g})   no_way       [{d2:.8g}, 1e+308)\n"
+        )
+        assert (start["abbar_regime"], start["bbbar_regime"]) == ("one_way_fwd", "one_way_fwd")
+        assert (f"{d0:.8g}", f"{d2:.8g}") == ("9.781438e+307", "9.8758968e+307")
+
+    def test_monogamy_passes_at_the_largest_mass_and_smallest_omega(self, capsys):
+        mass, omega = sys.float_info.max, 5e-324
+        code, out, err = run(capsys, "monogamy", "--mass", repr(mass), "--omega", "5e-324", "--points", "5")
+        # d0 lies below the largest negative float, so r3 and r4 apply at every point.
+        assert exact_dilaton(mass, omega, X_BIRTH) == -math.inf
+        grid = SweepConfig(mass=mass, omegas=(omega,), points=5).dilaton_grid()
+        rows = [row_at(capsys, exact_x(mass, omega, dilaton)) for dilaton in grid]
+        peak = {name: max(abs(float(row[name])) for row in rows) for name in RESIDUALS}
+        assert (code, err) == (0, "")
+        assert out == (
+            f"max |r1| = {peak['r1']:.3e}\n"
+            f"max |r2| = {peak['r2']:.3e}\n"
+            f"max |r3| = {peak['r3']:.3e}  (D above birth point only)\n"
+            f"max |r4| = {peak['r4']:.3e}  (D above birth point only)\n"
+            "PASS: residuals within 1e-10\n"
+        )
+
+    def test_critical_keeps_the_finite_closed_dilatons(self, capsys):
+        mass, omega = 1e308, 1e-310
+        code, out, err = run(capsys, "critical", "--mass", "1e308", "--omega", "1e-310")
+        d0, d1, d2 = (exact_dilaton(mass, omega, x) for x in (X_BIRTH, X_PEAK, X_DEATH))
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 1e-310:\n"
+            f"  d0  closed = {d0:.8g}  out of range [0, 1e+308)\n"
+            f"  d1  closed = {d1:.8g}  out of range [0, 1e+308)\n"
+            f"  d2  closed = {d2:.8g}  out of range [0, 1e+308)\n"
+        )
+        # d1 = M - x/(8 pi omega) lies below -1.8e308; d0 and d2 do not.
+        assert (f"{d0:.8g}", d1, f"{d2:.8g}") == ("-1.1856197e+308", -math.inf, "-2.4103199e+307")
+
+
 CLOSED = pytest.mark.parametrize(
     "closed", [">&-", "2>&-", ">&- 2>&-"], ids=["stdout", "stderr", "both"]
 )
@@ -635,6 +746,27 @@ class TestPackageLayout:
                     (table if node in allowed else stray).append((path.name, node.lineno, node.value))
         assert stray == []
         assert [value for _, _, value in table] == ["no_way", "one_way_bwd", "one_way_fwd", "two_way"]
+
+    def test_thermal_map_is_written_once(self):
+        # x = 8 pi (M - D) omega was once spelled four ways, which read different x
+        # past an overflow; only the map and its inverse in `dilaton` may spell pi.
+        owners = {"_thermal_argument", "_dilaton_at"}
+        package = Path(dilaton_steering.__file__).parent
+        spelled, stray = set(), []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner_of = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in owners and path.name == "dilaton.py":
+                    owner_of.update(dict.fromkeys(ast.walk(node), node.name))
+            for node in ast.walk(tree):
+                if getattr(node, "attr", getattr(node, "id", None)) == "pi":
+                    if node in owner_of:
+                        spelled.add(owner_of[node])
+                    else:
+                        stray.append((path.name, node.lineno))
+        assert stray == []
+        assert spelled == owners
 
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.

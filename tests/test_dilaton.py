@@ -1,7 +1,9 @@
 import decimal
 import math
 import re
+import sys
 from datetime import timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +157,61 @@ class TestBogoliubov:
             assert error <= 4.0 * np.spacing(s)
         else:
             assert error <= 2.0 * 5e-324
+
+
+def exact_float(q: Fraction) -> float:
+    """The float64 nearest the rational q, or +-inf past the largest float."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+# Float64 magnitudes over the whole accepted domain, 5e-324 to the largest
+# float: a uniform binary exponent and a uniform mantissa in [1, 2).
+DOMAIN = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+# pi as the program holds it, so that the reference differs only in its rounding.
+EXACT_EIGHT_PI = 8 * Fraction(math.pi)
+# Largest error, in units in the last place, of x and of D against the exact
+# rationals. Each is at most four roundings; 100 000 draws stayed within 2.
+MAP_ULPS = 4
+
+
+class TestThermalMap:
+    """x = 8 pi (M - D) omega and its inverse D = M - x/(8 pi omega), against exact rationals."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(mass=DOMAIN, omega=DOMAIN, fraction=st.floats(0.0, 1.0, exclude_max=True))
+    @example(mass=1e308, omega=1e-308, fraction=0.0)
+    @example(mass=sys.float_info.max, omega=5e-324, fraction=0.0)
+    @example(mass=1e308, omega=1e-310, fraction=0.5)
+    @example(mass=1e-310, omega=1e300, fraction=0.999999)
+    @example(mass=5e-322, omega=1e300, fraction=0.0)
+    @example(mass=2e-311, omega=0.9, fraction=0.0)  # (M - D) omega would round as a subnormal
+    @example(mass=5e-324, omega=sys.float_info.max, fraction=0.0)
+    def test_x_and_the_closed_dilatons_are_within_a_few_ulp(self, mass, omega, fraction):
+        dilaton = fraction * mass
+        assume(dilaton < mass)
+        exact = EXACT_EIGHT_PI * (Fraction(mass) - Fraction(dilaton)) * Fraction(omega)
+        x = float(amplitude_arrays(mass, omega, np.array([dilaton]))[0][0])
+        reference = exact_float(exact)
+        if math.isinf(reference):
+            assert x == reference
+        else:
+            # A product: relative to its result, in the ulp of a subnormal where it is one.
+            assert abs(Fraction(x) - exact) <= MAP_ULPS * Fraction(math.ulp(reference))
+        found = critical_dilatons(mass, [omega])
+        for name, x_critical in (("d0", dl.X_BIRTH), ("d1", dl.X_PEAK), ("d2", dl.X_DEATH)):
+            quotient = Fraction(x_critical) / (EXACT_EIGHT_PI * Fraction(omega))
+            exact = Fraction(mass) - quotient
+            d = float(found[name][0])
+            reference = exact_float(exact)
+            if math.isinf(reference):
+                assert d == reference, name
+            else:
+                # A difference: in ulps of the larger of M - D and x/(8 pi omega), which may cancel.
+                larger = max(reference, min(exact_float(quotient), sys.float_info.max), key=abs)
+                assert abs(Fraction(d) - exact) <= MAP_ULPS * Fraction(math.ulp(larger)), name
 
 
 class TestTripartiteState:
