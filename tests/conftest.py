@@ -1,5 +1,7 @@
+import math
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,18 @@ from dilaton_steering import sweep
 # result depends on the code alone.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+# pi as the program holds it, so that an exact reference differs only in its rounding.
+EXACT_EIGHT_PI = 8 * Fraction(math.pi)
+
+
+def exact_float(q: Fraction) -> float:
+    """The float64 nearest the rational q, or +-inf past the largest float."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilaton_steering
-from conftest import time_limit
+from conftest import EXACT_EIGHT_PI, exact_float, time_limit
 from dilaton_steering import cli, kernels
 from dilaton_steering.dilaton import X_BIRTH, X_DEATH, X_PEAK
 from dilaton_steering.sweep import RESIDUALS, SLICE_ROWS, SweepConfig, columns
@@ -382,18 +382,6 @@ class TestClassifyCommand:
             "  abbar   no_way       [0, 1e+300)\n"
             "  bbbar   no_way       [0, 1e+300)\n"
         )
-
-
-def exact_float(q: Fraction) -> float:
-    """The float64 nearest the rational q, or +-inf past the largest float."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
-# pi as the program holds it, so that a reference differs only in its rounding.
-EXACT_EIGHT_PI = 8 * Fraction(math.pi)
 
 
 def exact_x(mass, omega, dilaton) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dilaton_steering
 import dilaton_steering.dilaton as dl
 import sampling
-from conftest import time_limit
+from conftest import EXACT_EIGHT_PI, exact_float, time_limit
 from density_oracle import PAIR_MODES, PureState, from_pure, partial_trace, reduced, tripartite_state
 from dilaton_steering import sweep
 from dilaton_steering.dilaton import (
@@ -159,19 +159,9 @@ class TestBogoliubov:
             assert error <= 2.0 * 5e-324
 
 
-def exact_float(q: Fraction) -> float:
-    """The float64 nearest the rational q, or +-inf past the largest float."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
 # Float64 magnitudes over the whole accepted domain, 5e-324 to the largest
 # float: a uniform binary exponent and a uniform mantissa in [1, 2).
 DOMAIN = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
-# pi as the program holds it, so that the reference differs only in its rounding.
-EXACT_EIGHT_PI = 8 * Fraction(math.pi)
 # Largest error, in units in the last place, of x and of D against the exact
 # rationals. Each is at most four roundings; 100 000 draws stayed within 2.
 MAP_ULPS = 4
@@ -209,7 +199,7 @@ class TestThermalMap:
             if math.isinf(reference):
                 assert d == reference, name
             else:
-                # A difference: in ulps of the larger of M - D and x/(8 pi omega), which may cancel.
+                # A difference, which may cancel: in ulps of the larger of |D| and x/(8 pi omega).
                 larger = max(reference, min(exact_float(quotient), sys.float_info.max), key=abs)
                 assert abs(Fraction(d) - exact) <= MAP_ULPS * Fraction(math.ulp(larger)), name
 
