@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--d-min", type=float, default=SweepConfig.d_min, help="grid start (default 0)"
     )
     grid.add_argument(
-        "--d-max", type=float, default=SweepConfig.d_max, help="grid end (default mass*(1-1e-6))"
+        "--d-max", type=float, default=SweepConfig.d_max, help="grid end (default mass*(1-1e-6), below the mass)"
     )
     grid.add_argument(
         "--points", type=int, default=SweepConfig.points, help="grid points per omega"

@@ -10,12 +10,10 @@ the steering witness serves both. `pair_gap` is the closed spin-flip
 concurrence of a rank-2 state from two real (4, n) factor columns.
 
 `chsh_max` calls no LAPACK routine: T sums the table's terms in a fixed
-order, K = T^T T comes from elementwise products, and K's eigenvalues
-from a cyclic Jacobi run over the whole stack (`jacobi_eigenvalues`).
-Each state stops at the first check that finds every off-diagonal entry
-of K within eps of its diagonal, so an exactly diagonal K, as every real
-X state gives, keeps its diagonal bits. A state with a non-finite entry
-gives NaN.
+order, and K = T^T T comes from elementwise products. A real state's K
+is K_yy beside a 2x2 (x, z) block, whose eigenvalues one Jacobi rotation
+gives; a block already diagonal to within eps keeps its bits, as every
+real X state's does. A state with a non-finite entry gives NaN.
 """
 
 from __future__ import annotations
@@ -125,64 +123,7 @@ def pair_gap(u, w):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-# A stack of 3x3 symmetric matrices is held as two (3, n) arrays: the
-# diagonals d, and the off-diagonals o, with o[r] the entry at (p, q) for
-# the two indices p = _P[r], q = _Q[r] other than r.
-_P = np.array([1, 2, 0])
-_Q = np.array([2, 0, 1])
 _EPS = np.finfo(np.float64).eps
-# Cap on Jacobi sweeps. A 3x3 stack converges quadratically: random
-# states need at most 4 sweeps.
-JACOBI_MAX_SWEEPS = 10
-
-
-def _rotate(d, o, r):
-    """Jacobi rotation zeroing o[r] of every column (Golub and Van Loan, 8.5.2).
-
-    t = tan(theta) is the smaller root of t^2 + 2 tau t - 1 = 0 with
-    tau = (d_q - d_p) / (2 o_pq), taken through hypot so that no square
-    overflows; a column with o_pq = 0 gets t = 0, the identity.
-    """
-    p, q = _P[r], _Q[r]
-    opq = o[r]
-    h = 0.5 * d[q] - 0.5 * d[p]
-    den = h + np.copysign(np.hypot(h, opq), h)
-    t = np.divide(opq, den, out=np.zeros_like(opq), where=den != 0.0)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    shift = t * opq
-    d[p] -= shift
-    d[q] += shift
-    orp, orq = o[q].copy(), o[p]
-    o[q] = c * orp - s * orq
-    o[p] = s * orp + c * orq
-    o[r] = 0.0
-
-
-def jacobi_eigenvalues(d, o):
-    """Eigenvalues of a stack of real symmetric 3x3 matrices, by cyclic Jacobi.
-
-    d and o are (3, n) arrays as above, one matrix per column; both are
-    overwritten. A matrix stops at the first check that finds every
-    |o_pq| <= eps * sqrt(|d_p|) * sqrt(|d_q|), at the latest after
-    JACOBI_MAX_SWEEPS sweeps, so a diagonal matrix is returned as it
-    came. Returns (d, sweeps taken): d holds the eigenvalues of each
-    column in no particular order.
-    """
-    cols = np.arange(d.shape[1])
-    dc, oc = d, o
-    sweeps = 0
-    while True:
-        root = np.sqrt(np.abs(dc))
-        busy = ~(np.abs(oc) <= _EPS * root[_P] * root[_Q]).all(axis=0)
-        cols, dc, oc = cols[busy], dc[:, busy], oc[:, busy]
-        if cols.size == 0 or sweeps == JACOBI_MAX_SWEEPS:
-            return d, sweeps
-        sweeps += 1
-        for r in (2, 1, 0):
-            _rotate(dc, oc, r)
-        d[:, cols] = dc
-        o[:, cols] = oc
 
 
 def chsh_max(rhos):
@@ -191,14 +132,16 @@ def chsh_max(rhos):
     Builds the 3x3 correlation matrix T of each state and returns
     2*sqrt of the sum of the two largest eigenvalues of K = T^T T
     (Horodecki, Phys. Lett. A 200, 340, 1995). T is the table product,
-    summed term by term, and K comes from elementwise products. Its
-    eigenvalues come from `jacobi_eigenvalues`: a state stops at the first
-    check that finds every off-diagonal entry of K within eps of the
-    diagonal, so an exactly diagonal K takes no rotation and gives its
-    diagonal. A state with a non-finite entry gives NaN, without a
-    warning; the others keep their values. Another dtype raises TypeError,
-    and a stack not shaped (4, 4, n) ValueError; a row-major (n, 4, 4)
-    stack with n = 4 has the right shape, and the guard cannot tell it.
+    summed term by term, and K comes from elementwise products. A real
+    state has T_xy = T_yx = T_yz = T_zy = 0 (their table rows are empty),
+    so K is K_yy beside a 2x2 (x, z) block, and one Jacobi rotation
+    (Golub and Van Loan, 8.5.2) gives the block's eigenvalues. A block
+    whose off-diagonal entry is within eps of its diagonal is not
+    rotated, so an exactly diagonal K gives its diagonal. A state with a
+    non-finite entry gives NaN, without a warning; the others keep their
+    values. Another dtype raises TypeError, and a stack not shaped
+    (4, 4, n) ValueError; a row-major (n, 4, 4) stack with n = 4 has the
+    right shape, and the guard cannot tell it.
     """
     if rhos.dtype != np.float64:
         raise TypeError(f"chsh_max takes a real float64 stack, got {rhos.dtype}")
@@ -210,14 +153,22 @@ def chsh_max(rhos):
         for row, terms in zip(t, _TERMS):
             for k, plus in terms:
                 (np.add if plus else np.subtract)(row, flat[k], out=row)
-        # Rows k of T, one state per column: K_ij = sum_k T_ki T_kj.
-        tx, ty, tz = t[0:3], t[3:6], t[6:9]
-        d = tx * tx + ty * ty + tz * tz
-        o = tx[_P] * tx[_Q] + ty[_P] * ty[_Q] + tz[_P] * tz[_Q]
-    finite = np.isfinite(d).all(axis=0) & np.isfinite(o).all(axis=0)
-    ev, _ = jacobi_eigenvalues(d[:, finite], o[:, finite])
-    # The two largest of three, as a sort would order them.
-    hi01, lo01 = np.maximum(ev[0], ev[1]), np.minimum(ev[0], ev[1])
-    top2 = np.full(finite.shape, np.nan)
-    top2[finite] = np.maximum(hi01, ev[2]) + np.maximum(lo01, np.minimum(hi01, ev[2]))
-    return 2.0 * np.sqrt(np.maximum(0.0, top2))
+        txx, txz, tyy, tzx, tzz = t[0], t[2], t[4], t[6], t[8]
+        kxx = txx * txx + tzx * tzx
+        kyy = tyy * tyy
+        kzz = txz * txz + tzz * tzz
+        kzx = txz * txx + tzz * tzx
+        finite = np.isfinite(kxx) & np.isfinite(kyy) & np.isfinite(kzz) & np.isfinite(kzx)
+        # One Jacobi rotation zeroes K_zx: t = tan(theta) is the smaller root of t^2 + 2 tau t - 1 = 0
+        # with tau = (K_xx - K_zz) / (2 K_zx), taken through hypot so that no square overflows, and
+        # t K_zx moves from K_zz to K_xx.
+        rotate = np.abs(kzx) > _EPS * np.sqrt(kzz) * np.sqrt(kxx)
+        h = 0.5 * kxx - 0.5 * kzz
+        den = h + np.copysign(np.hypot(h, kzx), h)
+        shift = np.divide(kzx, den, out=np.zeros_like(kzx), where=rotate) * kzx
+        kzz -= shift
+        kxx += shift
+        # The two largest of three, as a sort would order them.
+        hi, lo = np.maximum(kxx, kyy), np.minimum(kxx, kyy)
+        top2 = np.maximum(hi, kzz) + np.maximum(lo, np.minimum(hi, kzz))
+    return 2.0 * np.sqrt(np.maximum(0.0, np.where(finite, top2, np.nan)))

@@ -73,8 +73,10 @@ MAX_POINTS = 2**53
 class SweepConfig:
     """Parameters of a dilaton-grid run.
 
-    d_max defaults to mass*(1 - 1e-6); the grid is inclusive on both
-    ends and never touches D = mass, which is outside the model domain.
+    d_max defaults to mass*(1 - 1e-6), or to the float just below the
+    mass where that product rounds to the mass (a subnormal mass); the
+    grid is inclusive on both ends and never touches D = mass, which is
+    outside the model domain.
     """
 
     mass: float = 1.0
@@ -86,7 +88,9 @@ class SweepConfig:
 
     @property
     def resolved_d_max(self) -> float:
-        return self.mass * (1.0 - 1e-6) if self.d_max is None else self.d_max
+        if self.d_max is not None:
+            return self.d_max
+        return min(self.mass * (1.0 - 1e-6), math.nextafter(self.mass, 0.0))
 
     def validate(self) -> None:
         check_mass_and_omegas(self.mass, self.omegas)
@@ -94,6 +98,8 @@ class SweepConfig:
             raise ConfigError(f"points must be >= 2, got {self.points}")
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be <= 2**53, got {self.points}")
+        if self.d_max is None and self.resolved_d_max == 0.0:
+            raise ConfigError(f"no grid of two points fits in [0, mass) for mass={self.mass}")
         if not (0.0 <= self.d_min < self.resolved_d_max < self.mass):
             raise ConfigError(
                 f"need 0 <= d_min < d_max < mass, got d_min={self.d_min}, "

@@ -160,6 +160,31 @@ class TestSweepCommand:
         assert 1.88e-164 < reference < 1.89e-164
 
 
+    def test_subnormal_mass_grid_ends_one_float_below_the_mass(self, capsys):
+        # mass*(1 - 1e-6) rounds to 1e-320 itself; the default grid ends at the float below.
+        code, out, err = run(capsys, "sweep", "--mass", "1e-320", "--omega", "1", "--points", "2")
+        limit = (
+            "0.35566243270259357,0.21132486540518708,2,1.7320508075688772,0.70710678118654757,"
+            "0.14433756729740649,two_way,0.35566243270259357,0.21132486540518708,2,1.7320508075688772,"
+            "0.70710678118654757,0.14433756729740649,two_way,0,0,1.4142135623730954,1.0000000000000002,"
+            "0.50000000000000011,0,no_way,0,0,0,-5.5511151231257827e-16,true,true"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            ",".join(columns()) + "\n"
+            f"1,0,2.513262533829837e-319,{limit}\n"
+            f"1,9.9949480153684176e-321,1.2351641146031164e-322,{limit}\n"
+        )
+        assert float("9.9949480153684176e-321") == math.nextafter(1e-320, 0.0)
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "monogamy"])
+    def test_smallest_mass_exits_2_naming_the_mass(self, capsys, command):
+        # No float lies strictly between 0 and 5e-324, so no grid fits; d_max was never set.
+        code, out, err = run(capsys, command, "--mass", "5e-324", "--omega", "1", "--points", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: no grid of two points fits in [0, mass) for mass=5e-324\n"
+
+
 class TestVerifyCommand:
     def test_passes_on_small_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "--points", "41")
@@ -168,9 +193,30 @@ class TestVerifyCommand:
         assert out.count("max|closed-pipeline|") == 18
 
     def test_defaults_pass(self, capsys):
-        code, out, _ = run(capsys, "verify")
-        assert code == 0
-        assert "PASS" in out
+        # Each peak's value and location pins the density route's bits on the default grid.
+        code, out, err = run(capsys, "verify")
+        assert (code, err) == (0, "")
+        assert out == (
+            "ab     bell_branch1  max|closed-pipeline| = 8.882e-16 (omega=0.5, D=0)\n"
+            "ab     bell_branch2  max|closed-pipeline| = 1.332e-15 (omega=0.5, D=0.032999966999999998)\n"
+            "ab     bell_max      max|closed-pipeline| = 8.882e-16 (omega=0.5, D=0)\n"
+            "ab     concurrence   max|closed-pipeline| = 3.331e-16 (omega=0.5, D=0.77849922149999995)\n"
+            "ab     s_backward    max|closed-pipeline| = 6.661e-16 (omega=0.5, D=0.090499909499999989)\n"
+            "ab     s_forward     max|closed-pipeline| = 6.661e-16 (omega=0.5, D=0.0014999985)\n"
+            "abbar  bell_branch1  max|closed-pipeline| = 4.441e-16 (omega=0.5, D=0.84649915349999993)\n"
+            "abbar  bell_branch2  max|closed-pipeline| = 6.661e-16 (omega=0.5, D=0.99599900399999985)\n"
+            "abbar  bell_max      max|closed-pipeline| = 4.441e-16 (omega=0.5, D=0.84649915349999993)\n"
+            "abbar  concurrence   max|closed-pipeline| = 1.665e-16 (omega=0.5, D=0.88599911399999987)\n"
+            "abbar  s_backward    max|closed-pipeline| = 1.943e-16 (omega=1, D=0.98549901449999988)\n"
+            "abbar  s_forward     max|closed-pipeline| = 2.776e-16 (omega=1, D=0.99199900799999985)\n"
+            "bbbar  bell_branch1  max|closed-pipeline| = 6.661e-16 (omega=0.5, D=0.88849911149999994)\n"
+            "bbbar  bell_branch2  max|closed-pipeline| = 3.331e-16 (omega=0.5, D=0.87399912599999996)\n"
+            "bbbar  bell_max      max|closed-pipeline| = 6.661e-16 (omega=0.5, D=0.88849911149999994)\n"
+            "bbbar  concurrence   max|closed-pipeline| = 2.220e-16 (omega=0.5, D=0.88849911149999994)\n"
+            "bbbar  s_backward    max|closed-pipeline| = 0.000e+00 (omega=0.5, D=0)\n"
+            "bbbar  s_forward     max|closed-pipeline| = 1.700e-16 (omega=0.5, D=0.96449903549999993)\n"
+            "PASS: all deviations within 1e-10\n"
+        )
 
     def test_perturbed_closed_form_exits_1(self, capsys, perturbed_s_forward):
         code, out, err = run(capsys, "verify", "--points", "11", "--omega", "1")

@@ -237,59 +237,123 @@ class TestSpinFlipConcurrence:
         np.testing.assert_array_equal(got[[0, 2]], expected[[0, 2]])
 
 
-def jacobi_stack(ks):
-    """The (d, o) arrays that `kernels.jacobi_eigenvalues` takes for stacked 3x3 matrices."""
-    d = np.stack([ks[:, 0, 0], ks[:, 1, 1], ks[:, 2, 2]])
-    o = np.stack([ks[:, 1, 2], ks[:, 2, 0], ks[:, 0, 1]])
-    return d, o
+def local_y_rotations(rng, n):
+    """n random real local rotations R_y(a) (x) R_y(b), as an (n, 4, 4) stack.
+
+    On a real state they turn the correlation matrix in the x-z plane,
+    T -> O_a T O_b^T, so K's spectrum stays and its (x, z) block leaves
+    the diagonal.
+    """
+    half = 0.5 * rng.uniform(0.0, 2.0 * np.pi, size=(2, n))
+    cos, sin = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)], axis=-2)
+    return np.einsum("nij,nkl->nikjl", ry[0], ry[1]).reshape(n, 4, 4)
+
+
+def in_random_frames(rng, rhos):
+    u = local_y_rotations(rng, rhos.shape[0])
+    return u @ rhos @ np.swapaxes(u, 1, 2)
 
 
 CHSH_OF_DTYPE = {np.float64: column_chsh, np.complex128: chsh_oracle.chsh_max_eigvalsh}
 
 
 class TestChshMax:
-    @pytest.mark.parametrize("kind", ["full-rank", "pure", "complex-x"])
+    @pytest.mark.parametrize("kind", ["full-rank", "pure", "complex-x", "rotated-x"])
     def test_matches_eigvalsh_reference(self, kind):
         rng = np.random.default_rng(21)
-        if kind == "complex-x":
+        if kind in ("complex-x", "rotated-x"):
             # A local phase makes both coherences of an X state real and keeps
             # its CHSH value, so the kernel takes the real image of each state.
             d11, d22, d33, d44, c14, c23 = sampling.random_xstate_params(rng, 3000)
             rhos = sampling.xstate_matrices(d11, d22, d33, d44, c14, c23)
             real = sampling.xstate_matrices(d11, d22, d33, d44, np.abs(c14), np.abs(c23)).real.copy()
+            if kind == "rotated-x":
+                rhos = real = in_random_frames(rng, real)
         else:
             rhos = real = random_states(rng, 3000, 4 if kind == "full-rank" else 1)
         got = column_chsh(real)
         assert np.abs(got - chsh_oracle.chsh_max_eigvalsh(rhos)).max() <= 1e-14
-        ks = chsh_oracle.correlation_products(rhos)
-        _, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
-        assert 0 < sweeps < kernels.JACOBI_MAX_SWEEPS
+
+    def test_real_states_have_no_xy_yx_yz_zy_correlations(self):
+        # chsh_max rests on this: the real parts of sigma_x (x) sigma_y, sigma_y (x)
+        # sigma_x, sigma_y (x) sigma_z and sigma_z (x) sigma_y are zero, so K of a real
+        # state is K_yy beside an (x, z) block, which is not diagonal in general.
+        assert [i for i, terms in enumerate(kernels._TERMS) if not terms] == [1, 3, 5, 7]
+        rng = np.random.default_rng(25)
+        for rank in (1, 2, 3, 4):
+            ks = chsh_oracle.correlation_products(random_states(rng, 500, rank))
+            assert np.all(ks[:, 0, 1] == 0.0) and np.all(ks[:, 1, 2] == 0.0)
+            assert np.all(ks[:, 0, 2] != 0.0)
 
     @pytest.mark.parametrize(
-        "spectrum",
-        [(0.6, 0.6, 0.1), (0.1, 0.1, 0.8), (0.4, 0.4, 0.4), (0.9, 0.0, 0.0), (0.5, 0.0, 1e-20)],
+        "correlations",
+        [(0.5, -0.1, 0.5), (0.1, -0.8, 0.1), (0.4, -0.4, 0.4), (0.9, 0.0, 0.0), (math.sqrt(0.5), 0.0, 1e-10)],
         ids=["double-top", "double-bottom", "triple", "rank-1", "near-rank-1"],
     )
-    def test_degenerate_spectra_in_random_frames(self, spectrum):
+    def test_degenerate_spectra_in_random_frames(self, correlations):
+        # Bell-diagonal states (1 + sum_i t_i sigma_i (x) sigma_i)/4, whose K has the
+        # spectrum t_i^2, Werner states among them; local rotations leave the
+        # spectrum and turn the (x, z) block off its diagonal.
         rng = np.random.default_rng(22)
-        q, _ = np.linalg.qr(rng.normal(size=(2000, 3, 3)))
-        ks = (q * np.array(spectrum)) @ np.swapaxes(q, 1, 2)
-        ks = 0.5 * (ks + np.swapaxes(ks, 1, 2))
-        ev, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
-        assert 0 < sweeps < kernels.JACOBI_MAX_SWEEPS
-        assert np.abs(np.sort(ev, axis=0) - np.linalg.eigvalsh(ks).T).max() <= 1e-14
+        bell = 0.25 * (np.eye(4) + np.einsum("i,iiab->ab", correlations, chsh_oracle.PAULI_PRODUCTS).real)
+        assert np.linalg.eigvalsh(bell).min() >= 0.0
+        rhos = in_random_frames(rng, np.broadcast_to(bell, (2000, 4, 4)))
+        assert np.count_nonzero(chsh_oracle.correlation_products(rhos)[:, 0, 2]) > 1000
+        assert np.abs(column_chsh(rhos) - chsh_oracle.chsh_max_eigvalsh(rhos)).max() <= 1e-14
 
     def test_diagonal_k_is_returned_with_eigvalsh_bits(self):
         # eigvalsh returns a diagonal matrix's sorted diagonal exactly while its
         # largest entry is above about 1e-146, where LAPACK starts to rescale.
+        # Real X states scaled so that K's entries span 1e-100..1; equal
+        # coherences make K_yy zero.
         rng = np.random.default_rng(23)
-        diag = 10.0 ** rng.uniform(-100.0, 0.0, size=(3000, 3))
-        diag[::7, 1] = 0.0
-        ks = np.zeros((3000, 3, 3))
-        ks[:, [0, 1, 2], [0, 1, 2]] = diag
-        ev, sweeps = kernels.jacobi_eigenvalues(*jacobi_stack(ks))
-        assert sweeps == 0
-        assert np.array_equal(np.sort(ev, axis=0), np.linalg.eigvalsh(ks).T)
+        d11, d22, d33, d44, c14, c23 = sampling.random_xstate_params(rng, 3000)
+        a14, a23 = np.abs(c14), np.abs(c23)
+        a14[::7] = a23[::7] = np.minimum(a14[::7], a23[::7])
+        rhos = sampling.xstate_matrices(d11, d22, d33, d44, a14, a23).real
+        rhos *= 10.0 ** rng.uniform(-50.0, 0.0, size=(3000, 1, 1))
+        ks = chsh_oracle.correlation_products(rhos)
+        assert not np.any(ks[:, [0, 0, 1], [1, 2, 2]])
+        assert np.all(ks[::7, 1, 1] == 0.0)
+        assert ks.max(axis=(1, 2)).min() > 1e-146
+        assert np.array_equal(column_chsh(rhos), chsh_oracle.chsh_max_eigvalsh(rhos))
+
+    def test_only_a_block_beyond_eps_of_diagonal_is_rotated(self):
+        # Werner-like states, K = t^2 (1, 1, 1), with rho13 = rho31 = u eps t / 2: then
+        # T_xz = u eps t and K_zx = u eps t^2, against the bound eps sqrt(K_zz) sqrt(K_xx)
+        # = eps t^2. Below it K keeps its diagonal's bits; above it the rotation moves
+        # K_xx and K_zz by about an ulp.
+        rng = np.random.default_rng(28)
+        t = rng.uniform(0.1, 0.3, size=2000)
+        werner = 0.25 * (np.eye(4) + t[:, None, None] * np.einsum("iiab->ab", chsh_oracle.PAULI_PRODUCTS).real)
+        plain = column_chsh(werner)
+
+        def tilted(lo, hi):
+            rhos = werner.copy()
+            rhos[:, 0, 2] = rhos[:, 2, 0] = 0.5 * np.finfo(float).eps * t * rng.uniform(lo, hi, size=t.size)
+            assert np.all(chsh_oracle.correlation_products(rhos)[:, 0, 2] != 0.0)
+            return column_chsh(rhos)
+
+        assert tilted(0.25, 0.9).tobytes() == plain.tobytes()
+        assert np.any(tilted(1.1, 2.0) != plain)
+
+    @pytest.mark.parametrize(
+        "coherences, d11",
+        [((1e160, 1e160), 0.25), ((-1e160, 1e160), 0.25), ((0.0, 0.0), 1e160)],
+        ids=["K_xx", "K_yy", "K_zz"],
+    )
+    def test_an_x_state_whose_k_overflows_gives_nan(self, coherences, d11):
+        # T is finite and K_zx = 0, but one diagonal entry of K overflows.
+        rng = np.random.default_rng(29)
+        d = rng.dirichlet(np.ones(4), size=3)
+        c = 0.1 * rng.uniform(-1.0, 1.0, size=(2, 3))
+        c[:, 1], d[1, 0] = coherences, d11
+        rhos = sampling.xstate_matrices(*d.T, *c).real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = column_chsh(rhos)
+        assert np.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
 
     def test_x_states_with_real_coherences_keep_the_reference_bits(self):
         rng = np.random.default_rng(24)
