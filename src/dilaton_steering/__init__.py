@@ -4,8 +4,9 @@ applied to fermionic modes outside a GHS dilaton black hole.
 `dilaton` holds the model: its domain rule, the mode-mixing amplitudes,
 the closed-form and the batch density-matrix route of each
 bipartition's measures, the monogamy residuals, and the critical
-dilatons in closed form and from the lockstep numeric search. The numpy
-kernels of the density-matrix route live in `kernels`. `sweep` walks
+dilatons in closed form and numerically, each root searched once in x
+and mapped to every frequency (NaN where it lies at or past x at D = 0).
+The numpy kernels of the density-matrix route live in `kernels`. `sweep` walks
 the dilaton grid, writes the records and runs the verify and monogamy
 gates; `cli` is the command line.
 """

@@ -21,6 +21,7 @@ from .dilaton import (
     CRITICAL_TOL,
     ConfigError,
     ResolutionError,
+    check_mass_and_omegas,
     critical_dilatons,
     find_critical_batch,
     regime_intervals,
@@ -180,11 +181,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    # One closed-form call checks the whole list as given, before any line is printed.
-    closed = critical_dilatons(args.mass, args.omega)
-    order = sorted(range(len(args.omega)), key=args.omega.__getitem__)
-    omegas = [args.omega[k] for k in order]
-    closed = {name: d[order] for name, d in closed.items()}
+    # The whole list, as given, is checked before any line is printed.
+    check_mass_and_omegas(args.mass, args.omega)
+    omegas = sorted(args.omega)
+    closed = critical_dilatons(args.mass, omegas)
     numeric = find_critical_batch(args.mass, omegas)
     all_ok = True
     for k, omega in enumerate(omegas):
@@ -226,10 +226,12 @@ def cmd_monogamy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # Each call checks the whole list as given, before any line is printed.
-    runs = {pair: regime_intervals(args.mass, args.omega, pair) for pair in ALL_PAIRS}
-    for k in sorted(range(len(args.omega)), key=args.omega.__getitem__):
-        print(f"omega = {args.omega[k]:g}:")
+    # The whole list, as given, is checked before any line is printed.
+    check_mass_and_omegas(args.mass, args.omega)
+    omegas = sorted(args.omega)
+    runs = {pair: regime_intervals(args.mass, omegas, pair) for pair in ALL_PAIRS}
+    for k, omega in enumerate(omegas):
+        print(f"omega = {omega:g}:")
         for pair in ALL_PAIRS:
             regimes, los, _ = zip(*runs[pair][k])
             edges = ["0", *map(_dilaton, los[1:]), f"{args.mass:g}"]

@@ -19,10 +19,11 @@ the stack width n is the last axis of the (8, n) vectors, (4, 2, n)
 factors and (4, 4, n) states. Both routes take the amplitudes of
 `amplitude_arrays`, one point or a whole grid at a time.
 
-The numeric critical dilatons (`find_critical_batch`) come from a
-lockstep search in x on the batch route, independent of the closed
-forms in `critical_dilatons`. `regime_index` is the one regime rule, and
-`regime_intervals` gives its runs over D.
+The numeric critical dilatons (`find_critical_batch`) search each root
+once in x on the batch route, independent of the closed forms in
+`critical_dilatons`, and map it to every frequency; a value is NaN where
+its root lies at or past x at D = 0. `regime_index` is the one regime
+rule, and `regime_intervals` gives its runs over D.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def pipeline_measure_arrays(c: np.ndarray, s: np.ndarray, pair: Pair) -> dict:
     return {
         "s_forward": s_fwd,
         "s_backward": s_bwd,
-        "bell_max": kernels.chsh_max(rho4),
+        "concurrence": kernels.pair_gap(m[:, 0], m[:, 1]),
         "bell_branch1": b1,
         "bell_branch2": b2,
-        "concurrence": kernels.pair_gap(m[:, 0], m[:, 1]),
+        "bell_max": kernels.chsh_max(rho4),
     }
 
 
@@ -384,32 +385,29 @@ def _halve_brackets(positive, lo, hi, at_lo):
 
 
 def _root(positive, lo, hi):
-    """x in [lo, hi] where `positive` flips, elementwise; NaN where it does not."""
-    out = np.full(lo.shape, np.nan)
-    idx = np.flatnonzero(lo < hi)
-    if idx.size:
-        at_lo = positive(lo[idx])
-        flips = at_lo != positive(hi[idx])
-        idx = idx[flips]
-        if idx.size:
-            out[idx] = _halve_brackets(positive, lo[idx], hi[idx], at_lo[flips])
-    return out
+    """x in [lo, hi] where `positive` flips, for scalar ends lo and hi; NaN where it does not."""
+    ends = np.array([lo, hi])
+    at_lo, at_hi = positive(ends)
+    if at_lo == at_hi:
+        return math.nan
+    return float(_halve_brackets(positive, ends[:1], ends[1:], at_lo)[0])
 
 
 def find_critical_batch(mass: float, omegas) -> dict:
     """Critical dilatons d0, d1, d2 from the density-matrix route, for many frequencies.
 
-    Returns {"d0": D, "d1": D, "d2": D}, arrays aligned with `omegas`,
-    NaN where the searched bracket holds no root. All frequencies are
-    searched at once in the thermal argument x, where the margins depend
-    on x alone, and each root maps back with D = M - x/(8 pi omega):
-    - d0 bisects the sign of the Alice/interior-partner backward witness
-      margin, d2 that of the Bob/interior-partner forward margin (the
+    Returns {"d0": D, "d1": D, "d2": D}, arrays aligned with `omegas`.
+    The margins depend on the thermal argument x alone, so each root is
+    searched once in x on [0, 5] and maps to every frequency with
+    D = M - x/(8 pi omega); it is NaN at a frequency where the root lies
+    at or past x at D = 0:
+    - x0 bisects the sign of the Alice/interior-partner backward witness
+      margin, x2 that of the Bob/interior-partner forward margin (the
       steerability is exactly zero on one side, so the unclamped margin
       carries the sign change);
-    - d1 bisects the sign of the x-derivative of the Bob/interior-partner
-      forward margin on (x at d2, top of the bracket], carried exactly
-      through the route (`_forward_margin_slope`).
+    - x1 bisects the sign of the x-derivative of the Bob/interior-partner
+      forward margin on [x2, 5], carried exactly through the route
+      (`_forward_margin_slope`).
     Nothing is taken from the closed forms in `critical_dilatons`.
 
     Raises ConfigError as `check_mass_and_omegas`, and ResolutionError
@@ -418,16 +416,16 @@ def find_critical_batch(mass: float, omegas) -> dict:
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     check_mass_and_omegas(mass, omegas)
-    # x in [0, min(5, x at D = 0)] is D in [max(0, M - 5/(8 pi omega)), M]. Its bottom, the D -> M
-    # limit where every margin has a clear sign, brackets a critical dilaton however close to M.
-    x_hi = np.minimum(_SEARCH_TOP, _thermal_argument(mass, omegas, 0.0))
-    zero = np.zeros_like(x_hi)
-    x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, zero, x_hi)
-    x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, zero, x_hi)
-    x1_lo = np.where(np.isnan(x2), 0.0, x2)
-    x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x1_lo, x_hi)
+    # x in [0, 5] is D in [M - 5/(8 pi omega), M]. Its bottom, the D -> M limit where every
+    # margin has a clear sign, brackets a critical dilaton however close to M.
+    x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, 0.0, _SEARCH_TOP)
+    x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, 0.0, _SEARCH_TOP)
+    x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x2, _SEARCH_TOP)
+    x_top = _thermal_argument(mass, omegas, 0.0)
     found = {}
-    for name, x in (("d0", x0), ("d1", x1), ("d2", x2)):
+    for name, root in (("d0", x0), ("d1", x1), ("d2", x2)):
+        # A root at or past x at D = 0 is D <= 0, outside the model: NaN there.
+        x = np.where(root < x_top, root, np.nan)
         # Four times the spacing near M (the subtraction) plus the spacing dx near x mapped to D,
         # dx/(8 pi omega) = D(M = 0, x = -dx) (the root in x); NaN where x is NaN. Over 62 000
         # roots with M from 1e-12 to 1e12, |numeric - closed form| was at most 2.6 such spacings.

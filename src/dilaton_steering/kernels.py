@@ -149,11 +149,12 @@ def chsh_max(rhos):
         raise ValueError(f"chsh_max takes a (4, 4, n) stack, one state per column, got {rhos.shape}")
     flat = rhos.reshape(16, -1)
     with np.errstate(invalid="ignore", over="ignore"):
-        t = np.zeros((9, flat.shape[1]))
-        for row, terms in zip(t, _TERMS):
+        # T's nonzero rows xx, xz, yy, zx, zz: the non-empty table rows, in their order.
+        t = np.zeros((5, flat.shape[1]))
+        for row, terms in zip(t, filter(None, _TERMS)):
             for k, plus in terms:
                 (np.add if plus else np.subtract)(row, flat[k], out=row)
-        txx, txz, tyy, tzx, tzz = t[0], t[2], t[4], t[6], t[8]
+        txx, txz, tyy, tzx, tzz = t
         kxx = txx * txx + tzx * tzx
         kyy = tyy * tyy
         kzz = txz * txz + tzz * tzz

@@ -247,6 +247,31 @@ class TestCriticalCommand:
         assert "0.98758968" in out
         assert "|delta|" in out
 
+    def test_peak_lands_on_the_closed_value(self, capsys):
+        # 8 pi M omega = 1.46 lies between d1's root x1 = 1.317 and the search top 5. The
+        # root is one x for every frequency, and the closed d1 maps the same x here.
+        code, out, err = run(capsys, "critical", "--omega", "0.058")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 0.058:\n"
+            "  d0  closed = 0.62316902  numeric = 0.62316902  |delta| = 1.11e-16\n"
+            "  d1  closed = 0.09655018  numeric = 0.09655018  |delta| = 0.00e+00\n"
+            "  d2  closed = 0.78602897  numeric = 0.78602897  |delta| = 2.22e-16\n"
+        )
+
+    @pytest.mark.parametrize("command", ["critical", "classify"])
+    def test_frequencies_print_sorted_and_errors_name_them_as_given(self, capsys, command):
+        code, out, _ = run(capsys, command, "--omega", "1,0.5,1")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("omega")] == [
+            "omega = 0.5:",
+            "omega = 1:",
+            "omega = 1:",
+        ]
+        code, out, err = run(capsys, command, "--omega", "2,0.5,inf")
+        assert (code, out) == (2, "")
+        assert err == "error: omegas must all be positive and finite, got [2.0, 0.5, inf]\n"
+
     def test_out_of_range_is_reported_not_failed(self, capsys):
         code, out, _ = run(capsys, "critical", "--omega", "0.01")
         assert code == 0

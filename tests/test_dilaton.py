@@ -56,6 +56,18 @@ def pipeline_at(mass, omega, dilatons, pair):
     return pipeline_measure_arrays(*amplitude_arrays(mass, omega, dilatons)[3:], pair)
 
 
+def shared_root(mass, omegas, values, near):
+    """The x within 16 floats of `near` that D = M - x/(8 pi omega) maps to every value; None if none does."""
+    x = near
+    for _ in range(16):
+        x = math.nextafter(x, 0.0)
+    for _ in range(33):
+        if np.array_equal(dl._dilaton_at(mass, omegas, x), values):
+            return x
+        x = math.nextafter(x, math.inf)
+    return None
+
+
 def regimes(vals):
     return [REGIMES[i] for i in regime_index(vals["s_forward"], vals["s_backward"])]
 
@@ -624,10 +636,39 @@ class TestCriticalPoints:
         for name in ("d0", "d1", "d2"):
             numeric, closed = found[name][0], points[name][0]
             if math.isnan(numeric):
-                # No root in the searched bracket.
+                # The root lies at or past x at D = 0.
                 assert not in_range(closed, mass)
             else:
                 assert abs(numeric - closed) <= CRITICAL_TOL
+
+    # M log-uniform over 16 decades; twelve frequencies with 8 pi M omega spread
+    # geometrically over [1, 100], so d1 enters [0, M) among them.
+    @settings(max_examples=40, deadline=None)
+    @given(log_mass=st.floats(-8.0, 8.0), offset=st.floats(0.0, 1.0))
+    def test_each_root_is_one_x_mapped_to_every_frequency(self, log_mass, offset):
+        mass = 10.0**log_mass
+        omegas = np.array([10.0 ** ((k + offset) / 6.0) / (EIGHT_PI * mass) for k in range(12)])
+        found = find_critical_batch(mass, omegas)
+        for name, near in (("d0", dl.X_BIRTH), ("d1", dl.X_PEAK), ("d2", dl.X_DEATH)):
+            kept = ~np.isnan(found[name])
+            assert kept.any()
+            assert shared_root(mass, omegas[kept], found[name][kept], near) is not None, name
+
+    @pytest.mark.parametrize("mass", [1e-6, 1.0, 3.7, 1e6])
+    @pytest.mark.parametrize("name,near", [("d0", dl.X_BIRTH), ("d2", dl.X_DEATH)])
+    def test_a_root_enters_the_range_one_float_past_x_at_d0(self, mass, name, near):
+        # NaN while x at D = 0 is at or below the root, a value from the next frequency up.
+        # D near 0 resolves x to the float: there D = M - x/(8 pi omega) is finer than x.
+        omegas = near * np.array([1.001, 1.01]) / (EIGHT_PI * mass)
+        root = shared_root(mass, omegas, find_critical_batch(mass, omegas)[name], near)
+        omega = root / (EIGHT_PI * mass)
+        while dl._thermal_argument(mass, omega, 0.0) > root:
+            omega = math.nextafter(omega, 0.0)
+        while dl._thermal_argument(mass, omega, 0.0) <= root:
+            omega = math.nextafter(omega, math.inf)
+        last_out, first_in = find_critical_batch(mass, [math.nextafter(omega, 0.0), omega])[name]
+        assert math.isnan(last_out)
+        assert 0.0 <= first_in < 1e-9 * mass
 
     def test_point_next_to_the_horizon_is_bracketed(self):
         # d2 = 1 - 6.2e-13 at omega 2e10: inside [0, M), closer to M than 1e-12.
