@@ -5,7 +5,7 @@ applied to fermionic modes outside a GHS dilaton black hole.
 the closed-form and the batch density-matrix route of each
 bipartition's measures, the monogamy residuals, and the critical
 dilatons in closed form and numerically, each root searched once in x
-and mapped to every frequency (NaN where it lies at or past x at D = 0).
+and mapped to every frequency (NaN where it falls outside 0 <= D < M).
 The numpy kernels of the density-matrix route live in `kernels`. `sweep` walks
 the dilaton grid, writes the records and runs the verify and monogamy
 gates; `cli` is the command line.

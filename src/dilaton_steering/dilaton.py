@@ -22,8 +22,9 @@ factors and (4, 4, n) states. Both routes take the amplitudes of
 The numeric critical dilatons (`find_critical_batch`) search each root
 once in x on the batch route, independent of the closed forms in
 `critical_dilatons`, and map it to every frequency; a value is NaN where
-its root lies at or past x at D = 0. `regime_index` is the one regime
-rule, and `regime_intervals` gives its runs over D.
+it falls outside 0 <= D < M, the range rule of the closed values.
+`regime_index` is the one regime rule, and `regime_intervals` gives its
+runs over D.
 """
 
 from __future__ import annotations
@@ -399,8 +400,8 @@ def find_critical_batch(mass: float, omegas) -> dict:
     Returns {"d0": D, "d1": D, "d2": D}, arrays aligned with `omegas`.
     The margins depend on the thermal argument x alone, so each root is
     searched once in x on [0, 5] and maps to every frequency with
-    D = M - x/(8 pi omega); it is NaN at a frequency where the root lies
-    at or past x at D = 0:
+    D = M - x/(8 pi omega); it is NaN at a frequency where that D falls
+    outside 0 <= D < M, the rule by which a closed value is in range:
     - x0 bisects the sign of the Alice/interior-partner backward witness
       margin, x2 that of the Bob/interior-partner forward margin (the
       steerability is exactly zero on one side, so the unclamped margin
@@ -421,11 +422,12 @@ def find_critical_batch(mass: float, omegas) -> dict:
     x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, 0.0, _SEARCH_TOP)
     x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, 0.0, _SEARCH_TOP)
     x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x2, _SEARCH_TOP)
-    x_top = _thermal_argument(mass, omegas, 0.0)
     found = {}
     for name, root in (("d0", x0), ("d1", x1), ("d2", x2)):
-        # A root at or past x at D = 0 is D <= 0, outside the model: NaN there.
-        x = np.where(root < x_top, root, np.nan)
+        d = _dilaton_at(mass, omegas, root)
+        # The range rule `critical` applies to the closed values, so both sides agree on it.
+        in_range = (0.0 <= d) & (d < mass)
+        x = np.where(in_range, root, np.nan)
         # Four times the spacing near M (the subtraction) plus the spacing dx near x mapped to D,
         # dx/(8 pi omega) = D(M = 0, x = -dx) (the root in x); NaN where x is NaN. Over 62 000
         # roots with M from 1e-12 to 1e12, |numeric - closed form| was at most 2.6 such spacings.
@@ -438,7 +440,7 @@ def find_critical_batch(mass: float, omegas) -> dict:
                 f"is coarser than the {CRITICAL_TOL:g} critical-point gate: float64 cannot "
                 f"place {name} more finely"
             )
-        found[name] = _dilaton_at(mass, omegas, x)
+        found[name] = np.where(in_range, d, np.nan)
     return found
 
 

@@ -1,15 +1,18 @@
 """Grid sweeps over the dilaton charge: columns, verification, output.
 
 A sweep row is one (omega, dilaton) grid point; its columns are fixed by
-`columns()`. One grid walk (`_walk`) feeds every consumer here: it takes
+`columns()`. One grid walk (`_slices`) feeds every consumer here: it takes
 each omega's dilaton grid in ascending slices of at most SLICE_ROWS
-points with their amplitudes, and `_closed_walk` adds each slice's
-closed-form measures and monogamy residuals, so the memory of a run does
-not grow with the grid. `sweep_blocks` turns the slices into numpy
-columns, and the writers stream them either as CSV (17 significant
-digits, '\\n' line endings) or as a JSON array of objects with native
-numbers. Output is deterministic: identical configurations produce
-identical bytes.
+points, and one function per step computes a slice: `_walk_slice` its
+amplitudes, `_closed_slice` its closed-form measures and monogamy
+residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
+So the memory of a run does not grow with the grid. The writers format
+the slices either as CSV (17 significant digits, '\\n' line endings) or
+as a JSON array of objects with native numbers. Formatting is most of a
+sweep's time, so the slices are formatted on the available CPUs, one
+forked worker each, and written in walk order; memory then holds at most
+one slice per worker plus one. Output is deterministic: identical
+configurations produce identical bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
@@ -22,7 +25,10 @@ it holds the one rule of a gate, under which a NaN fails and is the worst.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,39 +151,62 @@ def columns(pairs=ALL_PAIRS) -> list:
 SLICE_ROWS = 4096
 
 
-def _walk(cfg: SweepConfig):
-    """Yield each omega's dilaton grid in ascending slices of at most SLICE_ROWS.
+def _slices(cfg: SweepConfig):
+    """Validate `cfg`, then return an iterator over the slices of its grid walk.
 
-    Each item is (omega, dilatons, x, c2, s2, c, s): the slice's
-    dilatons (from `grid_slice`, so the whole grid is never built),
-    thermal arguments and amplitudes. Every later step is
-    elementwise, so a slice holds the values a whole-grid pass gives at
-    its points. Consumers drop a slice before they ask for the next, so
-    that a run holds one slice at a time.
+    Each slice is (omega, start, d0): the omegas ascend, the slices of an
+    omega's dilaton grid start at 0, SLICE_ROWS, ... and hold at most
+    SLICE_ROWS points, and d0 is that omega's birth dilaton, which the
+    monogamy residuals need.
     """
     cfg.validate()
-    for omega in cfg.sorted_omegas():
-        for start in range(0, cfg.points, SLICE_ROWS):
-            dslice = cfg.grid_slice(start, min(start + SLICE_ROWS, cfg.points))
-            yield (omega, dslice, *amplitude_arrays(cfg.mass, omega, dslice))
+    omegas = cfg.sorted_omegas()
+    d0s = critical_dilatons(cfg.mass, omegas)["d0"]
+    starts = range(0, cfg.points, SLICE_ROWS)
+    return ((omega, start, d0) for omega, d0 in zip(omegas, d0s) for start in starts)
 
 
-def _closed_walk(cfg: SweepConfig):
-    """`_walk` with each slice's closed forms and monogamy residuals.
+def _walk_slice(cfg: SweepConfig, omega, start):
+    """(dilatons, x, c2, s2, c, s) of the slice of omega's grid at `start`.
 
-    Yields (omega, dilatons, x, closed, mono): `closed[pair]` holds the
+    The dilatons come from `grid_slice`, so the whole grid is never
+    built. Every later step is elementwise, so a slice holds the values
+    a whole-grid pass gives at its points.
+    """
+    dslice = cfg.grid_slice(start, min(start + SLICE_ROWS, cfg.points))
+    return (dslice, *amplitude_arrays(cfg.mass, omega, dslice))
+
+
+def _closed_slice(cfg: SweepConfig, omega, start, d0):
+    """`_walk_slice` with the slice's closed forms and monogamy residuals.
+
+    Returns (dilatons, x, closed, mono): `closed[pair]` holds the
     closed-form measures of all three pairs, and `mono` the monogamy
     residuals, which always take all three.
     """
-    # From the omegas as given, so a bad list raises as `SweepConfig.validate` does.
-    d0 = dict(zip(cfg.omegas, critical_dilatons(cfg.mass, cfg.omegas)["d0"]))
-    for omega, dslice, x, c2, s2, c, s in _walk(cfg):
-        closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
-        mono = monogamy_residual_arrays(
-            closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0[omega]
-        )
-        yield omega, dslice, x, closed, mono
-        del x, c2, s2, c, s, closed, mono
+    dslice, x, c2, s2, c, s = _walk_slice(cfg, omega, start)
+    closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
+    mono = monogamy_residual_arrays(
+        closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0
+    )
+    return dslice, x, closed, mono
+
+
+def _block(cfg: SweepConfig, omega, start, d0) -> dict:
+    """The sweep rows of one slice, as `sweep_blocks` yields them."""
+    dslice, x, closed, mono = _closed_slice(cfg, omega, start, d0)
+    block = {"omega": np.full(dslice.shape, omega), "dilaton": dslice, "x": x}
+    for pair in ALL_PAIRS:
+        if pair not in cfg.pairs:
+            continue
+        vals = closed[pair]
+        vals["regime"] = np.array(REGIMES)[regime_index(vals["s_forward"], vals["s_backward"])]
+        for name in MEASURE_FIELDS:
+            block[f"{pair.value}_{name}"] = vals[name]
+    for name in RESIDUALS:
+        block[name] = mono[name]
+    block["r3_valid"] = block["r4_valid"] = mono["valid"]
+    return block
 
 
 def sweep_blocks(cfg: SweepConfig):
@@ -188,20 +217,8 @@ def sweep_blocks(cfg: SweepConfig):
     flags as booleans. Monogamy residuals are always computed from all
     three bipartitions, regardless of which pair columns were requested.
     """
-    for omega, dslice, x, closed, mono in _closed_walk(cfg):
-        block = {"omega": np.full(dslice.shape, omega), "dilaton": dslice, "x": x}
-        for pair in ALL_PAIRS:
-            if pair not in cfg.pairs:
-                continue
-            vals = closed[pair]
-            vals["regime"] = np.array(REGIMES)[regime_index(vals["s_forward"], vals["s_backward"])]
-            for name in MEASURE_FIELDS:
-                block[f"{pair.value}_{name}"] = vals[name]
-        for name in RESIDUALS:
-            block[name] = mono[name]
-        block["r3_valid"] = block["r4_valid"] = mono["valid"]
-        yield block
-        del block, x, closed, mono
+    for job in _slices(cfg):
+        yield _block(cfg, *job)
 
 
 def _cells(array) -> list:
@@ -221,41 +238,100 @@ def _json_number(value) -> str:
     return repr(value)
 
 
+def _csv_text(cfg: SweepConfig, job) -> str:
+    """The CSV rows of one slice: 17 significant digits, '\\n' line endings."""
+    block = _block(cfg, *job)
+    arrays = [block[name] for name in columns(cfg.pairs)]
+    template = ",".join("%s" if a.dtype.kind in "bU" else "%.17g" for a in arrays) + "\n"
+    return "".join(map(template.__mod__, zip(*map(_cells, arrays))))
+
+
+def _json_text(cfg: SweepConfig, job) -> str:
+    """The JSON objects of one slice, joined by ',\\n', as `json.dump(indent=2)` lays them out."""
+    block = _block(cfg, *job)
+    header = columns(cfg.pairs)
+    specs, cells = [], []
+    for name in header:
+        a = block[name]
+        values = _cells(a)
+        if a.dtype.kind == "U":
+            specs.append('"%s"')
+        elif a.dtype.kind == "b":
+            specs.append("%s")
+        elif np.isfinite(a).all():
+            specs.append("%r")
+        else:
+            specs.append("%s")
+            values = [_json_number(v) for v in values]
+        cells.append(values)
+    fields = ",\n".join(f'    "{name}": {spec}' for name, spec in zip(header, specs))
+    template = "  {\n" + fields + "\n  }"
+    return ",\n".join(map(template.__mod__, zip(*cells)))
+
+
+def _in_order(pool, workers: int, text, cfg: SweepConfig, jobs):
+    """Yield text(cfg, job) for each job, in order, with at most workers + 1 jobs in flight.
+
+    That is one job per worker and one queued, so that a worker which ends
+    a short slice (the last of an omega) starts the next at once, while
+    the oldest is still being formatted.
+    """
+    pending = collections.deque()
+    for job in jobs:
+        pending.append(pool.apply_async(text, (cfg, job)))
+        if len(pending) > workers:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
+    """Write lead and the text of the walk's first slice, then sep and that of each next one.
+
+    text(cfg, job) formats one slice of `_slices`. The slices are formatted
+    on a pool of forked workers, one per available CPU, and written in walk
+    order; with the bound of `_in_order`, memory holds at most one slice
+    per worker plus one. Where there is one CPU, one slice or no fork start
+    method, they are formatted in process. The config is validated
+    before anything is written, and the `with` reaps the workers however
+    the writing ends.
+    """
+    jobs = _slices(cfg)
+    # sched_getaffinity is missing where the OS cannot pin CPUs (macOS, Windows).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(cfg.omegas) * len(range(0, cfg.points, SLICE_ROWS)))
+    pool = None
+    if workers > 1:
+        # Imported here: it takes about 26 ms, which no other command should pay.
+        import multiprocessing
+
+        # Forked workers start with numpy and the package imported; spawned ones would
+        # import them again. The pool forks them before it starts its own threads.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+    with pool or contextlib.nullcontext():
+        if pool is None:
+            texts = (text(cfg, job) for job in jobs)
+        else:
+            texts = _in_order(pool, workers, text, cfg, jobs)
+        for piece in texts:
+            # Two writes, not lead + piece, and the text dropped before the next slice's:
+            # another copy of a slice's text would add to the peak.
+            stream.write(lead)
+            stream.write(piece)
+            del piece
+            lead = sep
+
+
 def write_csv(cfg: SweepConfig, stream) -> None:
     """Write the sweep as CSV: 17 significant digits, '\\n' line endings."""
-    header = columns(cfg.pairs)
     # The header goes out with the first slice, after the config validated.
-    head = ",".join(header) + "\n"
-    for block in sweep_blocks(cfg):
-        arrays = [block[name] for name in header]
-        template = ",".join("%s" if a.dtype.kind in "bU" else "%.17g" for a in arrays) + "\n"
-        stream.write(head + "".join(map(template.__mod__, zip(*map(_cells, arrays)))))
-        head = ""
+    _write_slices(cfg, stream, _csv_text, ",".join(columns(cfg.pairs)) + "\n", "")
 
 
 def write_json(cfg: SweepConfig, stream) -> None:
     """Write the sweep as a JSON array of objects, as `json.dump(indent=2)` would."""
-    header = columns(cfg.pairs)
-    sep = "[\n"
-    for block in sweep_blocks(cfg):
-        arrays = [block[name] for name in header]
-        specs, cells = [], []
-        for a in arrays:
-            values = _cells(a)
-            if a.dtype.kind == "U":
-                specs.append('"%s"')
-            elif a.dtype.kind == "b":
-                specs.append("%s")
-            elif np.isfinite(a).all():
-                specs.append("%r")
-            else:
-                specs.append("%s")
-                values = [_json_number(v) for v in values]
-            cells.append(values)
-        fields = ",\n".join(f'    "{name}": {spec}' for name, spec in zip(header, specs))
-        template = "  {\n" + fields + "\n  }"
-        stream.write(sep + ",\n".join(map(template.__mod__, zip(*cells))))
-        sep = ",\n"
+    _write_slices(cfg, stream, _json_text, "[\n", ",\n")
     stream.write("\n]\n")
 
 
@@ -316,7 +392,8 @@ def verify_grid(cfg: SweepConfig) -> GateReport:
     against the correlation-matrix value.
     """
     report = GateReport(VERIFY_GATE)
-    for omega, dslice, _, c2, s2, c, s in _walk(cfg):
+    for omega, start, _ in _slices(cfg):
+        dslice, _, c2, s2, c, s = _walk_slice(cfg, omega, start)
         for pair in cfg.pairs:
             closed = closed_measure_arrays(c2, s2, c, s, pair)
             pipe = pipeline_measure_arrays(c, s, pair)
@@ -333,8 +410,9 @@ def monogamy_grid(cfg: SweepConfig) -> GateReport:
     order, so ties go to the first in (omega, r1..r4, grid point) order.
     """
     report = GateReport(MONOGAMY_GATE)
-    for omega, dslice, x, closed, mono in _closed_walk(cfg):
-        del x, closed  # the fold needs only the residuals (see `_walk`)
+    for omega, start, d0 in _slices(cfg):
+        dslice, x, closed, mono = _closed_slice(cfg, omega, start, d0)
+        del x, closed  # the fold needs only the residuals; hold one slice at a time
         for name in RESIDUALS:
             rows = mono["valid"] if name in ("r3", "r4") else slice(None)
             report.fold((omega, name), np.abs(mono[name][rows]), omega, dslice[rows])

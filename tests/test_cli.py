@@ -127,6 +127,25 @@ class TestSweepCommand:
             if not merged:
                 assert b"error" in err and b"Traceback" not in err
 
+    def test_closed_pipe_while_workers_format_exits_3_and_leaves_none(self):
+        # `sweep --points 50000 | head -c 100`: the reader leaves while slices are formatted.
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-c", CLI, "sweep", "--points", "50000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3, err
+        assert b"error" in err and b"Traceback" not in err
+        # The workers would be in the CLI's process group, which is empty once it exits.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     def test_malformed_flag_value_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--omega", "abc"])
@@ -257,6 +276,18 @@ class TestCriticalCommand:
             "  d0  closed = 0.62316902  numeric = 0.62316902  |delta| = 1.11e-16\n"
             "  d1  closed = 0.09655018  numeric = 0.09655018  |delta| = 0.00e+00\n"
             "  d2  closed = 0.78602897  numeric = 0.78602897  |delta| = 2.22e-16\n"
+        )
+
+    def test_peak_on_the_range_edge_passes(self, capsys):
+        # 8 pi M omega is X_PEAK to the bit, so d1 maps to D = 0.0 on both sides, and
+        # both count it in range by one rule, 0 <= D < M.
+        code, out, err = run(capsys, "critical", "--omega", "0.05240008978487284")
+        assert (code, err) == (0, "")
+        assert out == (
+            "omega = 0.0524001:\n"
+            "  d0  closed = 0.58289772  numeric = 0.58289772  |delta| = 2.22e-16\n"
+            "  d1  closed = 0.00000000  numeric = 0.00000000  |delta| = 0.00e+00\n"
+            "  d2  closed = 0.76316224  numeric = 0.76316224  |delta| = 2.22e-16\n"
         )
 
     @pytest.mark.parametrize("command", ["critical", "classify"])
@@ -826,6 +857,29 @@ class TestPackageLayout:
                         stray.append((path.name, node.lineno))
         assert stray == []
         assert spelled == owners
+
+    @pytest.mark.parametrize(
+        "argv",
+        [None, ["--version"], ["sweep", "--omega", "1", "--points", "5"]],
+        ids=["import", "version", "one-slice-sweep"],
+    )
+    def test_multiprocessing_is_imported_only_for_a_pool(self, argv):
+        # It takes about 26 ms to import, which every command would pay at start-up.
+        code = (
+            "import sys\n"
+            "from dilaton_steering.cli import main\n"
+            f"if {argv!r} is not None:\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (done.returncode, done.stderr) == (0, "False\n")
 
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.

@@ -655,20 +655,35 @@ class TestCriticalPoints:
             assert shared_root(mass, omegas[kept], found[name][kept], near) is not None, name
 
     @pytest.mark.parametrize("mass", [1e-6, 1.0, 3.7, 1e6])
-    @pytest.mark.parametrize("name,near", [("d0", dl.X_BIRTH), ("d2", dl.X_DEATH)])
-    def test_a_root_enters_the_range_one_float_past_x_at_d0(self, mass, name, near):
-        # NaN while x at D = 0 is at or below the root, a value from the next frequency up.
-        # D near 0 resolves x to the float: there D = M - x/(8 pi omega) is finer than x.
+    @pytest.mark.parametrize("name,near", [("d0", dl.X_BIRTH), ("d1", dl.X_PEAK), ("d2", dl.X_DEATH)])
+    def test_a_root_enters_the_range_where_its_dilaton_reaches_0(self, mass, name, near):
+        # The closed values' rule 0 <= D < M: NaN while the root maps to D < 0, and that D
+        # from the first frequency up where it maps to D >= 0.
         omegas = near * np.array([1.001, 1.01]) / (EIGHT_PI * mass)
         root = shared_root(mass, omegas, find_critical_batch(mass, omegas)[name], near)
         omega = root / (EIGHT_PI * mass)
-        while dl._thermal_argument(mass, omega, 0.0) > root:
+        while dl._dilaton_at(mass, omega, root) >= 0.0:
             omega = math.nextafter(omega, 0.0)
-        while dl._thermal_argument(mass, omega, 0.0) <= root:
+        while dl._dilaton_at(mass, omega, root) < 0.0:
             omega = math.nextafter(omega, math.inf)
         last_out, first_in = find_critical_batch(mass, [math.nextafter(omega, 0.0), omega])[name]
         assert math.isnan(last_out)
+        assert first_in == dl._dilaton_at(mass, omega, root)
         assert 0.0 <= first_in < 1e-9 * mass
+
+    @pytest.mark.parametrize("mass", [1e-6, 0.3, 3.7, 17.0, 1e6])
+    def test_numeric_and_closed_peak_share_the_range_rule(self, mass):
+        # x1 is X_PEAK to the bit, so the two d1 agree wherever either is in range; within
+        # 40 floats of 8 pi M omega = X_PEAK, D rounds to 0 at some frequencies.
+        omega = dl.X_PEAK / (EIGHT_PI * mass)
+        omegas = [omega]
+        for _ in range(40):
+            omegas = [math.nextafter(omegas[0], 0.0), *omegas, math.nextafter(omegas[-1], math.inf)]
+        closed = critical_dilatons(mass, omegas)["d1"]
+        numeric = find_critical_batch(mass, omegas)["d1"]
+        kept = (0.0 <= closed) & (closed < mass)
+        assert (closed == 0.0).any()
+        np.testing.assert_array_equal(numeric, np.where(kept, closed, np.nan))
 
     def test_point_next_to_the_horizon_is_bracketed(self):
         # d2 = 1 - 6.2e-13 at omega 2e10: inside [0, M), closer to M than 1e-12.

@@ -126,14 +126,17 @@ class TestGridSlices:
         cfg = SweepConfig(points=points, omegas=(1.0,), **kwargs)
         if "d_max" in kwargs:
             assert cfg.d_max / (points - 1) == 0.0
-        walked = np.concatenate([dslice for _, dslice, *_ in sweep._walk(cfg)])
+        walked = np.concatenate(
+            [sweep._walk_slice(cfg, omega, start)[0] for omega, start, _ in sweep._slices(cfg)]
+        )
         assert walked.tobytes() == cfg.dilaton_grid().tobytes()
 
     def test_first_slice_of_a_huge_grid_is_small(self):
         cfg = SweepConfig(points=10**12, omegas=(1.0,))
         tracemalloc.start()
         try:
-            _, dslice, *_ = next(sweep._walk(cfg))
+            omega, start, _ = next(sweep._slices(cfg))
+            dslice, *_ = sweep._walk_slice(cfg, omega, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,7 +5,10 @@ and one format call per cell. Every output here must match it byte for
 byte.
 """
 
+import errno
 import io
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,3 +120,73 @@ def test_invalid_config_writes_nothing(fmt):
     with pytest.raises(ConfigError):
         WRITERS[fmt][0](SweepConfig(points=1), buf)
     assert buf.getvalue() == ""
+
+
+class _Probe(io.StringIO):
+    """Text buffer that notes the most child processes alive at any one write."""
+
+    most_children = 0
+
+    def write(self, text):
+        self.most_children = max(self.most_children, len(multiprocessing.active_children()))
+        return super().write(text)
+
+
+def render_on(monkeypatch, cpus, cfg, fmt):
+    """(text, most workers alive at a write) of a writer with `cpus` CPUs available."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    stream = _Probe()
+    WRITERS[fmt][0](cfg, stream)
+    return stream.getvalue(), stream.most_children
+
+
+POOLED = {
+    # Three omegas given out of order, a one-row last slice, two pairs.
+    "omegas-pairs-short-slice": SweepConfig(
+        points=SLICE_ROWS + 1, omegas=(2.0, 0.5, 1.0), pairs=(Pair.BBBAR, Pair.AB)
+    ),
+    "extreme-finite": SweepConfig(mass=1e308, omegas=(1e-308, 2e-308), points=SLICE_ROWS + 3),
+    # x = inf at every row of omega 1e10, spelled Infinity in JSON.
+    "non-finite": SweepConfig(mass=1e300, omegas=(1e10, 1e-300), points=SLICE_ROWS + 2),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", POOLED)
+def test_pool_writes_the_bytes_of_the_in_process_map(monkeypatch, fmt, name):
+    cfg = POOLED[name]
+    pooled, workers = render_on(monkeypatch, 2, cfg, fmt)
+    mapped, none = render_on(monkeypatch, 1, cfg, fmt)
+    assert (workers, none) == (2, 0)
+    assert pooled == mapped
+    if name == "non-finite" and fmt == "json":
+        assert '"x": Infinity' in pooled
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_slice_is_formatted_in_process(monkeypatch, fmt):
+    _, workers = render_on(monkeypatch, 2, SweepConfig(points=SLICE_ROWS, omegas=(1.0,)), fmt)
+    assert workers == 0
+
+
+class _FailingStream:
+    """Text stream whose writes raise once it has taken `ok` of them."""
+
+    def __init__(self, ok):
+        self.ok = ok
+
+    def write(self, text):
+        if self.ok == 0:
+            raise OSError(errno.ENOSPC, "no space left on the stream")
+        self.ok -= 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ok", [0, 3], ids=["first-write", "mid-stream"])
+def test_a_failed_write_raises_and_reaps_the_workers(monkeypatch, fmt, ok):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0))
+    with pytest.raises(OSError, match="no space left on the stream"):
+        WRITERS[fmt][0](cfg, _FailingStream(ok))
+    assert multiprocessing.active_children() == []
