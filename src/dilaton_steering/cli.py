@@ -194,7 +194,7 @@ def cmd_critical(args) -> int:
             if not 0.0 <= d < args.mass:
                 print(f"  {name}  closed = {_dilaton(d)}  out of range [0, {args.mass:g})")
                 continue
-            # NaN where the search found no root: a gate failure, like any miss.
+            # NaN where the numeric root maps outside [0, M): a gate failure, like any miss.
             value = numeric[name][k]
             delta = abs(value - d)
             ok = delta <= CRITICAL_TOL

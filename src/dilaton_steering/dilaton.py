@@ -19,12 +19,13 @@ the stack width n is the last axis of the (8, n) vectors, (4, 2, n)
 factors and (4, 4, n) states. Both routes take the amplitudes of
 `amplitude_arrays`, one point or a whole grid at a time.
 
-The numeric critical dilatons (`find_critical_batch`) search each root
-once in x on the batch route, independent of the closed forms in
-`critical_dilatons`, and map it to every frequency; a value is NaN where
+The numeric critical dilatons (`find_critical_batch`) are searched once
+each in x on the batch route, independent of the closed forms in
+`critical_dilatons`, and mapped to every frequency; a value is NaN where
 it falls outside 0 <= D < M, the range rule of the closed values.
 `regime_index` is the one regime rule, and `regime_intervals` gives its
-runs over D.
+runs over D. One scan-and-bisect in x (`_flips`) finds both the critical
+roots and the edges of the regime runs.
 """
 
 from __future__ import annotations
@@ -274,16 +275,14 @@ def regime_intervals(mass: float, omegas, pair: Pair) -> list:
     # A label depends on x alone. It changes near x = 0.312 and 0.549 (X_DEATH, X_BIRTH)
     # and 26.77, where a steerability crosses the threshold: past x = -ln(1e-12) ~ 27.6 every
     # abbar and bbbar steerability is <= s^2 <= e^{-x}, below it, and ab is two-way at every x.
-    grid = np.arange(1025) / 16.0  # steps of 1/16 on [0, 64] bracket each change alone
-    labels = label(grid)
-    k = np.flatnonzero(labels[1:] != labels[:-1])[::-1]  # descending x is ascending D
-    xs = _halve_brackets(lambda x: label(x) == labels[k], grid[k], grid[k + 1], True)
+    xs, below = _flips(label, np.arange(1025) / 16.0)  # steps of 1/16 on [0, 64] bracket each change alone
+    xs, below = xs[::-1], below[::-1]  # descending x is ascending D
     found = []
     # A list starts with the label at D = 0, from x as `sweep` computes it (maybe inf);
     # past a change, D takes the label below it in x.
     for omega, start in zip(omegas, label(_thermal_argument(mass, omegas, 0.0))):
         edges, names = [0.0], [REGIMES[start]]
-        for d, after in zip(_dilaton_at(mass, omega, xs), labels[k]):
+        for d, after in zip(_dilaton_at(mass, omega, xs), below):
             if 0.0 < d < mass and REGIMES[after] != names[-1]:
                 edges.append(float(d))
                 names.append(REGIMES[after])
@@ -307,7 +306,10 @@ class ResolutionError(ValueError):
 
 
 class _Dual:
-    """A value with its derivative, through + - * only: enough for the witness polynomials."""
+    """A value with its derivative, for `kernels.witness_margins`.
+
+    It supports what those polynomials use: dual +- dual, -dual, and dual * (dual or scalar).
+    """
 
     __slots__ = ("val", "der")
 
@@ -316,20 +318,13 @@ class _Dual:
         self.der = der
 
     def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.val + other.val, self.der + other.der)
-        return _Dual(self.val + other, self.der)
-
-    __radd__ = __add__
+        return _Dual(self.val + other.val, self.der + other.der)
 
     def __neg__(self):
         return _Dual(-self.val, -self.der)
 
     def __sub__(self, other):
         return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, _Dual):
@@ -368,30 +363,25 @@ def _forward_margin_slope(x, pair: Pair):
     return np.where(w1.val >= w2.val, w1.der, w2.der)
 
 
-def _halve_brackets(positive, lo, hi, at_lo):
-    """Lockstep bisection of where `positive` flips, one bracket per element.
+def _flips(f, grid):
+    """Points where `f` changes value along the ascending `grid`, and f's value below each.
 
-    Each bracket halves until its midpoint equals an endpoint, that is
-    until lo and hi are adjacent floats: about 55 steps on (0, 5],
-    whatever the mass. Returns the final midpoints.
+    Every adjacent pair of grid points whose values differ is a bracket; all of
+    them halve in lockstep until lo and hi are adjacent floats, when the midpoint
+    equals an endpoint: about 55 steps on (0, 5]. Returns the
+    final midpoints, ascending, and f at the low end of their brackets.
     """
+    values = f(grid)
+    k = np.flatnonzero(values[1:] != values[:-1])
+    below, lo, hi = values[k], grid[k], grid[k + 1]
     while True:
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
-            return mid
-        up = inside & (positive(mid) == at_lo)
+            return mid, below
+        up = inside & (f(mid) == below)
         lo = np.where(up, mid, lo)
         hi = np.where(inside & ~up, mid, hi)
-
-
-def _root(positive, lo, hi):
-    """x in [lo, hi] where `positive` flips, for scalar ends lo and hi; NaN where it does not."""
-    ends = np.array([lo, hi])
-    at_lo, at_hi = positive(ends)
-    if at_lo == at_hi:
-        return math.nan
-    return float(_halve_brackets(positive, ends[:1], ends[1:], at_lo)[0])
 
 
 def find_critical_batch(mass: float, omegas) -> dict:
@@ -419,29 +409,29 @@ def find_critical_batch(mass: float, omegas) -> dict:
     check_mass_and_omegas(mass, omegas)
     # x in [0, 5] is D in [M - 5/(8 pi omega), M]. Its bottom, the D -> M limit where every
     # margin has a clear sign, brackets a critical dilaton however close to M.
-    x0 = _root(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, 0.0, _SEARCH_TOP)
-    x2 = _root(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, 0.0, _SEARCH_TOP)
-    x1 = _root(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, x2, _SEARCH_TOP)
-    found = {}
-    for name, root in (("d0", x0), ("d1", x1), ("d2", x2)):
-        d = _dilaton_at(mass, omegas, root)
-        # The range rule `critical` applies to the closed values, so both sides agree on it.
-        in_range = (0.0 <= d) & (d < mass)
-        x = np.where(in_range, root, np.nan)
-        # Four times the spacing near M (the subtraction) plus the spacing dx near x mapped to D,
-        # dx/(8 pi omega) = D(M = 0, x = -dx) (the root in x); NaN where x is NaN. Over 62 000
-        # roots with M from 1e-12 to 1e12, |numeric - closed form| was at most 2.6 such spacings.
-        resolution = 4.0 * (math.ulp(mass) + _dilaton_at(0.0, omegas, -np.spacing(x)))
-        bad = np.flatnonzero(resolution > CRITICAL_TOL)
-        if bad.size:
-            k = bad[0]
-            raise ResolutionError(
-                f"dilaton resolution {resolution[k]:.2g} at mass={mass:g}, omega={omegas[k]:g} "
-                f"is coarser than the {CRITICAL_TOL:g} critical-point gate: float64 cannot "
-                f"place {name} more finely"
-            )
-        found[name] = np.where(in_range, d, np.nan)
-    return found
+    search = np.array([0.0, _SEARCH_TOP])
+    (x0,), _ = _flips(lambda x: _margin(x, Pair.ABBAR, backward=True) > 0.0, search)
+    (x2,), _ = _flips(lambda x: _margin(x, Pair.BBBAR, backward=False) > 0.0, search)
+    (x1,), _ = _flips(lambda x: _forward_margin_slope(x, Pair.BBBAR) > 0.0, np.array([x2, _SEARCH_TOP]))
+    roots = np.array([[x0], [x1], [x2]])
+    d = _dilaton_at(mass, omegas, roots)
+    # The range rule `critical` applies to the closed values, so both sides agree on it.
+    in_range = (0.0 <= d) & (d < mass)
+    x = np.where(in_range, roots, np.nan)
+    # Four times the spacing near M (the subtraction) plus the spacing dx near x mapped to D,
+    # dx/(8 pi omega) = D(M = 0, x = -dx) (the root in x); NaN where x is NaN. Over 62 000
+    # roots with M from 1e-12 to 1e12, |numeric - closed form| was at most 2.6 such spacings.
+    resolution = 4.0 * (math.ulp(mass) + _dilaton_at(0.0, omegas, -np.spacing(x)))
+    bad = np.argwhere(resolution > CRITICAL_TOL)
+    if bad.size:
+        i, k = bad[0]
+        raise ResolutionError(
+            f"dilaton resolution {resolution[i, k]:.2g} at mass={mass:g}, omega={omegas[k]:g} "
+            f"is coarser than the {CRITICAL_TOL:g} critical-point gate: float64 cannot "
+            f"place d{i} more finely"
+        )
+    d0, d1, d2 = np.where(in_range, d, np.nan)
+    return {"d0": d0, "d1": d1, "d2": d2}
 
 
 def monogamy_residual_arrays(ab: dict, abbar: dict, bbbar: dict, dilatons, d0: float) -> dict:

@@ -837,6 +837,39 @@ class TestPackageLayout:
         assert stray == []
         assert [value for _, _, value in table] == ["no_way", "one_way_bwd", "one_way_fwd", "two_way"]
 
+    def test_every_private_name_is_used(self):
+        # A private helper that nothing calls, as a second bisection loop left beside
+        # the one that replaced it would be, is dead code the tests still exercise.
+        package = Path(dilaton_steering.__file__).parent
+        trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+        definitions = []
+        for tree in trees:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    stores = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    leaves = [leaf for store in stores for leaf in ast.walk(store)]
+                    names = [leaf.id for leaf in leaves if isinstance(leaf, ast.Name)]
+                else:
+                    continue
+                private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+                definitions += [(name, node) for name in private]
+        references = {}
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    references.setdefault(node.id, []).append(node)
+                elif isinstance(node, ast.Attribute):
+                    references.setdefault(node.attr, []).append(node)
+        assert definitions
+        unused = [
+            name
+            for name, definition in definitions
+            if set(references.get(name, [])) <= set(ast.walk(definition))
+        ]
+        assert unused == []
+
     def test_thermal_map_is_written_once(self):
         # x = 8 pi (M - D) omega was once spelled four ways, which read different x
         # past an overflow; only the map and its inverse in `dilaton` may spell pi.

@@ -15,7 +15,7 @@ import dilaton_steering.dilaton as dl
 import sampling
 from conftest import EXACT_EIGHT_PI, exact_float, time_limit
 from density_oracle import PAIR_MODES, PureState, from_pure, partial_trace, reduced, tripartite_state
-from dilaton_steering import sweep
+from dilaton_steering import kernels, sweep
 from dilaton_steering.dilaton import (
     CRITICAL_TOL,
     REGIMES,
@@ -613,6 +613,25 @@ class TestCriticalPoints:
         central = (fwd(x + h) - fwd(x - h)) / (2.0 * h)
         assert np.abs(dl._forward_margin_slope(x, pair) - central).max() < 1e-9
 
+    @pytest.mark.parametrize("pair", list(Pair))
+    def test_dual_numbers_keep_the_plain_margins_to_the_bit(self, pair):
+        # The slope search reads its sign choice off `.val`, so the dual pass must not
+        # move a single bit of the margins it differentiates.
+        x = np.linspace(0.0, 5.0, 257)
+        params = dl._xparams(dl._reduced_states(*dl._mixing(x)[2:], pair)[1])
+        plain = kernels.witness_margins(*params)
+        dual = kernels.witness_margins(*(dl._Dual(p, np.ones_like(p)) for p in params))
+        for plain_side, dual_side in zip(plain, dual):
+            for margin, carried in zip(plain_side, dual_side):
+                assert carried.val.tobytes() == margin.tobytes()
+
+    def test_resolution_error_names_the_first_bad_root_by_name_then_frequency(self):
+        # At M = 1e12 the spacing near M alone exceeds the gate. x = 0.4 puts only d2 in
+        # range, x = 2 all three, so d0 at the second frequency comes first.
+        omegas = np.array([0.4, 2.0]) / (EIGHT_PI * 1e12)
+        with pytest.raises(ResolutionError, match=rf"omega={omegas[1]:g} .* place d0 more finely"):
+            find_critical_batch(1e12, omegas)
+
     def test_peak_agrees_to_1e_9(self):
         for mass, omega in ((1.0, 1.0), (1.0, 0.5), (2.0, 1.0)):
             d1 = critical_dilatons(mass, [omega])["d1"][0]
@@ -694,6 +713,39 @@ class TestCriticalPoints:
     def test_out_of_range_is_nan(self):
         found = find_critical_batch(1.0, [0.01])
         assert all(math.isnan(found[name][0]) for name in ("d0", "d1", "d2"))
+
+
+def steps(edges, labels):
+    """A step function: labels[i] from edges[i - 1] (inclusive) up to edges[i]."""
+    return lambda x: np.asarray(labels)[np.searchsorted(edges, x, side="right")]
+
+
+class TestFlips:
+    """`_flips`, the one scan-and-bisect behind the critical roots and the regime edges."""
+
+    GRID = np.arange(9) / 2.0  # [0, 4] in steps of 1/2
+
+    def test_no_change_gives_empty_arrays(self):
+        points, below = dl._flips(steps([10.0], [1, 2]), self.GRID)
+        assert points.shape == below.shape == (0,)
+        assert points.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "edges,labels",
+        [
+            ([1.0 / 3.0], [False, True]),
+            ([1.0], [True, False]),  # on a grid point
+            ([math.pi / 4.0, 2.0, math.e, 3.9], [0, 2, 1, 3, 0]),
+        ],
+    )
+    def test_each_point_is_its_step_to_within_one_ulp(self, edges, labels):
+        f = steps(edges, labels)
+        points, below = dl._flips(f, self.GRID)
+        assert below.tolist() == labels[:-1]
+        assert points.shape == (len(edges),)
+        for point, value, edge in zip(points, below, edges):
+            assert f(np.nextafter(point, -np.inf)) == value
+            assert abs(point - edge) <= np.spacing(edge)
 
 
 class TestMonogamy:
