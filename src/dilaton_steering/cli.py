@@ -6,7 +6,8 @@ monogamy (identity residual gate), classify (runs of `sweep`'s regime labels).
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments (including
 parameters at which float64 cannot resolve a critical dilaton to the
-1e-6 gate), 3 output I/O failure.
+1e-6 gate), 3 output I/O failure. An interrupt (Ctrl-C) prints one line
+and ends the process by SIGINT, which a shell reports as 130.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import signal
 import sys
 
 from . import __version__
@@ -271,12 +273,11 @@ def _to_stderr(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if sys.stdout is None:
         sys.stdout = _ClosedStream()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             if exc.code == 0:
                 # --help or --version: argparse drops a failed write to stdout,
@@ -300,6 +301,12 @@ def main(argv=None) -> int:
             os.close(devnull)
         _to_stderr(f"error: {exc}")
         return EXIT_IO
+    except KeyboardInterrupt:
+        # The pool is reaped by now. Die by SIGINT, as the default handler does: a shell sees 130.
+        _to_stderr("error: interrupted")
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        return 128 + signal.SIGINT
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
 the slices either as CSV (17 significant digits, '\\n' line endings) or
 as a JSON array of objects with native numbers. Formatting is most of a
-sweep's time, so the slices are formatted on the available CPUs, one
-forked worker each, and written in walk order; memory then holds at most
-one slice per worker plus one. Output is deterministic: identical
+sweep's time, so `_texts` formats the slices on a pool of forked workers,
+one per available CPU, and yields them in walk order; memory then holds
+at most one slice per worker plus one. Output is deterministic: identical
 configurations produce identical bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import json
 import math
 import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,17 +229,6 @@ def _cells(array) -> list:
     return array.tolist()
 
 
-def _json_number(value) -> str:
-    # json spells the non-finite floats as JavaScript constants.
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return repr(value)
-
-
 def _csv_text(cfg: SweepConfig, job) -> str:
     """The CSV rows of one slice: 17 significant digits, '\\n' line endings."""
     block = _block(cfg, *job)
@@ -253,67 +244,67 @@ def _json_text(cfg: SweepConfig, job) -> str:
     specs, cells = [], []
     for name in header:
         a = block[name]
-        values = _cells(a)
-        if a.dtype.kind == "U":
-            specs.append('"%s"')
-        elif a.dtype.kind == "b":
-            specs.append("%s")
-        elif np.isfinite(a).all():
-            specs.append("%r")
-        else:
-            specs.append("%s")
-            values = [_json_number(v) for v in values]
-        cells.append(values)
+        # json spells the labels, the flags and any column with inf or NaN; no cell holds ", ".
+        finite = a.dtype.kind == "f" and np.isfinite(a).all()
+        specs.append("%r" if finite else "%s")
+        cells.append(a.tolist() if finite else json.dumps(a.tolist())[1:-1].split(", "))
     fields = ",\n".join(f'    "{name}": {spec}' for name, spec in zip(header, specs))
     template = "  {\n" + fields + "\n  }"
     return ",\n".join(map(template.__mod__, zip(*cells)))
 
 
-def _in_order(pool, workers: int, text, cfg: SweepConfig, jobs):
-    """Yield text(cfg, job) for each job, in order, with at most workers + 1 jobs in flight.
+def _texts(cfg: SweepConfig, text):
+    """Validate `cfg`, then yield text(cfg, job) for each slice of `_slices`, in walk order.
 
-    That is one job per worker and one queued, so that a worker which ends
-    a short slice (the last of an omega) starts the next at once, while
-    the oldest is still being formatted.
+    The slices are formatted on a pool of forked workers, one per available CPU, with at
+    most workers + 1 in flight: one per worker and one queued, so that a worker which ends
+    a short slice (the last of an omega) starts the next at once. Memory holds at most one
+    slice per worker plus one. With one CPU or one slice, they are formatted in process.
     """
+    jobs = _slices(cfg)
+    # Missing where the OS cannot pin CPUs (macOS, Windows); every OS that has it can fork.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(cfg.omegas) * len(range(0, cfg.points, SLICE_ROWS)))
+    if workers < 2:
+        yield from (text(cfg, job) for job in jobs)
+        return
+    # Imported here: it takes about 26 ms, which no other command should pay.
+    import multiprocessing
+
+    # Forked workers start with numpy and the package imported; spawned ones would import
+    # them again. The pool forks them before it starts its own threads. A worker killed
+    # mid-job, by SIGINT or by the `with`, prints a traceback or holds a lock the teardown
+    # needs; so SIGINT stays blocked in them, and a job leaves `pending` once its text is taken.
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    except BaseException:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        raise
     pending = collections.deque()
-    for job in jobs:
-        pending.append(pool.apply_async(text, (cfg, job)))
-        if len(pending) > workers:
-            yield pending.popleft().get()
-    while pending:
-        yield pending.popleft().get()
+    with pool:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)  # a SIGINT held pending fires here
+        try:
+            for job in jobs:
+                pending.append(pool.apply_async(text, (cfg, job)))
+                if len(pending) > workers:
+                    yield pending[0].get()
+                    pending.popleft()
+            while pending:
+                yield pending[0].get()
+                pending.popleft()
+        finally:
+            for result in pending:
+                result.wait()
 
 
 def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
     """Write lead and the text of the walk's first slice, then sep and that of each next one.
 
-    text(cfg, job) formats one slice of `_slices`. The slices are formatted
-    on a pool of forked workers, one per available CPU, and written in walk
-    order; with the bound of `_in_order`, memory holds at most one slice
-    per worker plus one. Where there is one CPU, one slice or no fork start
-    method, they are formatted in process. The config is validated
-    before anything is written, and the `with` reaps the workers however
-    the writing ends.
+    `_texts` owns the pool, and validates the config before its first text, so before anything
+    is written. It is closed however the writing ends: a traceback would keep its workers alive.
     """
-    jobs = _slices(cfg)
-    # sched_getaffinity is missing where the OS cannot pin CPUs (macOS, Windows).
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cfg.omegas) * len(range(0, cfg.points, SLICE_ROWS)))
-    pool = None
-    if workers > 1:
-        # Imported here: it takes about 26 ms, which no other command should pay.
-        import multiprocessing
-
-        # Forked workers start with numpy and the package imported; spawned ones would
-        # import them again. The pool forks them before it starts its own threads.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers)
-    with pool or contextlib.nullcontext():
-        if pool is None:
-            texts = (text(cfg, job) for job in jobs)
-        else:
-            texts = _in_order(pool, workers, text, cfg, jobs)
+    with contextlib.closing(_texts(cfg, text)) as texts:
         for piece in texts:
             # Two writes, not lead + piece, and the text dropped before the next slice's:
             # another copy of a slice's text would add to the peak.

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -151,6 +153,26 @@ class TestSweepCommand:
             cli.main(["sweep", "--omega", "abc"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--pairs", "xyz"), "argument --pairs: unknown pair 'xyz', expected a subset of ab,abbar,bbbar"),
+            (("--pairs", ","), "argument --pairs: expected at least one pair"),
+            (("--omega", ","), "argument --omega: expected at least one value"),
+        ],
+    )
+    def test_unknown_or_empty_list_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"dilaton-steering sweep: error: {message}\n")
+
+    def test_empty_pair_names_are_skipped(self, capsys):
+        assert run(capsys, "sweep", "--pairs", "ab,", "--points", "2") == run(
+            capsys, "sweep", "--pairs", "ab", "--points", "2"
+        )
 
     def test_overflowing_thermal_argument_is_silent(self):
         # 8 pi (M - D) omega overflows to x = inf, the right limit; numpy must not warn.
@@ -302,6 +324,20 @@ class TestCriticalCommand:
         code, out, err = run(capsys, command, "--omega", "2,0.5,inf")
         assert (code, out) == (2, "")
         assert err == "error: omegas must all be positive and finite, got [2.0, 0.5, inf]\n"
+
+    def test_numeric_beyond_the_gate_exits_1(self, capsys, monkeypatch):
+        batch = cli.find_critical_batch
+
+        def shifted(mass, omegas):
+            numeric = batch(mass, omegas)
+            numeric["d1"] = numeric["d1"] + 2e-6
+            return numeric
+
+        monkeypatch.setattr(cli, "find_critical_batch", shifted)
+        code, out, err = run(capsys, "critical")
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines() if "MISMATCH" in line] == ["d1"] * 4
+        assert err == "FAIL: numeric and closed-form critical points differ beyond 1e-06\n"
 
     def test_out_of_range_is_reported_not_failed(self, capsys):
         code, out, _ = run(capsys, "critical", "--omega", "0.01")
@@ -651,6 +687,45 @@ class TestClosedStreams:
         code, out, _ = run(capsys, "verify", "--points", "11", "--omega", "1")
         assert code == 1
         assert "FAIL" not in out and "PASS" not in out
+
+
+class TestInterrupt:
+    """Ctrl-C: SIGINT to the CLI's process group, as a terminal sends it, mid-run."""
+
+    # Prints a line once the interpreter runs, since `verify` prints only at the end.
+    STARTED = "import sys; from dilaton_steering.cli import main; print('started', flush=True); sys.exit(main())"
+
+    @pytest.mark.parametrize(
+        "argv,begun",
+        [
+            (["sweep", "--points", "400000"], b"omega,"),
+            (["verify", "--points", "20000000", "--omega", "1"], b"started"),
+        ],
+        ids=["sweep", "verify"],
+    )
+    def test_one_line_and_death_by_sigint(self, argv, begun):
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-c", self.STARTED, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        ) as proc:
+            try:
+                for line in proc.stdout:
+                    if line.startswith(begun):
+                        break
+                time.sleep(0.2)
+                os.killpg(proc.pid, signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        # A shell reports death by SIGINT as 130.
+        assert (proc.returncode, err) == (-signal.SIGINT, b"error: interrupted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestFlagsPerSubcommand:
