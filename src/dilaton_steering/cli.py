@@ -302,7 +302,7 @@ def main(argv=None) -> int:
         _to_stderr(f"error: {exc}")
         return EXIT_IO
     except KeyboardInterrupt:
-        # The pool is reaped by now. Die by SIGINT, as the default handler does: a shell sees 130.
+        # The sweep's children are reaped now. Die by SIGINT, as the default handler does: a shell sees 130.
         _to_stderr("error: interrupted")
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)

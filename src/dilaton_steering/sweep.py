@@ -9,10 +9,10 @@ residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
 the slices either as CSV (17 significant digits, '\\n' line endings) or
 as a JSON array of objects with native numbers. Formatting is most of a
-sweep's time, so `_texts` formats the slices on a pool of forked workers,
-one per available CPU, and yields them in walk order; memory then holds
-at most one slice per worker plus one. Output is deterministic: identical
-configurations produce identical bytes, whatever the number of CPUs.
+sweep's time, so `_texts` formats each slice in a forked child, at most
+one per available CPU plus one, which sends it back on a pipe; it yields
+the texts in walk order, and a child that dies raises ChildProcessError.
+Identical configurations produce identical bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
@@ -25,12 +25,13 @@ it holds the one rule of a gate, under which a NaN fails and is the worst.
 
 from __future__ import annotations
 
-import collections
 import contextlib
+import itertools
 import json
 import math
 import os
 import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,10 +257,11 @@ def _json_text(cfg: SweepConfig, job) -> str:
 def _texts(cfg: SweepConfig, text):
     """Validate `cfg`, then yield text(cfg, job) for each slice of `_slices`, in walk order.
 
-    The slices are formatted on a pool of forked workers, one per available CPU, with at
-    most workers + 1 in flight: one per worker and one queued, so that a worker which ends
-    a short slice (the last of an omega) starts the next at once. Memory holds at most one
-    slice per worker plus one. With one CPU or one slice, they are formatted in process.
+    Each slice is formatted in a forked child, which writes the text to its own pipe; at most
+    workers + 1 are alive, one per available CPU and one more, so that a CPU which ends a short
+    slice (the last of an omega) starts the next at once. Memory holds at most one slice per
+    child. A child that ends with a status other than 0, by an exception or a kill, leaves the
+    output incomplete: ChildProcessError. With one CPU or one slice, they are formatted in process.
     """
     jobs = _slices(cfg)
     # Missing where the OS cannot pin CPUs (macOS, Windows); every OS that has it can fork.
@@ -268,41 +270,58 @@ def _texts(cfg: SweepConfig, text):
     if workers < 2:
         yield from (text(cfg, job) for job in jobs)
         return
-    # Imported here: it takes about 26 ms, which no other command should pay.
-    import multiprocessing
-
-    # Forked workers start with numpy and the package imported; spawned ones would import
-    # them again. The pool forks them before it starts its own threads. A worker killed
-    # mid-job, by SIGINT or by the `with`, prints a traceback or holds a lock the teardown
-    # needs; so SIGINT stays blocked in them, and a job leaves `pending` once its text is taken.
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    children = []  # (pid, read end of its pipe), oldest first
+    main = threading.current_thread() is threading.main_thread()
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        raise
-    pending = collections.deque()
-    with pool:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)  # a SIGINT held pending fires here
-        try:
-            for job in jobs:
-                pending.append(pool.apply_async(text, (cfg, job)))
-                if len(pending) > workers:
-                    yield pending[0].get()
-                    pending.popleft()
-            while pending:
-                yield pending[0].get()
-                pending.popleft()
-        finally:
-            for result in pending:
-                result.wait()
+        while True:
+            # Until a text is taken, SIGINT stays blocked here and in the children forked, and the main
+            # thread, which runs the handler wherever it lands, only notes it: `children` loses no pid.
+            noted = []
+            handler = signal.signal(signal.SIGINT, lambda *_: noted.append(1)) if main else None
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                for job in itertools.islice(jobs, workers + 1 - len(children)):
+                    read, write = os.pipe()
+                    children.append((os.fork(), open(read, "rb", buffering=0)))
+                    if children[-1][0] == 0:
+                        try:
+                            for _, pipe in children:  # one left open keeps its writer blocked in the teardown
+                                pipe.close()
+                            with open(write, "wb") as out:
+                                out.write(text(cfg, job).encode())
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    os.close(write)
+                if not children:
+                    return
+                pid, pipe = children[0]
+                piece = pipe.read().decode()
+                pipe.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                if main:
+                    signal.signal(signal.SIGINT, handler)
+            if noted:
+                signal.raise_signal(signal.SIGINT)
+            if status:
+                raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
+            yield piece
+            del piece  # written now; the children forked next would map it too
+    finally:
+        for _, pipe in children:  # all read ends first: a child blocked on a full pipe ends only then
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
     """Write lead and the text of the walk's first slice, then sep and that of each next one.
 
-    `_texts` owns the pool, and validates the config before its first text, so before anything
-    is written. It is closed however the writing ends: a traceback would keep its workers alive.
+    `_texts` owns the children, and validates the config before its first text, so before anything
+    is written. It is closed however the writing ends, so that it reaps them.
     """
     with contextlib.closing(_texts(cfg, text)) as texts:
         for piece in texts:

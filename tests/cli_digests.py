@@ -11,7 +11,8 @@ A change that alters the bytes on purpose records them again,
 
     PYTHONPATH=src python3 tests/cli_digests.py
 
-and names each changed digest in CHANGES.md, with its input and the reason.
+which prints each case whose digest changed, was added or was removed, and
+names each in CHANGES.md, with its input and the reason.
 libm and numpy may move a last bit between versions, so the record keeps
 the python, numpy and platform versions it was made under.
 """
@@ -169,11 +170,15 @@ def versions() -> dict:
     }
 
 
-def record() -> None:
-    cases = {name: digest(argv) for name, argv in CASES.items()}
+def record(path: Path, cases: dict) -> None:
+    """Write `cases` and the versions to `path`; print each case that changed, was added or was removed."""
+    old = json.loads(path.read_text(encoding="utf-8"))["cases"] if path.exists() else {}
+    for name in [*old, *(name for name in cases if name not in old)]:
+        if old.get(name) != cases.get(name):
+            print("added" if name not in old else "removed" if name not in cases else "changed", name)
     text = json.dumps({"versions": versions(), "cases": cases}, indent=1)
-    RECORD.write_text(text + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    record(RECORD, {name: digest(argv) for name, argv in CASES.items()})

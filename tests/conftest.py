@@ -27,6 +27,13 @@ def exact_float(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
+def children_of(pid, thread=None):
+    """The pids of the child processes that a thread of `pid` forked, its main thread by default;
+    the unreaped ones are included."""
+    with open(f"/proc/{pid}/task/{thread or pid}/children") as listing:
+        return [int(child) for child in listing.read().split()]
+
+
 @contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block after `seconds`, so a hang fails instead of stalling."""

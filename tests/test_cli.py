@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import decimal
 import importlib.util
 import io
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilaton_steering
-from conftest import EXACT_EIGHT_PI, exact_float, time_limit
+from conftest import EXACT_EIGHT_PI, children_of, exact_float, time_limit
 from dilaton_steering import cli, kernels
 from dilaton_steering.dilaton import X_BIRTH, X_DEATH, X_PEAK
 from dilaton_steering.sweep import RESIDUALS, SLICE_ROWS, SweepConfig, columns
@@ -145,6 +146,37 @@ class TestSweepCommand:
             assert proc.wait(timeout=60) == 3, err
         assert b"error" in err and b"Traceback" not in err
         # The workers would be in the CLI's process group, which is empty once it exits.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_a_killed_worker_exits_3_and_leaves_none(self, tmp_path):
+        # The OOM killer's SIGKILL to a formatting child: the output is incomplete.
+        out = tmp_path / "F"
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-c", CLI, "sweep", "--points", "400000", "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        ) as proc:
+            try:
+                with time_limit(30):
+                    while not (out.exists() and out.stat().st_size):
+                        time.sleep(0.01)
+                    # The newest child is the likeliest to be formatting still; one that has
+                    # ended ignores the kill, so the next round kills another.
+                    while proc.poll() is None:
+                        with contextlib.suppress(ProcessLookupError):
+                            for child in children_of(proc.pid)[-1:]:
+                                os.kill(child, signal.SIGKILL)
+                        time.sleep(0.2)
+                    err = proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 3
+        assert err == b"error: a sweep worker ended with status -9; the output is incomplete\n"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
@@ -968,11 +1000,16 @@ class TestPackageLayout:
 
     @pytest.mark.parametrize(
         "argv",
-        [None, ["--version"], ["sweep", "--omega", "1", "--points", "5"]],
-        ids=["import", "version", "one-slice-sweep"],
+        [
+            None,
+            ["--version"],
+            ["sweep", "--omega", "1", "--points", "5"],
+            ["sweep", "--omega", "1", "--points", str(2 * SLICE_ROWS)],
+        ],
+        ids=["import", "version", "one-slice-sweep", "two-slice-sweep"],
     )
-    def test_multiprocessing_is_imported_only_for_a_pool(self, argv):
-        # It takes about 26 ms to import, which every command would pay at start-up.
+    def test_no_command_imports_multiprocessing(self, argv):
+        # It takes about 26 ms to import, and the sweep's forked children need none of it.
         code = (
             "import sys\n"
             "from dilaton_steering.cli import main\n"

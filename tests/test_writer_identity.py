@@ -7,14 +7,17 @@ byte.
 
 import errno
 import io
-import multiprocessing
 import os
+import signal
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import row_writer_oracle as oracle
+from conftest import children_of
+from dilaton_steering import sweep
 from dilaton_steering.dilaton import Pair
 from dilaton_steering.sweep import (
     ALL_PAIRS,
@@ -128,7 +131,7 @@ class _Probe(io.StringIO):
     most_children = 0
 
     def write(self, text):
-        self.most_children = max(self.most_children, len(multiprocessing.active_children()))
+        self.most_children = max(self.most_children, len(children_of(os.getpid(), threading.get_native_id())))
         return super().write(text)
 
 
@@ -161,7 +164,27 @@ def test_pool_writes_the_bytes_of_the_in_process_map(monkeypatch, fmt, name):
     assert pooled == mapped
     if name == "non-finite" and fmt == "json":
         assert '"x": Infinity' in pooled
-    assert multiprocessing.active_children() == []
+    assert children_of(os.getpid()) == []
+
+
+def test_a_writer_off_the_main_thread_forks_and_reaps(monkeypatch):
+    # The main thread alone may set a signal handler, and alone takes KeyboardInterrupt.
+    cfg = POOLED["omegas-pairs-short-slice"]
+    mapped, _ = render_on(monkeypatch, 1, cfg, "csv")
+    results = []
+
+    def run():
+        try:
+            results.append(render_on(monkeypatch, 2, cfg, "csv"))
+        except BaseException as exc:
+            results.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results == [(mapped, 2)]
+    assert children_of(os.getpid()) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -189,4 +212,40 @@ def test_a_failed_write_raises_and_reaps_the_workers(monkeypatch, fmt, ok):
     cfg = SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0))
     with pytest.raises(OSError, match="no space left on the stream"):
         WRITERS[fmt][0](cfg, _FailingStream(ok))
-    assert multiprocessing.active_children() == []
+    assert children_of(os.getpid()) == []
+
+
+def test_a_child_that_raises_ends_the_write_and_is_reaped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, csv_text = os.getpid(), sweep._csv_text
+
+    def raising_in_a_child(cfg, job):
+        if os.getpid() != parent:
+            raise RuntimeError("a formatting failure in a child")
+        return csv_text(cfg, job)
+
+    monkeypatch.setattr(sweep, "_csv_text", raising_in_a_child)
+    stream = io.StringIO()
+    with pytest.raises(ChildProcessError, match="ended with status 1; the output is incomplete"):
+        write_csv(SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0)), stream)
+    assert stream.getvalue() == ""
+    assert children_of(os.getpid()) == []
+
+
+def test_a_failed_fork_restores_sigint_and_reaps_the_children(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fork, pids = os.fork, []
+
+    def fork_twice():
+        if len(pids) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork: resource temporarily unavailable")
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", fork_twice)
+    handler = signal.getsignal(signal.SIGINT)
+    with pytest.raises(BlockingIOError):
+        write_csv(SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0)), io.StringIO())
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert children_of(os.getpid()) == []
