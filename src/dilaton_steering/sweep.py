@@ -1,35 +1,39 @@
 """Grid sweeps over the dilaton charge: columns, verification, output.
 
 A sweep row is one (omega, dilaton) grid point; its columns are fixed by
-`columns()`. One grid walk (`_slices`) feeds every consumer here: it takes
-each omega's dilaton grid in ascending slices of at most SLICE_ROWS
-points, and one function per step computes a slice: `_walk_slice` its
-amplitudes, `_closed_slice` its closed-form measures and monogamy
+`columns()`. One grid walk (`_slices`) feeds every consumer here: it cuts
+each omega's dilaton grid into ascending slices of near-equal size, at most
+SLICE_ROWS points, and one function per step computes a slice: `_walk_slice`
+its amplitudes, `_closed_slice` its closed-form measures and monogamy
 residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
 the slices either as CSV (17 significant digits, '\\n' line endings) or
-as a JSON array of objects with native numbers. Formatting is most of a
-sweep's time, so `_texts` formats each slice in a forked child, at most
-one per available CPU plus one, which sends it back on a pipe; it yields
-the texts in walk order, and a child that dies raises ChildProcessError.
-Identical configurations produce identical bytes, whatever the number of CPUs.
+as a JSON array of objects with native numbers. `_on_cpus` forks one
+worker per available CPU once per command: for the writers, worker k
+formats slices k, k + workers, ..., and the texts are written in walk
+order; a worker that dies raises ChildProcessError. Identical
+configurations produce identical bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
 adds the batch density-matrix route (`pipeline_measure_arrays`) to each
 slice and compares it with the closed forms at a 1e-10 gate;
-`monogamy_grid` gates the four identities. Both fold each slice's peaks
-into a `GateReport`, so the report is the one a whole-grid pass gives;
-it holds the one rule of a gate, under which a NaN fails and is the worst.
+`monogamy_grid` gates the four identities. Each worker folds the peaks of
+a contiguous run of slices into a `GateReport`, and the reports merge in
+walk order under `fold`'s own rule, so the report is the one a whole-grid
+pass gives; it holds the one rule of a gate, under which a NaN fails and
+is the worst.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import itertools
+import functools
 import json
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -154,40 +158,45 @@ def columns(pairs=ALL_PAIRS) -> list:
 SLICE_ROWS = 4096
 
 
-def _slices(cfg: SweepConfig):
-    """Validate `cfg`, then return an iterator over the slices of its grid walk.
+def _slices(cfg: SweepConfig, share: range | None = None):
+    """Validate `cfg`, then return an iterator over the slices of its grid walk, or over those at `share`.
 
-    Each slice is (omega, start, d0): the omegas ascend, the slices of an
-    omega's dilaton grid start at 0, SLICE_ROWS, ... and hold at most
-    SLICE_ROWS points, and d0 is that omega's birth dilaton, which the
-    monogamy residuals need.
+    Each slice is (omega, start, stop, d0): the omegas ascend, each omega's dilaton grid is cut into
+    ceil(points / SLICE_ROWS) slices [start, stop) whose sizes differ by at most one point, and d0 is
+    that omega's birth dilaton, which the monogamy residuals need. Slice i is computed from i, so a
+    share of the 2**41 slices of the largest grid is as lazy as the whole walk.
     """
     cfg.validate()
     omegas = cfg.sorted_omegas()
     d0s = critical_dilatons(cfg.mass, omegas)["d0"]
-    starts = range(0, cfg.points, SLICE_ROWS)
-    return ((omega, start, d0) for omega, d0 in zip(omegas, d0s) for start in starts)
+    cuts = -(-cfg.points // SLICE_ROWS)
+
+    def job(i):
+        k, j = divmod(i, cuts)
+        return omegas[k], j * cfg.points // cuts, (j + 1) * cfg.points // cuts, d0s[k]
+
+    return map(job, range(len(omegas) * cuts) if share is None else share)
 
 
-def _walk_slice(cfg: SweepConfig, omega, start):
-    """(dilatons, x, c2, s2, c, s) of the slice of omega's grid at `start`.
+def _walk_slice(cfg: SweepConfig, omega, start, stop):
+    """(dilatons, x, c2, s2, c, s) of the slice [start, stop) of omega's grid.
 
     The dilatons come from `grid_slice`, so the whole grid is never
     built. Every later step is elementwise, so a slice holds the values
     a whole-grid pass gives at its points.
     """
-    dslice = cfg.grid_slice(start, min(start + SLICE_ROWS, cfg.points))
+    dslice = cfg.grid_slice(start, stop)
     return (dslice, *amplitude_arrays(cfg.mass, omega, dslice))
 
 
-def _closed_slice(cfg: SweepConfig, omega, start, d0):
+def _closed_slice(cfg: SweepConfig, omega, start, stop, d0):
     """`_walk_slice` with the slice's closed forms and monogamy residuals.
 
     Returns (dilatons, x, closed, mono): `closed[pair]` holds the
     closed-form measures of all three pairs, and `mono` the monogamy
     residuals, which always take all three.
     """
-    dslice, x, c2, s2, c, s = _walk_slice(cfg, omega, start)
+    dslice, x, c2, s2, c, s = _walk_slice(cfg, omega, start, stop)
     closed = {pair: closed_measure_arrays(c2, s2, c, s, pair) for pair in ALL_PAIRS}
     mono = monogamy_residual_arrays(
         closed[Pair.AB], closed[Pair.ABBAR], closed[Pair.BBBAR], dslice, d0
@@ -195,9 +204,9 @@ def _closed_slice(cfg: SweepConfig, omega, start, d0):
     return dslice, x, closed, mono
 
 
-def _block(cfg: SweepConfig, omega, start, d0) -> dict:
+def _block(cfg: SweepConfig, omega, start, stop, d0) -> dict:
     """The sweep rows of one slice, as `sweep_blocks` yields them."""
-    dslice, x, closed, mono = _closed_slice(cfg, omega, start, d0)
+    dslice, x, closed, mono = _closed_slice(cfg, omega, start, stop, d0)
     block = {"omega": np.full(dslice.shape, omega), "dilaton": dslice, "x": x}
     for pair in ALL_PAIRS:
         if pair not in cfg.pairs:
@@ -254,76 +263,86 @@ def _json_text(cfg: SweepConfig, job) -> str:
     return ",\n".join(map(template.__mod__, zip(*cells)))
 
 
-def _texts(cfg: SweepConfig, text):
-    """Validate `cfg`, then yield text(cfg, job) for each slice of `_slices`, in walk order.
+def _on_cpus(cfg: SweepConfig, work, runs: bool):
+    """Validate `cfg`, then yield the items of work(slices) over the walk's slices, on one worker per CPU.
 
-    Each slice is formatted in a forked child, which writes the text to its own pipe; at most
-    workers + 1 are alive, one per available CPU and one more, so that a CPU which ends a short
-    slice (the last of an omega) starts the next at once. Memory holds at most one slice per
-    child. A child that ends with a status other than 0, by an exception or a kill, leaves the
-    output incomplete: ChildProcessError. With one CPU or one slice, they are formatted in process.
+    The w workers, one per available CPU and at most one per slice, are forked once. Worker k takes
+    a share of the walk's n slices, the contiguous run k*n//w .. (k+1)*n//w with `runs`, else the
+    slices k, k + w, ...; it pickles the items of work(share) to its own pipe, and item i is read
+    from worker i mod w, so round-robin shares give the items in walk order. A worker that ends with
+    a status other than 0, by an exception or a kill, raises ChildProcessError. However the reading
+    ends, the read ends are closed and the workers killed and reaped: a share can take days. With
+    one CPU or one slice, work runs in process over the whole walk.
     """
     jobs = _slices(cfg)
+    n = len(cfg.omegas) * -(-cfg.points // SLICE_ROWS)
     # Missing where the OS cannot pin CPUs (macOS, Windows); every OS that has it can fork.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(cfg.omegas) * len(range(0, cfg.points, SLICE_ROWS)))
-    if workers < 2:
-        yield from (text(cfg, job) for job in jobs)
+    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n)
+    if w < 2:
+        yield from work(jobs)
         return
-    children = []  # (pid, read end of its pipe), oldest first
-    main = threading.current_thread() is threading.main_thread()
+    workers = []  # (pid, read end of its pipe), in k order
     try:
-        while True:
-            # Until a text is taken, SIGINT stays blocked here and in the children forked, and the main
-            # thread, which runs the handler wherever it lands, only notes it: `children` loses no pid.
-            noted = []
-            handler = signal.signal(signal.SIGINT, lambda *_: noted.append(1)) if main else None
-            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        # While forking, SIGINT stays blocked here and in the workers, and the main thread, which
+        # runs the handler wherever it lands, only notes it: `workers` loses no pid.
+        main = threading.current_thread() is threading.main_thread()
+        noted = []
+        handler = signal.signal(signal.SIGINT, lambda *_: noted.append(1)) if main else None
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            for k in range(w):
+                read, write = os.pipe()
+                workers.append((os.fork(), open(read, "rb")))
+                if workers[-1][0] == 0:
+                    try:
+                        for _, pipe in workers:  # the read ends, its own and those of the workers before
+                            pipe.close()
+                        with open(write, "wb") as out:
+                            share = range(k * n // w, (k + 1) * n // w) if runs else range(k, n, w)
+                            for item in work(_slices(cfg, share)):
+                                pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                                out.flush()
+                                del item  # sent; not held while the next is made
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+            if main:
+                signal.signal(signal.SIGINT, handler)
+        if noted:
+            signal.raise_signal(signal.SIGINT)
+        turns = collections.deque(workers)
+        while turns:
+            pid, pipe = turns.popleft()
             try:
-                for job in itertools.islice(jobs, workers + 1 - len(children)):
-                    read, write = os.pipe()
-                    children.append((os.fork(), open(read, "rb", buffering=0)))
-                    if children[-1][0] == 0:
-                        try:
-                            for _, pipe in children:  # one left open keeps its writer blocked in the teardown
-                                pipe.close()
-                            with open(write, "wb") as out:
-                                out.write(text(cfg, job).encode())
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-                    os.close(write)
-                if not children:
-                    return
-                pid, pipe = children[0]
-                piece = pipe.read().decode()
-                pipe.close()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children.pop(0)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-                if main:
-                    signal.signal(signal.SIGINT, handler)
-            if noted:
-                signal.raise_signal(signal.SIGINT)
-            if status:
-                raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
-            yield piece
-            del piece  # written now; the children forked next would map it too
+                item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                # Its share is done, or it died. The status is read, the zombie left for the teardown.
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+                if status:
+                    raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
+                continue
+            turns.append((pid, pipe))
+            yield item
+            del item  # written now, and dropped before the next is read: one at a time
     finally:
-        for _, pipe in children:  # all read ends first: a child blocked on a full pipe ends only then
+        for _, pipe in workers:
             pipe.close()
-        for pid, _ in children:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
 def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
     """Write lead and the text of the walk's first slice, then sep and that of each next one.
 
-    `_texts` owns the children, and validates the config before its first text, so before anything
+    `_on_cpus` owns the workers, and validates the config before its first text, so before anything
     is written. It is closed however the writing ends, so that it reaps them.
     """
-    with contextlib.closing(_texts(cfg, text)) as texts:
+    with contextlib.closing(_on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), False)) as texts:
         for piece in texts:
             # Two writes, not lead + piece, and the text dropped before the next slice's:
             # another copy of a slice's text would add to the peak.
@@ -365,16 +384,23 @@ class GateReport:
     peaks: dict = field(default_factory=dict)
 
     def fold(self, key, dev: np.ndarray, omega: float, dilatons: np.ndarray) -> None:
-        """Fold one slice's peak of `dev` into peaks[key], in grid order.
-
-        An entry stays unless a later one ranks strictly higher, so on a tie
-        the earlier grid point stays, as np.argmax keeps the first.
-        """
+        """Fold one slice's peak of `dev` into peaks[key], in grid order."""
         if dev.size:
             i = int(np.argmax(dev))
-            old = self.peaks.get(key)
-            if old is None or _rank(dev[i]) > _rank(old[0]):
-                self.peaks[key] = (float(dev[i]), omega, float(dilatons[i]))
+            self._hold(key, (float(dev[i]), omega, float(dilatons[i])))
+
+    def merge(self, later: GateReport) -> GateReport:
+        """Fold in the peaks of `later`, a report on the grid points after this one's; return self."""
+        for key, peak in later.peaks.items():
+            self._hold(key, peak)
+        return self
+
+    def _hold(self, key, peak) -> None:
+        # A held peak stays unless the new one ranks strictly higher, so on a tie the earlier
+        # grid point stays, as np.argmax keeps the first; a new key goes last.
+        old = self.peaks.get(key)
+        if old is None or _rank(peak[0]) > _rank(old[0]):
+            self.peaks[key] = peak
 
     def select(self, keep) -> GateReport:
         """The report on the keys for which keep(key) is true, in the same order."""
@@ -391,6 +417,25 @@ class GateReport:
         return max(entries, key=lambda entry: _rank(entry[1]), default=None)
 
 
+def _gate(cfg: SweepConfig, fold) -> GateReport:
+    """fold(cfg, slices) over the whole walk: each worker of `_on_cpus` folds a contiguous run of
+    slices, and their reports merge in walk order into the one a whole-grid pass gives."""
+    with contextlib.closing(_on_cpus(cfg, lambda jobs: [fold(cfg, jobs)], True)) as reports:
+        return functools.reduce(GateReport.merge, reports)
+
+
+def _verify_fold(cfg: SweepConfig, jobs) -> GateReport:
+    report = GateReport(VERIFY_GATE)
+    for omega, start, stop, _ in jobs:
+        dslice, _, c2, s2, c, s = _walk_slice(cfg, omega, start, stop)
+        for pair in cfg.pairs:
+            closed = closed_measure_arrays(c2, s2, c, s, pair)
+            pipe = pipeline_measure_arrays(c, s, pair)
+            for key, value in pipe.items():
+                report.fold((pair, key), np.abs(closed[key] - value), omega, dslice)
+    return report
+
+
 def verify_grid(cfg: SweepConfig) -> GateReport:
     """Compare the closed-form and pipeline routes on the whole grid.
 
@@ -401,14 +446,17 @@ def verify_grid(cfg: SweepConfig) -> GateReport:
     Bell values are compared branch to branch, plus the branch maximum
     against the correlation-matrix value.
     """
-    report = GateReport(VERIFY_GATE)
-    for omega, start, _ in _slices(cfg):
-        dslice, _, c2, s2, c, s = _walk_slice(cfg, omega, start)
-        for pair in cfg.pairs:
-            closed = closed_measure_arrays(c2, s2, c, s, pair)
-            pipe = pipeline_measure_arrays(c, s, pair)
-            for key, value in pipe.items():
-                report.fold((pair, key), np.abs(closed[key] - value), omega, dslice)
+    return _gate(cfg, _verify_fold)
+
+
+def _monogamy_fold(cfg: SweepConfig, jobs) -> GateReport:
+    report = GateReport(MONOGAMY_GATE)
+    for omega, start, stop, d0 in jobs:
+        dslice, x, closed, mono = _closed_slice(cfg, omega, start, stop, d0)
+        del x, closed  # the fold needs only the residuals; hold one slice at a time
+        for name in RESIDUALS:
+            rows = mono["valid"] if name in ("r3", "r4") else slice(None)
+            report.fold((omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
     return report
 
 
@@ -419,11 +467,4 @@ def monogamy_grid(cfg: SweepConfig) -> GateReport:
     its birth dilaton d0 has no r3/r4 key. Keys enter in (omega, r1..r4)
     order, so ties go to the first in (omega, r1..r4, grid point) order.
     """
-    report = GateReport(MONOGAMY_GATE)
-    for omega, start, d0 in _slices(cfg):
-        dslice, x, closed, mono = _closed_slice(cfg, omega, start, d0)
-        del x, closed  # the fold needs only the residuals; hold one slice at a time
-        for name in RESIDUALS:
-            rows = mono["valid"] if name in ("r3", "r4") else slice(None)
-            report.fold((omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
-    return report
+    return _gate(cfg, _monogamy_fold)

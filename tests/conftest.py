@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from dilaton_steering import sweep
+from dilaton_steering.dilaton import critical_dilatons
 
 # Every property test draws the same examples on every run, so a tier-1
 # result depends on the code alone.
@@ -84,16 +85,21 @@ def nan_s_forward_at(monkeypatch):
 
 @pytest.fixture
 def nan_r1_after_first_omega(monkeypatch):
-    """Make `monogamy_grid` see a NaN r1 at the last grid point of every omega but the first."""
+    """Return arm(cfg): from then on, `monogamy_grid` sees a NaN r1 at the last grid point of
+    every omega of cfg but the first. The omega is told by its birth dilaton d0, so the poison
+    lands wherever that slice is computed."""
     original = sweep.monogamy_residual_arrays
-    calls = []
 
-    def poisoned(*args):
-        res = original(*args)
-        calls.append(None)
-        if len(calls) > 1:
-            res["r1"] = res["r1"].copy()
-            res["r1"][-1] = np.nan
-        return res
+    def arm(cfg):
+        later = critical_dilatons(cfg.mass, cfg.sorted_omegas()[1:])["d0"]
+        last = cfg.resolved_d_max
 
-    monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)
+        def poisoned(ab, abbar, bbbar, dilatons, d0):
+            res = original(ab, abbar, bbbar, dilatons, d0)
+            if d0 in later:
+                res["r1"] = np.where(dilatons == last, np.nan, res["r1"])
+            return res
+
+        monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)
+
+    return arm

@@ -310,6 +310,32 @@ class TestVerifyCommand:
             "FAIL: ab s_forward deviates nan at omega=1, D=0.99999899999999997 (gate 1e-10)\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "monogamy"])
+    def test_a_killed_gate_worker_exits_3_and_leaves_none(self, command):
+        # The OOM killer's SIGKILL to the worker whose report is read first: the report is incomplete.
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        argv = [command, "--points", "40000000", "--omega", "1"]
+        with subprocess.Popen(
+            [sys.executable, "-c", CLI, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        ) as proc:
+            try:
+                with time_limit(30):
+                    while len(children_of(proc.pid)) < 2:
+                        time.sleep(0.01)
+                    os.kill(children_of(proc.pid)[0], signal.SIGKILL)
+                    out, err = proc.communicate()
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, out) == (3, b"")
+        assert err == b"error: a sweep worker ended with status -9; the output is incomplete\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
 
 class TestCriticalCommand:
     def test_default_point_report(self, capsys):
@@ -459,6 +485,7 @@ class TestMonogamyCommand:
         )
 
     def test_nan_residual_exits_1(self, capsys, nan_r1_after_first_omega):
+        nan_r1_after_first_omega(SweepConfig(points=21, omegas=(0.5, 1.0)))
         code, out, err = run(capsys, "monogamy", "--points", "21", "--omega", "0.5,1")
         assert code == 1
         assert "max |r1| = nan" in out
@@ -731,7 +758,8 @@ class TestInterrupt:
         "argv,begun",
         [
             (["sweep", "--points", "400000"], b"omega,"),
-            (["verify", "--points", "20000000", "--omega", "1"], b"started"),
+            # Each of its workers folds a run of about 20 s; the interrupt kills them at once.
+            (["verify", "--points", "40000000", "--omega", "1"], b"started"),
         ],
         ids=["sweep", "verify"],
     )
@@ -750,12 +778,15 @@ class TestInterrupt:
                         break
                 time.sleep(0.2)
                 os.killpg(proc.pid, signal.SIGINT)
+                sent = time.monotonic()
                 _, err = proc.communicate(timeout=60)
+                waited = time.monotonic() - sent
             finally:
                 if proc.poll() is None:
                     os.killpg(proc.pid, signal.SIGKILL)
         # A shell reports death by SIGINT as 130.
         assert (proc.returncode, err) == (-signal.SIGINT, b"error: interrupted\n")
+        assert waited < 5
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 

@@ -2,7 +2,9 @@ import collections
 import io
 import json
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsh_oracle import chsh_max_eigvalsh
+from conftest import children_of
 from density_oracle import reduced
 from dilaton_steering import kernels, sweep
 from dilaton_steering.dilaton import (
@@ -52,13 +55,15 @@ def render_csv(cfg):
 
 
 def traced_peak(run, points):
-    """Peak traced numpy/python memory of run(cfg) on a one-omega grid."""
-    tracemalloc.start()
-    try:
-        run(SweepConfig(points=points, omegas=(1.0,)))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """Peak traced numpy/python memory of run(cfg) on a one-omega grid, on one CPU: tracemalloc
+    sees this process alone, so the work must not go to forked workers."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        tracemalloc.start()
+        try:
+            run(SweepConfig(points=points, omegas=(1.0,)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def residual_max(report, name):
@@ -127,7 +132,7 @@ class TestGridSlices:
         if "d_max" in kwargs:
             assert cfg.d_max / (points - 1) == 0.0
         walked = np.concatenate(
-            [sweep._walk_slice(cfg, omega, start)[0] for omega, start, _ in sweep._slices(cfg)]
+            [sweep._walk_slice(cfg, omega, start, stop)[0] for omega, start, stop, _ in sweep._slices(cfg)]
         )
         assert walked.tobytes() == cfg.dilaton_grid().tobytes()
 
@@ -135,8 +140,8 @@ class TestGridSlices:
         cfg = SweepConfig(points=10**12, omegas=(1.0,))
         tracemalloc.start()
         try:
-            omega, start, _ = next(sweep._slices(cfg))
-            dslice, *_ = sweep._walk_slice(cfg, omega, start)
+            omega, start, stop, _ = next(sweep._slices(cfg))
+            dslice, *_ = sweep._walk_slice(cfg, omega, start, stop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,7 +216,8 @@ class TestRecords:
     def test_blocks_are_ascending_slices(self):
         cfg = SweepConfig(points=2 * SLICE_ROWS + 1, omegas=(1.0, 0.5))
         sizes = [len(block["dilaton"]) for block in sweep_blocks(cfg)]
-        assert sizes == [SLICE_ROWS, SLICE_ROWS, 1] * 2
+        # Three near-equal slices of 8193 points.
+        assert sizes == [2731, 2731, 2731] * 2
         cols = sweep_columns(cfg)
         keys = list(zip(cols["omega"].tolist(), cols["dilaton"].tolist()))
         assert keys == sorted(keys)
@@ -220,7 +226,8 @@ class TestRecords:
         def consume(cfg):
             collections.deque(sweep_blocks(cfg), maxlen=0)
 
-        assert traced_peak(consume, 20001) < 1.5 * traced_peak(consume, 4097)
+        # Both grids are cut into slices of SLICE_ROWS points.
+        assert traced_peak(consume, 5 * SLICE_ROWS) < 1.5 * traced_peak(consume, 2 * SLICE_ROWS)
 
     def test_all_numeric_fields_finite(self):
         cfg = SweepConfig(points=7)
@@ -352,7 +359,7 @@ class TestVerifyGrid:
         assert report.peaks == expected
 
     def test_memory_does_not_grow_with_the_grid(self):
-        assert traced_peak(verify_grid, 20001) < 1.5 * traced_peak(verify_grid, 4097)
+        assert traced_peak(verify_grid, 5 * SLICE_ROWS) < 1.5 * traced_peak(verify_grid, 2 * SLICE_ROWS)
 
     def test_reduced_states_come_without_8x8_stacks(self):
         # One 4096-state stack of three-mode density matrices is 4 MB; the
@@ -425,6 +432,7 @@ class TestMonogamyGrid:
 
     def test_nan_residual_after_first_omega_fails_the_gate(self, nan_r1_after_first_omega):
         cfg = SweepConfig(points=51, omegas=(0.5, 1.0))
+        nan_r1_after_first_omega(cfg)
         report = monogamy_grid(cfg)
         assert not report.passed
         assert math.isnan(residual_max(report, "r1"))
@@ -450,7 +458,7 @@ class TestMonogamyGrid:
             assert (residual_max(report, name) is not None) == (above or name in ("r1", "r2"))
 
     def test_memory_does_not_grow_with_the_grid(self):
-        assert traced_peak(monogamy_grid, 20001) < 1.5 * traced_peak(monogamy_grid, 4097)
+        assert traced_peak(monogamy_grid, 5 * SLICE_ROWS) < 1.5 * traced_peak(monogamy_grid, 2 * SLICE_ROWS)
 
     @pytest.mark.parametrize(
         "points", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 2 * SLICE_ROWS + 1]
@@ -509,3 +517,117 @@ class TestMonogamyGrid:
         (_, name), value, omega, dilaton = report.worst
         assert math.isnan(value)
         assert (name, omega, dilaton) == (expected[0], expected[1], float(dgrid[expected[2]]))
+
+
+class TestGatesOnWorkers:
+    """Each worker folds a contiguous run of slices; the merged report is the one-CPU report."""
+
+    # Seven slices: runs of 3 and 4 slices on 2 CPUs, of 2, 2 and 3 on 3 CPUs. Only the last
+    # slice holds points above d0 = 0.978, so the r3 and r4 keys first come in the last run.
+    CFG = SweepConfig(points=7 * SLICE_ROWS, omegas=(1.0,))
+    # One NaN in slice 5 and one in slice 6: both in the last run, in two round-robin shares.
+    NANS = [5 * SLICE_ROWS + 10, 6 * SLICE_ROWS + 10]
+
+    @staticmethod
+    def on(cpus, gate):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            return gate(TestGatesOnWorkers.CFG)
+
+    def poison(self, monkeypatch, gate):
+        """NaN at the points NANS of one key, and inf at every point of another: a tie in all slices.
+        A NaN does not compare >= to itself, so only a tie of numbers tells which report a tie keeps."""
+        nans = self.CFG.dilaton_grid()[self.NANS]
+        if gate is verify_grid:
+            original = sweep.closed_measure_arrays
+
+            def poisoned(c2, s2, c, s, pair):
+                vals = original(c2, s2, c, s, pair)
+                if pair is Pair.ABBAR:
+                    _, cut_c2, *_ = amplitude_arrays(self.CFG.mass, 1.0, nans)
+                    vals["s_forward"] = np.where(np.isin(c2, cut_c2), np.nan, vals["s_forward"])
+                    vals["concurrence"] = np.full_like(c2, np.inf)
+                return vals
+
+            monkeypatch.setattr(sweep, "closed_measure_arrays", poisoned)
+            return (Pair.ABBAR, "s_forward"), (Pair.ABBAR, "concurrence")
+        original = sweep.monogamy_residual_arrays
+
+        def poisoned(ab, abbar, bbbar, dilatons, d0):
+            res = original(ab, abbar, bbbar, dilatons, d0)
+            res["r1"] = np.where(np.isin(dilatons, nans), np.nan, res["r1"])
+            res["r2"] = np.full_like(dilatons, np.inf)
+            return res
+
+        monkeypatch.setattr(sweep, "monogamy_residual_arrays", poisoned)
+        return (1.0, "r1"), (1.0, "r2")
+
+    @pytest.mark.parametrize("gate", [verify_grid, monogamy_grid], ids=["verify", "monogamy"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_workers_give_the_one_cpu_report(self, monkeypatch, gate, cpus):
+        nan_key, tie_key = self.poison(monkeypatch, gate)
+        alone = self.on(1, gate)
+        grid = self.CFG.dilaton_grid()
+        # The poison took: the first NaN point, and the first point of the tie, hold their keys.
+        assert alone.peaks[nan_key][2] == grid[self.NANS[0]]
+        assert alone.peaks[tie_key][2] == grid[0]
+        spread = self.on(cpus, gate)
+        # repr, since a NaN is not equal to itself: values, points and key order.
+        assert repr(list(spread.peaks.items())) == repr(list(alone.peaks.items()))
+        assert repr(spread.worst) == repr(alone.worst)
+        assert spread.passed is alone.passed is False
+        assert children_of(os.getpid()) == []
+
+    def test_unpoisoned_reports_match(self):
+        cfg = SweepConfig(points=3 * SLICE_ROWS + 7, omegas=(0.5, 2.0, 1.0))
+        for gate in (verify_grid, monogamy_grid):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+                alone = gate(cfg)
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True):
+                spread = gate(cfg)
+            assert list(spread.peaks.items()) == list(alone.peaks.items())
+            assert spread.passed and alone.passed
+
+    @pytest.mark.parametrize("gate", [verify_grid, monogamy_grid], ids=["verify", "monogamy"])
+    def test_a_worker_that_raises_fails_the_gate_and_is_reaped(self, monkeypatch, gate):
+        parent, original = os.getpid(), sweep.amplitude_arrays
+
+        def raising_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a failure in a gate worker")
+            return original(*args)
+
+        monkeypatch.setattr(sweep, "amplitude_arrays", raising_in_a_worker)
+        with pytest.raises(ChildProcessError, match="ended with status 1; the output is incomplete"):
+            self.on(2, gate)
+        assert children_of(os.getpid()) == []
+
+
+class TestGateReportMerge:
+    DILATONS = np.array([0.1, 0.2, 0.3])
+
+    def test_merge_is_the_fold_over_both_grids(self):
+        folds = [
+            ("a", np.array([0.5, 0.5, 0.1]), 1.0),
+            ("b", np.array([np.nan, 0.0, np.nan]), 1.0),
+            ("a", np.array([0.2, 0.5, 0.5]), 2.0),
+            ("c", np.array([0.3, 0.3, 0.0]), 2.0),
+            ("b", np.array([np.nan, 9.0, 0.0]), 2.0),
+            ("a", np.array([0.7, 0.0, 0.7]), 3.0),
+        ]
+        whole, first, second = GateReport(1.0), GateReport(1.0), GateReport(1.0)
+        for i, (key, dev, omega) in enumerate(folds):
+            whole.fold(key, dev, omega, self.DILATONS)
+            (first if i < 2 else second).fold(key, dev, omega, self.DILATONS)
+        merged = first.merge(second)
+        assert merged is first
+        assert repr(list(merged.peaks.items())) == repr(list(whole.peaks.items()))
+        assert list(merged.peaks) == ["a", "b", "c"]
+        assert merged.peaks["a"] == (0.7, 3.0, 0.1)
+        assert merged.peaks["b"][1:] == (1.0, 0.1)
+        assert merged.peaks["c"] == (0.3, 2.0, 0.1)
+
+    def test_a_tie_keeps_the_earlier_report(self):
+        first, second = GateReport(1.0), GateReport(1.0)
+        first.fold("a", np.array([0.5]), 1.0, self.DILATONS[:1])
+        second.fold("a", np.array([0.5]), 2.0, self.DILATONS[1:2])
+        assert first.merge(second).peaks == {"a": (0.5, 1.0, 0.1)}

@@ -113,7 +113,8 @@ def test_largest_write_is_one_slice(fmt):
     cfg = SweepConfig(points=points, pairs=(Pair.AB,))
     sink = _Sink(fmt)
     WRITERS[fmt][0](cfg, sink)
-    assert sink.max_rows == SLICE_ROWS
+    # Five near-equal slices of 20001 points: 4000 and 4001 rows.
+    assert sink.max_rows == 4001
     assert sink.writes >= len(cfg.omegas) * -(-points // SLICE_ROWS)
 
 
@@ -236,13 +237,13 @@ def test_a_failed_fork_restores_sigint_and_reaps_the_children(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fork, pids = os.fork, []
 
-    def fork_twice():
-        if len(pids) == 2:
+    def fork_once():
+        if len(pids) == 1:
             raise BlockingIOError(errno.EAGAIN, "fork: resource temporarily unavailable")
         pids.append(fork())
         return pids[-1]
 
-    monkeypatch.setattr(os, "fork", fork_twice)
+    monkeypatch.setattr(os, "fork", fork_once)
     handler = signal.getsignal(signal.SIGINT)
     with pytest.raises(BlockingIOError):
         write_csv(SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0)), io.StringIO())
