@@ -8,11 +8,17 @@ its amplitudes, `_closed_slice` its closed-form measures and monogamy
 residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
 the slices either as CSV (17 significant digits, '\\n' line endings) or
-as a JSON array of objects with native numbers. `_on_cpus` forks one
-worker per available CPU once per command: for the writers, worker k
-formats slices k, k + workers, ..., and the texts are written in walk
-order; a worker that dies raises ChildProcessError. Identical
-configurations produce identical bytes, whatever the number of CPUs.
+as a JSON array of objects with native numbers, through one row template
+per slice in which each distinct column is formatted once
+(`_distinct_columns`): a column constant over the slice is written into
+the template as a literal, and a column with a copy is formatted once
+into strings that fill each place. Columns match only bit for bit, so
+-0.0 never stands for 0.0. `_on_cpus` forks one worker per available CPU
+once per command, unless the walk is too small to pay for the forks: for
+the writers, worker k formats slices k, k + workers, ..., and the texts
+are written in walk order; a worker that dies raises ChildProcessError
+as soon as the parent waits on any worker. Identical configurations
+produce identical bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
@@ -30,10 +36,13 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import io
+import itertools
 import json
 import math
 import os
 import pickle
+import select
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -233,55 +242,132 @@ def sweep_blocks(cfg: SweepConfig):
         yield _block(cfg, *job)
 
 
-def _cells(array) -> list:
-    if array.dtype == bool:
-        array = np.where(array, "true", "false")
-    return array.tolist()
+def _distinct_columns(arrays, spell):
+    """(parts, rows): each column's part of a slice's row template, and the tuples that fill it, one per row.
+
+    spell(array) gives a column's conversion and the cells it fills, as (conversion, cells). Each
+    distinct column is formatted once: columns are keyed by dtype and raw bytes, so two columns match,
+    or a column is constant, only bit for bit (-0.0 is not 0.0, and NaNs match only with one payload).
+    A constant column's part is its value's text, as a literal; a column with a bitwise copy is
+    formatted into strings, which fill the part of each copy with %s; any other column keeps its
+    conversion, and its cells go to the template as they are.
+    """
+    keys = [(a.dtype.str, a.tobytes()) for a in arrays]
+    copied = {key for key, count in collections.Counter(keys).items() if count > 1}
+    made, parts, cells = {}, [], []
+    for key, a in zip(keys, arrays):
+        if key not in made:
+            if key[1] == a[:1].tobytes() * len(a):
+                conversion, value = spell(a[:1])
+                made[key] = (conversion % value[0]).replace("%", "%%"), None
+            elif key in copied:
+                conversion, values = spell(a)
+                made[key] = "%s", list(map(conversion.__mod__, values))
+            else:
+                made[key] = spell(a)
+        part, column = made[key]
+        parts.append(part)
+        if column is not None:
+            cells.append(column)
+    # A slice whose every column is constant fills each row's template with nothing.
+    return parts, zip(*cells) if cells else itertools.repeat((), len(arrays[0]))
+
+
+def _csv_cells(a):
+    if a.dtype.kind == "f":
+        return "%.17g", a.tolist()
+    return "%s", (np.where(a, "true", "false") if a.dtype == bool else a).tolist()
 
 
 def _csv_text(cfg: SweepConfig, job) -> str:
     """The CSV rows of one slice: 17 significant digits, '\\n' line endings."""
     block = _block(cfg, *job)
-    arrays = [block[name] for name in columns(cfg.pairs)]
-    template = ",".join("%s" if a.dtype.kind in "bU" else "%.17g" for a in arrays) + "\n"
-    return "".join(map(template.__mod__, zip(*map(_cells, arrays))))
+    parts, rows = _distinct_columns([block[name] for name in columns(cfg.pairs)], _csv_cells)
+    return "".join(map((",".join(parts) + "\n").__mod__, rows))
+
+
+def _json_cells(a):
+    # json spells the labels, the flags and any column with inf or NaN; no cell holds ", ".
+    if a.dtype.kind == "f" and np.isfinite(a).all():
+        return "%r", a.tolist()
+    return "%s", json.dumps(a.tolist())[1:-1].split(", ")
 
 
 def _json_text(cfg: SweepConfig, job) -> str:
     """The JSON objects of one slice, joined by ',\\n', as `json.dump(indent=2)` lays them out."""
     block = _block(cfg, *job)
     header = columns(cfg.pairs)
-    specs, cells = [], []
-    for name in header:
-        a = block[name]
-        # json spells the labels, the flags and any column with inf or NaN; no cell holds ", ".
-        finite = a.dtype.kind == "f" and np.isfinite(a).all()
-        specs.append("%r" if finite else "%s")
-        cells.append(a.tolist() if finite else json.dumps(a.tolist())[1:-1].split(", "))
-    fields = ",\n".join(f'    "{name}": {spec}' for name, spec in zip(header, specs))
-    template = "  {\n" + fields + "\n  }"
-    return ",\n".join(map(template.__mod__, zip(*cells)))
+    parts, rows = _distinct_columns([block[name] for name in header], _json_cells)
+    fields = ",\n".join(f'    "{name}": {part}' for name, part in zip(header, parts))
+    return ",\n".join(map(("  {\n" + fields + "\n  }").__mod__, rows))
 
 
-def _on_cpus(cfg: SweepConfig, work, runs: bool):
+def _check_ended(pid: int) -> None:
+    """Raise ChildProcessError if worker `pid`, which has ended or is ending, did so with a status
+    other than 0. The status is read, the zombie left for the teardown, so no pid can be reused."""
+    info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+    if status:
+        raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
+
+
+class _WorkerPipe(io.RawIOBase):
+    """The read end of one worker's pipe, whose reads also watch the pipes of the other workers.
+
+    `running` maps the read end of each worker not yet seen to end to its pid; the pipes of one
+    `_on_cpus` run share it. Each worker alone holds its write end, so its pipe hangs up once it
+    ends. A read that waits raises ChildProcessError as soon as a watched worker ends with a status
+    other than 0, whichever pipe is being read.
+    """
+
+    def __init__(self, fd: int, running: dict):
+        self.fd, self.running = fd, running
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        poll = select.poll()
+        poll.register(self.fd, select.POLLIN)
+        for fd in self.running.keys() - {self.fd}:
+            poll.register(fd, 0)  # a hang-up is reported whatever the mask
+        while True:
+            events = dict(poll.poll())
+            for fd in events.keys() - {self.fd}:
+                poll.unregister(fd)
+                _check_ended(self.running.pop(fd))
+            if self.fd in events:
+                return os.readv(self.fd, [buffer])
+
+    def close(self) -> None:
+        if not self.closed:
+            os.close(self.fd)
+        super().close()
+
+
+def _on_cpus(cfg: SweepConfig, work, runs: bool, grain: int):
     """Validate `cfg`, then yield the items of work(slices) over the walk's slices, on one worker per CPU.
 
-    The w workers, one per available CPU and at most one per slice, are forked once. Worker k takes
-    a share of the walk's n slices, the contiguous run k*n//w .. (k+1)*n//w with `runs`, else the
-    slices k, k + w, ...; it pickles the items of work(share) to its own pipe, and item i is read
-    from worker i mod w, so round-robin shares give the items in walk order. A worker that ends with
-    a status other than 0, by an exception or a kill, raises ChildProcessError. However the reading
-    ends, the read ends are closed and the workers killed and reaped: a share can take days. With
-    one CPU or one slice, work runs in process over the whole walk.
+    The w workers, one per available CPU, at most one per slice and one per `grain` points of the
+    walk, so that each has work enough to pay for its fork, are forked once. Worker k takes a share
+    of the walk's n slices, the contiguous run k*n//w .. (k+1)*n//w with `runs`, else the slices
+    k, k + w, ...; it pickles the items of work(share) to its own pipe, and item i is read from
+    worker i mod w, so round-robin shares give the items in walk order. A worker that ends with a
+    status other than 0, by an exception or a kill, raises ChildProcessError as soon as a read
+    waits. However the reading ends, the read ends are closed and the workers killed and reaped: a
+    share can take days. With one CPU, one slice or fewer than 2 * grain points, work runs in
+    process over the whole walk.
     """
     jobs = _slices(cfg)
     n = len(cfg.omegas) * -(-cfg.points // SLICE_ROWS)
     # Missing where the OS cannot pin CPUs (macOS, Windows); every OS that has it can fork.
-    w = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(cpus, n, len(cfg.omegas) * cfg.points // grain)
     if w < 2:
         yield from work(jobs)
         return
     workers = []  # (pid, read end of its pipe), in k order
+    running = {}  # read end: pid, of each worker not yet seen to end
     try:
         # While forking, SIGINT stays blocked here and in the workers, and the main thread, which
         # runs the handler wherever it lands, only notes it: `workers` loses no pid.
@@ -292,7 +378,7 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool):
         try:
             for k in range(w):
                 read, write = os.pipe()
-                workers.append((os.fork(), open(read, "rb")))
+                workers.append((os.fork(), io.BufferedReader(_WorkerPipe(read, running))))
                 if workers[-1][0] == 0:
                     try:
                         for _, pipe in workers:  # the read ends, its own and those of the workers before
@@ -307,6 +393,7 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool):
                     finally:
                         os._exit(1)
                 os.close(write)
+                running[read] = workers[-1][0]
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
             if main:
@@ -319,11 +406,7 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool):
             try:
                 item = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                # Its share is done, or it died. The status is read, the zombie left for the teardown.
-                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-                status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
-                if status:
-                    raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
+                _check_ended(pid)  # its share is done, or it died
                 continue
             turns.append((pid, pipe))
             yield item
@@ -342,7 +425,10 @@ def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
     `_on_cpus` owns the workers, and validates the config before its first text, so before anything
     is written. It is closed however the writing ends, so that it reaps them.
     """
-    with contextlib.closing(_on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), False)) as texts:
+    # On 2 CPUs, workers that format win from about 3000 points of the walk on (4000 for JSON), so
+    # the default grid, 8004 points, forks.
+    texts = _on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), False, SLICE_ROWS // 2)
+    with contextlib.closing(texts):
         for piece in texts:
             # Two writes, not lead + piece, and the text dropped before the next slice's:
             # another copy of a slice's text would add to the peak.
@@ -420,7 +506,11 @@ class GateReport:
 def _gate(cfg: SweepConfig, fold) -> GateReport:
     """fold(cfg, slices) over the whole walk: each worker of `_on_cpus` folds a contiguous run of
     slices, and their reports merge in walk order into the one a whole-grid pass gives."""
-    with contextlib.closing(_on_cpus(cfg, lambda jobs: [fold(cfg, jobs)], True)) as reports:
+    # One worker per slice's worth of points folds the default grid, 8004 points, in process. A fold
+    # takes far less time a point than formatting: on 2 CPUs the workers win only from about 24 000
+    # points of the walk on for verify and 128 000 for monogamy, and below that lose a few ms.
+    reports = _on_cpus(cfg, lambda jobs: [fold(cfg, jobs)], True, SLICE_ROWS)
+    with contextlib.closing(reports):
         return functools.reduce(GateReport.merge, reports)
 
 

@@ -4,8 +4,9 @@ Each case runs `cli.main` in process on one argv and keeps the sha256 of its
 stdout, the sha256 of its stderr, and its exit code. `test_cli_digests.py`
 replays every case against `cli_digests.json`, so a change to any byte the
 CLI writes fails there. The cases are the default command of each
-subcommand, the benchmark's commands at seeds 0 and 1, and the extreme
-inputs that `test_cli.py` pins.
+subcommand, the benchmark's commands at seeds 0 and 1, sweeps whose
+slices hold constant and copied columns, and the extreme inputs that
+`test_cli.py` pins.
 
 A change that alters the bytes on purpose records them again,
 
@@ -110,6 +111,12 @@ CASES = {
     "verify_pipeline-seed1": ("verify", "--mass", "0.970931", "--points", "50000"),
     "critical_scan-seed0": ("critical", "--mass", "1", "--omega", _CRITICAL_OMEGAS_SEED_0),
     "critical_scan-seed1": ("critical", "--mass", "1", "--omega", _CRITICAL_OMEGAS_SEED_1),
+    # Two slices per omega: at mass 2 the first slices of omega 1.5 and 2 saturate, so nearly every
+    # column is constant or a copy of another; 1.75867 is the benchmark's mass at seed 6.
+    "saturated-slices": ("sweep", "--mass", "2", "--points", "4097"),
+    "saturated-slices-json": ("sweep", "--format", "json", "--mass", "2", "--points", "4097"),
+    "sweep_csv-seed6-mass": ("sweep", "--mass", "1.75867", "--points", "4097"),
+    "sweep_csv-seed6-mass-json": ("sweep", "--format", "json", "--mass", "1.75867", "--points", "4097"),
     # Extreme inputs: x = inf (spelled Infinity in JSON), subnormal e^-x and
     # masses, overflowing 8 pi M, out-of-range and edge critical points.
     "overflowing-x": ("sweep", "--mass", "1e300", "--omega", "1e10", "--points", "2"),

@@ -310,11 +310,13 @@ class TestVerifyCommand:
             "FAIL: ab s_forward deviates nan at omega=1, D=0.99999899999999997 (gate 1e-10)\n"
         )
 
+    @pytest.mark.parametrize("worker", [0, 1], ids=["read-first", "read-second"])
     @pytest.mark.parametrize("command", ["verify", "monogamy"])
-    def test_a_killed_gate_worker_exits_3_and_leaves_none(self, command):
-        # The OOM killer's SIGKILL to the worker whose report is read first: the report is incomplete.
+    def test_a_killed_gate_worker_exits_3_and_leaves_none(self, command, worker):
+        # The OOM killer's SIGKILL to one worker: the report is incomplete, and that is seen at once,
+        # even while the parent waits for the report of the other.
         env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
-        argv = [command, "--points", "40000000", "--omega", "1"]
+        argv = [command, "--points", "400000000", "--omega", "1"]
         with subprocess.Popen(
             [sys.executable, "-c", CLI, *argv],
             stdout=subprocess.PIPE,
@@ -326,8 +328,10 @@ class TestVerifyCommand:
                 with time_limit(30):
                     while len(children_of(proc.pid)) < 2:
                         time.sleep(0.01)
-                    os.kill(children_of(proc.pid)[0], signal.SIGKILL)
+                    os.kill(children_of(proc.pid)[worker], signal.SIGKILL)
+                    killed = time.monotonic()
                     out, err = proc.communicate()
+                    assert time.monotonic() - killed < 5
             finally:
                 if proc.poll() is None:
                     os.killpg(proc.pid, signal.SIGKILL)

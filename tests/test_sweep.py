@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsh_oracle import chsh_max_eigvalsh
-from conftest import children_of
+from conftest import children_of, time_limit
 from density_oracle import reduced
 from dilaton_steering import kernels, sweep
 from dilaton_steering.dilaton import (
@@ -600,6 +601,27 @@ class TestGatesOnWorkers:
         with pytest.raises(ChildProcessError, match="ended with status 1; the output is incomplete"):
             self.on(2, gate)
         assert children_of(os.getpid()) == []
+
+    def test_a_dead_worker_is_seen_while_the_first_still_folds(self, monkeypatch):
+        def fold(cfg, jobs):
+            if next(jobs)[1] == 0:
+                time.sleep(30)  # the worker whose report is read first
+            raise RuntimeError("a failure in the second worker")
+
+        monkeypatch.setattr(sweep, "_verify_fold", fold)
+        began = time.monotonic()
+        with time_limit(20), pytest.raises(ChildProcessError, match="ended with status 1; the output is incomplete"):
+            self.on(2, verify_grid)
+        assert time.monotonic() - began < 5
+        assert children_of(os.getpid()) == []
+
+    @pytest.mark.parametrize("gate", [verify_grid, monogamy_grid], ids=["verify", "monogamy"])
+    def test_the_default_grid_folds_in_process(self, monkeypatch, gate):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            alone = gate(SweepConfig())
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            assert list(gate(SweepConfig()).peaks.items()) == list(alone.peaks.items())
 
 
 class TestGateReportMerge:

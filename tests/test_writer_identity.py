@@ -7,10 +7,12 @@ byte.
 
 import errno
 import io
+import itertools
 import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from dilaton_steering.sweep import (
     SLICE_ROWS,
     ConfigError,
     SweepConfig,
+    columns,
     write_csv,
     write_json,
 )
@@ -194,6 +197,16 @@ def test_one_slice_is_formatted_in_process(monkeypatch, fmt):
     assert workers == 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_walk_under_two_workers_worth_is_formatted_in_process(monkeypatch, fmt):
+    # Four slices of 1023 points: fewer than 2 * SLICE_ROWS // 2 points in all.
+    cfg = SweepConfig(points=SLICE_ROWS // 4 - 1)
+    text, workers = render_on(monkeypatch, 2, cfg, fmt)
+    assert (text, workers) == render_on(monkeypatch, 1, cfg, fmt)
+    # The default grid, 8004 points, still forks.
+    assert render_on(monkeypatch, 2, SweepConfig(), fmt)[1] == 2
+
+
 class _FailingStream:
     """Text stream whose writes raise once it has taken `ok` of them."""
 
@@ -249,4 +262,99 @@ def test_a_failed_fork_restores_sigint_and_reaps_the_children(monkeypatch):
         write_csv(SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0)), io.StringIO())
     assert signal.getsignal(signal.SIGINT) is handler
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert children_of(os.getpid()) == []
+
+
+# --- each distinct column of a slice formatted once ---------------------------
+
+
+def test_each_distinct_column_is_formatted_once():
+    varied = np.array([1.0, 2.0])
+    arrays = [
+        np.full(2, 0.5),
+        varied,
+        varied.copy(),
+        np.array([1.0, -2.0]),
+        np.zeros(2),
+        -np.zeros(2),
+        np.array(["50%", "50%"]),
+        np.array([True, True]),
+    ]
+    parts, rows = sweep._distinct_columns(arrays, sweep._csv_cells)
+    # Constants are literals, % escaped; a copy and its source share one list of strings.
+    assert parts == ["0.5", "%s", "%s", "%.17g", "0", "-0", "50%%", "true"]
+    assert list(rows) == [("1", "1", 1.0), ("2", "2", -2.0)]
+
+
+def _crafted_block(cfg, omega, start, stop, d0):
+    """A slice of made-up columns that reach every case of `_distinct_columns`.
+
+    The first slice of each omega mixes every case; every other slice is constant in every column.
+    """
+    n = stop - start
+    i = np.arange(start, stop, dtype=np.float64)
+    names = columns(cfg.pairs)
+    if start:
+        floats = [omega, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 5e-324, 1.7976931348623157e308, 1 / 3]
+        floats = [np.full(n, value) for value in floats]
+        labels = [np.full(n, label) for label in ("none", "50% two-way", "none")]
+        flags = [np.full(n, True), np.full(n, False)]
+    else:
+        varied = i * omega / 7
+        nudged = varied.copy()
+        nudged[n // 2] = np.nextafter(nudged[n // 2], np.inf)
+        payloads = np.arange(n, dtype=np.uint64) + np.uint64(0x7FF8000000000001)
+        floats = [
+            np.full(n, omega),
+            varied,
+            varied.copy(),
+            nudged,  # a copy of varied but for one row
+            np.zeros(n),
+            -np.zeros(n),  # the sign of zero alone tells these two apart
+            np.where(i % 2 == 0, 0.0, varied),
+            np.where(i % 2 == 0, -0.0, varied),
+            np.where(i % 2 == 0, 0.0, -0.0),  # equal values, not constant
+            np.full(n, np.nan),
+            payloads.view(np.float64),  # NaNs, each with its own payload
+            payloads[::-1].view(np.float64),
+            np.where(i % 2 == 0, np.inf, -np.inf),
+            np.full(n, -np.inf),
+            np.where(i % 3 == 0, np.nan, varied),
+            varied * 1e300,
+            varied * 5e-324,
+        ]
+        steer = np.where(i % 2 == 0, "one-way", "none")
+        labels = [np.full(n, "50% two-way"), steer, steer.copy()]
+        valid = i % 5 == 0
+        flipped = valid.copy()
+        flipped[n // 2] = not flipped[n // 2]
+        flags = [valid, flipped]
+    kinds = {"regime": iter(labels), "valid": iter(flags)}
+    floats = itertools.cycle(floats)
+    return {name: next(kinds.get(name.rsplit("_", 1)[-1], floats)) for name in names}
+
+
+def _crafted_oracle(cfg, fmt):
+    """The crafted slices written one cell at a time: '%.17g' or `json.dump`, as `row_writer_oracle` does."""
+    header, rows = columns(cfg.pairs), []
+    for job in sweep._slices(cfg):
+        block = _crafted_block(cfg, *job)
+        rows.extend(dict(zip(header, row)) for row in zip(*(block[name].tolist() for name in header)))
+    buf = io.StringIO()
+    WRITERS[fmt][1](header, rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_crafted_slices_match_the_cell_by_cell_oracle(monkeypatch, fmt, cpus):
+    monkeypatch.setattr(sweep, "_block", _crafted_block)
+    # Two slices per omega, 8194 points: two workers on 2 CPUs.
+    cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(1.0, 2.0))
+    text, workers = render_on(monkeypatch, cpus, cfg, fmt)
+    assert workers == (cpus if cpus > 1 else 0)
+    lines, oracle_lines = text.splitlines(), _crafted_oracle(cfg, fmt).splitlines()
+    # The first differing line, not a diff of megabytes.
+    assert next((pair for pair in zip(lines, oracle_lines) if pair[0] != pair[1]), None) is None
+    assert len(lines) == len(oracle_lines)
     assert children_of(os.getpid()) == []
