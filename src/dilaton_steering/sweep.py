@@ -14,21 +14,22 @@ per slice in which each distinct column is formatted once
 the template as a literal, and a column with a copy is formatted once
 into strings that fill each place. Columns match only bit for bit, so
 -0.0 never stands for 0.0. `_on_cpus` forks one worker per available CPU
-once per command, unless the walk is too small to pay for the forks: for
-the writers, worker k formats slices k, k + workers, ..., and the texts
-are written in walk order; a worker that dies raises ChildProcessError
-as soon as the parent waits on any worker. Identical configurations
-produce identical bytes, whatever the number of CPUs.
+once per command, unless the walk is too small to pay for the forks:
+worker k takes slices k, k + workers, ..., and sends one item per slice,
+which the parent reads in walk order, so a worker that dies raises
+ChildProcessError at its next turn, within one slice. The writers' item
+is a slice's text, so identical configurations produce identical bytes,
+whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
 adds the batch density-matrix route (`pipeline_measure_arrays`) to each
 slice and compares it with the closed forms at a 1e-10 gate;
-`monogamy_grid` gates the four identities. Each worker folds the peaks of
-a contiguous run of slices into a `GateReport`, and the reports merge in
-walk order under `fold`'s own rule, so the report is the one a whole-grid
-pass gives; it holds the one rule of a gate, under which a NaN fails and
-is the worst.
+`monogamy_grid` gates the four identities. A gate's item is the
+`GateReport` of one slice's peaks, and the reports merge in walk order
+under `fold`'s own rule, so the report is the one a whole-grid pass
+gives; it holds the one rule of a gate, under which a NaN fails and is
+the worst.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import io
 import itertools
 import json
 import math
 import os
 import pickle
-import select
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -167,8 +166,8 @@ def columns(pairs=ALL_PAIRS) -> list:
 SLICE_ROWS = 4096
 
 
-def _slices(cfg: SweepConfig, share: range | None = None):
-    """Validate `cfg`, then return an iterator over the slices of its grid walk, or over those at `share`.
+def _slices(cfg: SweepConfig):
+    """Validate `cfg`, then return (n, job): the number of slices of its grid walk, and job(i), slice i.
 
     Each slice is (omega, start, stop, d0): the omegas ascend, each omega's dilaton grid is cut into
     ceil(points / SLICE_ROWS) slices [start, stop) whose sizes differ by at most one point, and d0 is
@@ -184,7 +183,7 @@ def _slices(cfg: SweepConfig, share: range | None = None):
         k, j = divmod(i, cuts)
         return omegas[k], j * cfg.points // cuts, (j + 1) * cfg.points // cuts, d0s[k]
 
-    return map(job, range(len(omegas) * cuts) if share is None else share)
+    return len(omegas) * cuts, job
 
 
 def _walk_slice(cfg: SweepConfig, omega, start, stop):
@@ -238,8 +237,9 @@ def sweep_blocks(cfg: SweepConfig):
     flags as booleans. Monogamy residuals are always computed from all
     three bipartitions, regardless of which pair columns were requested.
     """
-    for job in _slices(cfg):
-        yield _block(cfg, *job)
+    n, job = _slices(cfg)
+    for i in range(n):
+        yield _block(cfg, *job(i))
 
 
 def _distinct_columns(arrays, spell):
@@ -302,72 +302,26 @@ def _json_text(cfg: SweepConfig, job) -> str:
     return ",\n".join(map(("  {\n" + fields + "\n  }").__mod__, rows))
 
 
-def _check_ended(pid: int) -> None:
-    """Raise ChildProcessError if worker `pid`, which has ended or is ending, did so with a status
-    other than 0. The status is read, the zombie left for the teardown, so no pid can be reused."""
-    info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-    status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
-    if status:
-        raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
-
-
-class _WorkerPipe(io.RawIOBase):
-    """The read end of one worker's pipe, whose reads also watch the pipes of the other workers.
-
-    `running` maps the read end of each worker not yet seen to end to its pid; the pipes of one
-    `_on_cpus` run share it. Each worker alone holds its write end, so its pipe hangs up once it
-    ends. A read that waits raises ChildProcessError as soon as a watched worker ends with a status
-    other than 0, whichever pipe is being read.
-    """
-
-    def __init__(self, fd: int, running: dict):
-        self.fd, self.running = fd, running
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        poll = select.poll()
-        poll.register(self.fd, select.POLLIN)
-        for fd in self.running.keys() - {self.fd}:
-            poll.register(fd, 0)  # a hang-up is reported whatever the mask
-        while True:
-            events = dict(poll.poll())
-            for fd in events.keys() - {self.fd}:
-                poll.unregister(fd)
-                _check_ended(self.running.pop(fd))
-            if self.fd in events:
-                return os.readv(self.fd, [buffer])
-
-    def close(self) -> None:
-        if not self.closed:
-            os.close(self.fd)
-        super().close()
-
-
-def _on_cpus(cfg: SweepConfig, work, runs: bool, grain: int):
-    """Validate `cfg`, then yield the items of work(slices) over the walk's slices, on one worker per CPU.
+def _on_cpus(cfg: SweepConfig, work, grain: int):
+    """Validate `cfg`, then yield the items of work(slices), one per slice, in walk order, on one worker per CPU.
 
     The w workers, one per available CPU, at most one per slice and one per `grain` points of the
-    walk, so that each has work enough to pay for its fork, are forked once. Worker k takes a share
-    of the walk's n slices, the contiguous run k*n//w .. (k+1)*n//w with `runs`, else the slices
-    k, k + w, ...; it pickles the items of work(share) to its own pipe, and item i is read from
-    worker i mod w, so round-robin shares give the items in walk order. A worker that ends with a
-    status other than 0, by an exception or a kill, raises ChildProcessError as soon as a read
-    waits. However the reading ends, the read ends are closed and the workers killed and reaped: a
-    share can take days. With one CPU, one slice or fewer than 2 * grain points, work runs in
-    process over the whole walk.
+    walk, so that each has work enough to pay for its fork, are forked once. Worker k takes the
+    slices k, k + w, ... of the walk's n and pickles the items of work(its slices) to its own pipe;
+    item i is read from worker i mod w, so the items come in walk order. A worker that ends with a
+    status other than 0, by an exception or a kill, raises ChildProcessError at its next turn, which
+    comes within one slice. However the reading ends, the read ends are closed and the workers
+    killed and reaped: a share can take days. With one CPU, one slice or fewer than 2 * grain
+    points, work runs in process over the whole walk.
     """
-    jobs = _slices(cfg)
-    n = len(cfg.omegas) * -(-cfg.points // SLICE_ROWS)
+    n, job = _slices(cfg)
     # Missing where the OS cannot pin CPUs (macOS, Windows); every OS that has it can fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     w = min(cpus, n, len(cfg.omegas) * cfg.points // grain)
     if w < 2:
-        yield from work(jobs)
+        yield from work(map(job, range(n)))
         return
     workers = []  # (pid, read end of its pipe), in k order
-    running = {}  # read end: pid, of each worker not yet seen to end
     try:
         # While forking, SIGINT stays blocked here and in the workers, and the main thread, which
         # runs the handler wherever it lands, only notes it: `workers` loses no pid.
@@ -378,14 +332,13 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool, grain: int):
         try:
             for k in range(w):
                 read, write = os.pipe()
-                workers.append((os.fork(), io.BufferedReader(_WorkerPipe(read, running))))
+                workers.append((os.fork(), open(read, "rb")))
                 if workers[-1][0] == 0:
                     try:
                         for _, pipe in workers:  # the read ends, its own and those of the workers before
                             pipe.close()
                         with open(write, "wb") as out:
-                            share = range(k * n // w, (k + 1) * n // w) if runs else range(k, n, w)
-                            for item in work(_slices(cfg, share)):
+                            for item in work(map(job, range(k, n, w))):
                                 pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
                                 out.flush()
                                 del item  # sent; not held while the next is made
@@ -393,7 +346,6 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool, grain: int):
                     finally:
                         os._exit(1)
                 os.close(write)
-                running[read] = workers[-1][0]
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
             if main:
@@ -406,7 +358,11 @@ def _on_cpus(cfg: SweepConfig, work, runs: bool, grain: int):
             try:
                 item = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                _check_ended(pid)  # its share is done, or it died
+                # Its share is done, or it died. The status is read, the zombie left for the teardown.
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+                if status:
+                    raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
                 continue
             turns.append((pid, pipe))
             yield item
@@ -427,7 +383,7 @@ def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
     """
     # On 2 CPUs, workers that format win from about 3000 points of the walk on (4000 for JSON), so
     # the default grid, 8004 points, forks.
-    texts = _on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), False, SLICE_ROWS // 2)
+    texts = _on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), SLICE_ROWS // 2)
     with contextlib.closing(texts):
         for piece in texts:
             # Two writes, not lead + piece, and the text dropped before the next slice's:
@@ -503,27 +459,33 @@ class GateReport:
         return max(entries, key=lambda entry: _rank(entry[1]), default=None)
 
 
-def _gate(cfg: SweepConfig, fold) -> GateReport:
-    """fold(cfg, slices) over the whole walk: each worker of `_on_cpus` folds a contiguous run of
-    slices, and their reports merge in walk order into the one a whole-grid pass gives."""
-    # One worker per slice's worth of points folds the default grid, 8004 points, in process. A fold
-    # takes far less time a point than formatting: on 2 CPUs the workers win only from about 24 000
-    # points of the walk on for verify and 128 000 for monogamy, and below that lose a few ms.
-    reports = _on_cpus(cfg, lambda jobs: [fold(cfg, jobs)], True, SLICE_ROWS)
+# Points of the walk per gate worker. A fold takes far less time a point than formatting: on a
+# 2-core VM (python 3.11.7, numpy 2.4.6), in process against 2 workers, medians of 31 in-process
+# `cli.main` runs, verify took 22.7 against 26.0 ms at 24 000 points and 28.3 against 24.2 ms at
+# 32 000, monogamy 19.1 against 21.6 ms at 128 000 and 22.6 against 21.6 ms at 160 000. So the
+# default grid, 8004 points, folds in process, and 2 workers fold from 32 000 and 160 000 points on.
+VERIFY_GRAIN = 16_000
+MONOGAMY_GRAIN = 80_000
+
+
+def _gate(cfg: SweepConfig, fold, grain: int) -> GateReport:
+    """The reports of fold(cfg, slices), one per slice, from `_on_cpus` with `grain`, merged in walk
+    order into the one a whole-grid pass gives."""
+    reports = _on_cpus(cfg, functools.partial(fold, cfg), grain)
     with contextlib.closing(reports):
         return functools.reduce(GateReport.merge, reports)
 
 
-def _verify_fold(cfg: SweepConfig, jobs) -> GateReport:
-    report = GateReport(VERIFY_GATE)
+def _verify_fold(cfg: SweepConfig, jobs):
     for omega, start, stop, _ in jobs:
+        report = GateReport(VERIFY_GATE)
         dslice, _, c2, s2, c, s = _walk_slice(cfg, omega, start, stop)
         for pair in cfg.pairs:
             closed = closed_measure_arrays(c2, s2, c, s, pair)
             pipe = pipeline_measure_arrays(c, s, pair)
             for key, value in pipe.items():
                 report.fold((pair, key), np.abs(closed[key] - value), omega, dslice)
-    return report
+        yield report
 
 
 def verify_grid(cfg: SweepConfig) -> GateReport:
@@ -536,18 +498,18 @@ def verify_grid(cfg: SweepConfig) -> GateReport:
     Bell values are compared branch to branch, plus the branch maximum
     against the correlation-matrix value.
     """
-    return _gate(cfg, _verify_fold)
+    return _gate(cfg, _verify_fold, VERIFY_GRAIN)
 
 
-def _monogamy_fold(cfg: SweepConfig, jobs) -> GateReport:
-    report = GateReport(MONOGAMY_GATE)
+def _monogamy_fold(cfg: SweepConfig, jobs):
     for omega, start, stop, d0 in jobs:
+        report = GateReport(MONOGAMY_GATE)
         dslice, x, closed, mono = _closed_slice(cfg, omega, start, stop, d0)
         del x, closed  # the fold needs only the residuals; hold one slice at a time
         for name in RESIDUALS:
             rows = mono["valid"] if name in ("r3", "r4") else slice(None)
             report.fold((omega, name), np.abs(mono[name][rows]), omega, dslice[rows])
-    return report
+        yield report
 
 
 def monogamy_grid(cfg: SweepConfig) -> GateReport:
@@ -557,4 +519,4 @@ def monogamy_grid(cfg: SweepConfig) -> GateReport:
     its birth dilaton d0 has no r3/r4 key. Keys enter in (omega, r1..r4)
     order, so ties go to the first in (omega, r1..r4, grid point) order.
     """
-    return _gate(cfg, _monogamy_fold)
+    return _gate(cfg, _monogamy_fold, MONOGAMY_GRAIN)

@@ -313,8 +313,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("worker", [0, 1], ids=["read-first", "read-second"])
     @pytest.mark.parametrize("command", ["verify", "monogamy"])
     def test_a_killed_gate_worker_exits_3_and_leaves_none(self, command, worker):
-        # The OOM killer's SIGKILL to one worker: the report is incomplete, and that is seen at once,
-        # even while the parent waits for the report of the other.
+        # The OOM killer's SIGKILL to one worker: the report is incomplete, and that is seen at the
+        # worker's next turn, within one slice, whichever worker it is.
         env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
         argv = [command, "--points", "400000000", "--omega", "1"]
         with subprocess.Popen(
@@ -762,7 +762,7 @@ class TestInterrupt:
         "argv,begun",
         [
             (["sweep", "--points", "400000"], b"omega,"),
-            # Each of its workers folds a run of about 20 s; the interrupt kills them at once.
+            # Its workers fold about 20 s of slices each; the interrupt kills them at once.
             (["verify", "--points", "40000000", "--omega", "1"], b"started"),
         ],
         ids=["sweep", "verify"],

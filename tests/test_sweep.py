@@ -1,5 +1,6 @@
 import collections
 import io
+import itertools
 import json
 import math
 import os
@@ -132,8 +133,9 @@ class TestGridSlices:
         cfg = SweepConfig(points=points, omegas=(1.0,), **kwargs)
         if "d_max" in kwargs:
             assert cfg.d_max / (points - 1) == 0.0
+        n, job = sweep._slices(cfg)
         walked = np.concatenate(
-            [sweep._walk_slice(cfg, omega, start, stop)[0] for omega, start, stop, _ in sweep._slices(cfg)]
+            [sweep._walk_slice(cfg, omega, start, stop)[0] for omega, start, stop, _ in map(job, range(n))]
         )
         assert walked.tobytes() == cfg.dilaton_grid().tobytes()
 
@@ -141,7 +143,7 @@ class TestGridSlices:
         cfg = SweepConfig(points=10**12, omegas=(1.0,))
         tracemalloc.start()
         try:
-            omega, start, stop, _ = next(sweep._slices(cfg))
+            omega, start, stop, _ = sweep._slices(cfg)[1](0)
             dslice, *_ = sweep._walk_slice(cfg, omega, start, stop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -521,18 +523,22 @@ class TestMonogamyGrid:
 
 
 class TestGatesOnWorkers:
-    """Each worker folds a contiguous run of slices; the merged report is the one-CPU report."""
+    """Worker k of w folds slices k, k + w, ...; their reports, merged in walk order, are the one-CPU report."""
 
-    # Seven slices: runs of 3 and 4 slices on 2 CPUs, of 2, 2 and 3 on 3 CPUs. Only the last
-    # slice holds points above d0 = 0.978, so the r3 and r4 keys first come in the last run.
+    # Seven slices: on 2 CPUs, worker 0 folds slices 0, 2, 4 and 6; on 3 CPUs, slices 0, 3 and 6.
+    # Only the last slice holds points above d0 = 0.978, so the r3 and r4 keys first come in its report.
     CFG = SweepConfig(points=7 * SLICE_ROWS, omegas=(1.0,))
-    # One NaN in slice 5 and one in slice 6: both in the last run, in two round-robin shares.
+    # One NaN in slice 5 and one in slice 6: in the shares of two workers, on 2 CPUs and on 3.
     NANS = [5 * SLICE_ROWS + 10, 6 * SLICE_ROWS + 10]
 
     @staticmethod
-    def on(cpus, gate):
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
-            return gate(TestGatesOnWorkers.CFG)
+    def on(cpus, gate, cfg=CFG):
+        # One worker per slice's worth of points, so that these grids, small for the gates' grains, fork.
+        with (
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True),
+            mock.patch.multiple(sweep, VERIFY_GRAIN=SLICE_ROWS, MONOGAMY_GRAIN=SLICE_ROWS),
+        ):
+            return gate(cfg)
 
     def poison(self, monkeypatch, gate):
         """NaN at the points NANS of one key, and inf at every point of another: a tie in all slices.
@@ -581,10 +587,7 @@ class TestGatesOnWorkers:
     def test_unpoisoned_reports_match(self):
         cfg = SweepConfig(points=3 * SLICE_ROWS + 7, omegas=(0.5, 2.0, 1.0))
         for gate in (verify_grid, monogamy_grid):
-            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-                alone = gate(cfg)
-            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}, create=True):
-                spread = gate(cfg)
+            alone, spread = self.on(1, gate, cfg), self.on(3, gate, cfg)
             assert list(spread.peaks.items()) == list(alone.peaks.items())
             assert spread.passed and alone.passed
 
@@ -602,16 +605,20 @@ class TestGatesOnWorkers:
             self.on(2, gate)
         assert children_of(os.getpid()) == []
 
-    def test_a_dead_worker_is_seen_while_the_first_still_folds(self, monkeypatch):
-        def fold(cfg, jobs):
-            if next(jobs)[1] == 0:
-                time.sleep(30)  # the worker whose report is read first
-            raise RuntimeError("a failure in the second worker")
+    def test_a_dead_worker_is_seen_within_a_slice(self, monkeypatch):
+        fold = sweep._verify_fold
 
-        monkeypatch.setattr(sweep, "_verify_fold", fold)
+        def fold_but_in_the_second_worker(cfg, jobs):
+            first = next(jobs)
+            if first[1]:  # slice 1, the second worker's first
+                raise RuntimeError("a failure in the second worker")
+            yield from fold(cfg, itertools.chain([first], jobs))
+
+        monkeypatch.setattr(sweep, "_verify_fold", fold_but_in_the_second_worker)
         began = time.monotonic()
+        # The first worker's share would take days.
         with time_limit(20), pytest.raises(ChildProcessError, match="ended with status 1; the output is incomplete"):
-            self.on(2, verify_grid)
+            self.on(2, verify_grid, SweepConfig(points=10**12, omegas=(1.0,)))
         assert time.monotonic() - began < 5
         assert children_of(os.getpid()) == []
 
@@ -622,6 +629,16 @@ class TestGatesOnWorkers:
         monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             assert list(gate(SweepConfig()).peaks.items()) == list(alone.peaks.items())
+
+    @pytest.mark.parametrize("gate", [verify_grid, monogamy_grid], ids=["verify", "monogamy"])
+    def test_a_50000_point_grid_forks(self, monkeypatch, gate):
+        # 200 000 points of the walk, as in `verify --points 50000`: 2 workers on 2 CPUs.
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            assert gate(SweepConfig(points=50000)).passed
+        assert fork.call_count == 2
+        assert children_of(os.getpid()) == []
 
 
 class TestGateReportMerge:

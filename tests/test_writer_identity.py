@@ -49,8 +49,16 @@ def render_oracle(cfg, fmt):
     return buf.getvalue()
 
 
+def assert_same_text(text, expected):
+    """text == expected, failing on the first differing line, not on a diff of megabytes."""
+    if text != expected:
+        lines, want = text.split("\n"), expected.split("\n")
+        i = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), min(len(lines), len(want)))
+        pytest.fail(f"line {i} of {len(lines)}: {lines[i:i + 1]} != {want[i:i + 1]} of {len(want)} lines")
+
+
 def assert_identical(cfg, fmt):
-    assert render(cfg, fmt) == render_oracle(cfg, fmt)
+    assert_same_text(render(cfg, fmt), render_oracle(cfg, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -165,7 +173,7 @@ def test_pool_writes_the_bytes_of_the_in_process_map(monkeypatch, fmt, name):
     pooled, workers = render_on(monkeypatch, 2, cfg, fmt)
     mapped, none = render_on(monkeypatch, 1, cfg, fmt)
     assert (workers, none) == (2, 0)
-    assert pooled == mapped
+    assert_same_text(pooled, mapped)
     if name == "non-finite" and fmt == "json":
         assert '"x": Infinity' in pooled
     assert children_of(os.getpid()) == []
@@ -337,8 +345,9 @@ def _crafted_block(cfg, omega, start, stop, d0):
 def _crafted_oracle(cfg, fmt):
     """The crafted slices written one cell at a time: '%.17g' or `json.dump`, as `row_writer_oracle` does."""
     header, rows = columns(cfg.pairs), []
-    for job in sweep._slices(cfg):
-        block = _crafted_block(cfg, *job)
+    n, job = sweep._slices(cfg)
+    for i in range(n):
+        block = _crafted_block(cfg, *job(i))
         rows.extend(dict(zip(header, row)) for row in zip(*(block[name].tolist() for name in header)))
     buf = io.StringIO()
     WRITERS[fmt][1](header, rows, buf)
@@ -353,8 +362,5 @@ def test_crafted_slices_match_the_cell_by_cell_oracle(monkeypatch, fmt, cpus):
     cfg = SweepConfig(points=SLICE_ROWS + 1, omegas=(1.0, 2.0))
     text, workers = render_on(monkeypatch, cpus, cfg, fmt)
     assert workers == (cpus if cpus > 1 else 0)
-    lines, oracle_lines = text.splitlines(), _crafted_oracle(cfg, fmt).splitlines()
-    # The first differing line, not a diff of megabytes.
-    assert next((pair for pair in zip(lines, oracle_lines) if pair[0] != pair[1]), None) is None
-    assert len(lines) == len(oracle_lines)
+    assert_same_text(text, _crafted_oracle(cfg, fmt))
     assert children_of(os.getpid()) == []
