@@ -7,13 +7,14 @@ SLICE_ROWS points, and one function per step computes a slice: `_walk_slice`
 its amplitudes, `_closed_slice` its closed-form measures and monogamy
 residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
-the slices either as CSV (17 significant digits, '\\n' line endings) or
-as a JSON array of objects with native numbers, through one row template
-per slice in which each distinct column is formatted once
-(`_distinct_columns`): a column constant over the slice is written into
-the template as a literal, and a column with a copy is formatted once
-into strings that fill each place. Columns match only bit for bit, so
--0.0 never stands for 0.0. `_on_cpus` forks one worker per available CPU
+the slices either as CSV (the bytes of '%.17g', '\\n' line endings) or as
+a JSON array of objects with native numbers, and each formats every
+distinct column of a slice once: a column constant over the slice from
+one cell, and a column with a bitwise copy once for every place. Columns
+match only bit for bit, so -0.0 never stands for 0.0. CSV spells a float
+column at a time with numpy (`_csv_floats`) into NUL-padded bytes, side
+by side with the others; JSON fills one row template per slice
+(`_distinct_columns`). `_on_cpus` forks one worker per available CPU
 once per command, unless the walk is too small to pay for the forks:
 worker k takes slices k, k + workers, ..., and sends one item per slice,
 which the parent reads in walk order, so a worker that dies raises
@@ -273,17 +274,197 @@ def _distinct_columns(arrays, spell):
     return parts, zip(*cells) if cells else itertools.repeat((), len(arrays[0]))
 
 
-def _csv_cells(a):
+# --- CSV spelling: '%.17g' a column at a time
+#
+# '%.17g' writes a finite nonzero v from its 17 significant digits D, 10**16 <= D < 10**17: the exact
+# |v| * 10**(16 - X) rounded half to even, X = floor(log10|v|), plus one where the rounding carries D to
+# 10**17. It writes them in fixed notation where -4 <= X <= 16, else as d.ddd...e+XX with at least two
+# exponent digits, and drops the trailing zeros of the fraction, and the point where none is left.
+# `_csv_digits` computes D for a whole column by Dekker's exact product of |v| and 10**(16 - X), a
+# double-double hi + lo, to an error below 1e-14. Where |16 - X| > 250, |v| and the power are scaled by
+# 2**+-512 first, which is exact and keeps every partial product normal, subnormal |v| included. So the
+# floor and the rounding are exact wherever the integer part lies in [10**16, 10**17) and the fraction is
+# not within 1e-9 of 1/2. '%.17g' spells every other cell: inf, NaN, a value just below a power of ten,
+# where log10 rounds up, and a near-tie. `_csv_floats` writes the digits as 8-byte words from a table:
+# the lead (comma, sign, '0.' and zeros, first digit, point), four groups of 4 digits, the exponent.
+_LEAD = 12 * 10_000  # the words: 12 forms of each group of 4 digits, 240 leads, then the exponents
+_EXPONENT = _LEAD + 240 + 324  # + X
+_BLANK = _EXPONENT + 309
+
+
+@functools.cache
+def _csv_tables():
+    """(powers, words, bases), built on first use with int arithmetic only.
+
+    Column X + 324 of `powers` and of `bases` serves X = floor(log10|v|), -324 <= X <= 308.
+    powers[:, X + 324] is (2**s, hi, hi's top 26 bits, the rest of hi, lo): hi + lo is
+    10**(16 - X) * 2**-s to 106 bits, with s = 512 where 16 - X > 250, -512 where 16 - X < -250,
+    else 0. `words` holds the 8-byte pieces of a cell, NUL-padded: each group of 4 digits in 12
+    forms (6 places of the point: none in a fraction group, before one of its digits, none in an
+    integer group; by 2: as it is, or for where every later group is 0, without its trailing fraction
+    zeros and a bare point), then the 240 leads and the exponents. bases[:, X + 324] is the offset of
+    a cell's lead, of the form of each of its groups and of its exponent, in halves of 4 bytes.
+    """
+    xs = np.arange(-324, 309)
+    powers = np.empty((5, len(xs)))
+    for column, x in zip(powers.T, xs.tolist()):
+        p = 16 - x
+        s = 512 if p > 250 else -512 if p < -250 else 0
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        num, den = (num, den << s) if s > 0 else (num << -s, den)
+        hi = num / den  # int / int rounds correctly
+        n, d = hi.as_integer_ratio()
+        c = 134217729.0 * hi  # Veltkamp's split, 2**27 + 1
+        top = c - (c - hi)
+        column[:] = 2.0**s, hi, top, hi - top, (num * d - n * den) / (den * d)
+    q = np.arange(10_000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + ord("0")
+    kept = 4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0) - (q == 0)  # up to the last nonzero digit
+    groups = np.zeros((6, 2, 10_000, 8), np.uint8)
+    for k in range(6):  # 0: a fraction group; 1..4: the point before digit k - 1; 5: an integer group
+        m, point = min(max(k - 1, 0), 4), k in range(1, 5)  # m: digits before the point
+        for last in (0, 1):
+            word = groups[k, last]
+            word[:, :m] = digits[:, :m]
+            word[:, m + point : 4 + point] = digits[:, m:]
+            if point:
+                word[:, m] = ord(".")
+            if last and k < 5:
+                for j in range(m, 4):
+                    word[kept <= j, j + point] = 0
+                if point:
+                    word[kept <= m, m] = 0
+    leads = (  # by form, the rest is 0, sign, first digit
+        "," + "-" * sign + zeros + str(first) + "." * (form == 1 and not rest_zero)
+        for form, zeros in enumerate(("", "", "0.", "0.0", "0.00", "0.000"))
+        for rest_zero, sign, first in itertools.product((0, 1), (0, 1), range(10))
+    )
+    exponents = ("e%+03d" % x for x in xs.tolist())  # then a blank
+    pieces = "".join(text.ljust(8, "\0") for text in itertools.chain(leads, exponents, [""]))
+    words = np.concatenate([groups.reshape(-1), np.frombuffer(pieces.encode("ascii"), np.uint8)]).view(np.uint64)
+    fixed = (xs >= -4) & (xs <= 16)
+    form = np.where(~fixed | (xs == 0), 1, np.clip(1 - xs, 0, 5))  # the point follows the first digit at 1
+    # Digits of each group before the point, where X >= 1 puts the point among the groups.
+    before = np.where(fixed & (xs > 0), xs, -1)[:, None] - np.array([0, 4, 8, 12])
+    bases = np.empty((6, len(xs)), np.intp)
+    bases[0] = 2 * (_LEAD + form * 40)
+    bases[1:5] = 2 * 20_000 * (np.clip(before, -1, 4) + 1).T
+    bases[4] += 2 * 10_000  # no group follows the last
+    bases[5] = 2 * np.where(fixed, _BLANK, _EXPONENT + xs)
+    tables = (powers, words, bases)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _csv_digits(a):
+    """(D, X, ok): the 17 digits and exponent of each cell of float column a, and where they are exact.
+
+    A zero has D = 0 and X = 0; a cell not ok (inf, NaN, a log10 one off, a near-tie) has D = 0.
+    """
+    powers = _csv_tables()[0]
+    with np.errstate(all="ignore"):  # log10 of 0, inf and NaN; their cells are not ok
+        mag = np.abs(a)
+        x10 = np.floor(np.log10(mag))
+        finite = np.isfinite(x10)
+        x10 = np.where(finite, x10, 0.0).astype(np.intp)
+        scale, hi, h, l, lo = np.take(powers, x10 + 324, axis=1)
+        v = mag * scale
+        prod = hi * v  # an integer from 2**53 on, so D is prod + floor(err) where it is in range
+        c = 134217729.0 * v
+        v_top = c - (c - v)
+        v_low = v - v_top
+        err = ((v_top * h - prod) + v_top * l + v_low * h) + v_low * l
+        err += v * lo
+        step = np.floor(err)
+        frac = err - step
+        n = prod.astype(np.int64) + step.astype(np.int64)
+    ok = finite & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    d = np.where(ok, n + (frac > 0.5), 0)
+    rounded_up = d == 10**17
+    if rounded_up.any():
+        d[rounded_up] = 10**16
+        x10 += rounded_up
+    ok |= mag == 0.0
+    return d, x10, ok
+
+
+def _csv_floats(a):
+    """',' and the '%.17g' bytes of each cell of float column a: one row per cell, NUL-padded."""
+    _, words, bases = _csv_tables()
+    d, x10, ok = _csv_digits(a)
+    base = np.take(bases, x10 + 324, axis=1)
+    lead, groups, exponent = base[0], base[1:5], base[5]
+    first = d // 10**16
+    rest = d - first * 10**16
+    top = rest // 10**8
+    low = rest - top * 10**8
+    q = np.empty((4, len(a)), np.intp)  # the groups of 4 digits
+    np.floor_divide(top, 10**4, out=q[0])
+    np.subtract(top, q[0] * 10**4, out=q[1])
+    np.floor_divide(low, 10**4, out=q[2])
+    np.subtract(low, q[2] * 10**4, out=q[3])
+    lead += 2 * first + 20 * np.signbit(a) + 40 * (rest == 0)
+    groups += 2 * q  # then the forms for where every later group is 0
+    groups[0] += 20_000 * ((low == 0) & (q[1] == 0))
+    groups[1] += 20_000 * (low == 0)
+    groups[2] += 20_000 * (q[3] == 0)
+    # Each word is gathered as two halves of 4 bytes. A group's second half holds only a point that
+    # falls in it, from 1 <= X <= 15; the exponent's, only where some X is outside [-4, 16].
+    low_x, high_x = x10.min(), x10.max()
+    points, expo = low_x <= 15 and high_x >= 1, low_x < -4 or high_x > 16
+    halves = np.empty((len(a), 2 + 4 * (1 + points) + 2 * expo), np.intp)
+    halves[:, 0], halves[:, 1] = lead, lead + 1
+    if points:
+        halves[:, 2:10:2], halves[:, 3:10:2] = groups.T, groups.T + 1
+    else:
+        halves[:, 2:6] = groups.T
+    if expo:
+        halves[:, -2], halves[:, -1] = exponent, exponent + 1
+    cells = words.view(np.uint32)[halves].view(np.uint8)
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        # Each text fits its row: X is off by one at most, so where no X is outside [-4, 16] and the
+        # row has no exponent word, '%.17g' writes at most 23 bytes.
+        text = "".join(("," + "%.17g" % v).ljust(cells.shape[1], "\0") for v in a[slow].tolist())
+        cells[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(slow), -1)
+    return cells
+
+
+def _csv_bytes(a):
+    """',' and the CSV bytes of each cell of column a: one row per cell, NUL-padded to a multiple of 8."""
     if a.dtype.kind == "f":
-        return "%.17g", a.tolist()
-    return "%s", (np.where(a, "true", "false") if a.dtype == bool else a).tolist()
+        return _csv_floats(a)
+    cells = np.char.add(b",", np.where(a, b"true", b"false") if a.dtype == bool else a.astype("S"))
+    return cells.astype(f"S{-(-cells.itemsize // 8) * 8}").view(np.uint8).reshape(len(a), -1)
 
 
 def _csv_text(cfg: SweepConfig, job) -> str:
-    """The CSV rows of one slice: 17 significant digits, '\\n' line endings."""
+    """The CSV rows of one slice: each float as '%.17g' spells it, '\\n' line endings.
+
+    Each distinct column (keyed as in `_distinct_columns`) is spelled once into a block of NUL-padded
+    bytes: a constant column from one cell, broadcast, and a bitwise copy reuses its source's block.
+    The blocks side by side, with the commas and newlines, are the text once the NULs are dropped.
+    """
     block = _block(cfg, *job)
-    parts, rows = _distinct_columns([block[name] for name in columns(cfg.pairs)], _csv_cells)
-    return "".join(map((",".join(parts) + "\n").__mod__, rows))
+    n = len(block["omega"])
+    spelled, parts = {}, []
+    for name in columns(cfg.pairs):
+        a = block[name]
+        key = (a.dtype.str, a.tobytes())
+        if key not in spelled:
+            constant = key[1] == a[:1].tobytes() * n
+            cells = _csv_bytes(a[:1] if constant else a).view(np.uint64)
+            spelled[key] = np.broadcast_to(cells, (n, cells.shape[1]))
+        parts.append(spelled[key])
+    parts.append(np.full((n, 1), ord("\n"), np.uint64))
+    # np.concatenate follows the layout of its inputs: of broadcast constants alone, column-major.
+    rows = np.ascontiguousarray(np.concatenate(parts, axis=1)).view(np.uint8)
+    rows[:, 0] = 0  # the first column's comma
+    del block, spelled, parts  # the slice is held once: as columns, blocks, rows, then bytes
+    text = rows.tobytes()
+    del rows
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def _json_cells(a):
@@ -375,15 +556,23 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
             os.waitpid(pid, 0)
 
 
-def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
+# Points of the walk per formatting worker. On a 2-core VM (python 3.11.7, numpy 2.4.6), in process
+# against 2 workers, medians of 41 in-process `cli.main` runs over the 4 default omegas: CSV took
+# 39.8 against 44.3 ms at 4000 points, 57.4 against 58.1 ms at 7000 and 66.6 against 66.1 ms at
+# 8000, and 2 workers won every run from 24 000 on; JSON took 87.1 against 82.1 ms at 4000 points,
+# the fewest measured. So 2 workers format CSV from 8000 points on, JSON from 4096, and both fork
+# on the default grid, 8004 points.
+CSV_GRAIN = 4_000
+JSON_GRAIN = SLICE_ROWS // 2
+
+
+def _write_slices(cfg: SweepConfig, stream, text, grain: int, lead: str, sep: str) -> None:
     """Write lead and the text of the walk's first slice, then sep and that of each next one.
 
     `_on_cpus` owns the workers, and validates the config before its first text, so before anything
     is written. It is closed however the writing ends, so that it reaps them.
     """
-    # On 2 CPUs, workers that format win from about 3000 points of the walk on (4000 for JSON), so
-    # the default grid, 8004 points, forks.
-    texts = _on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), SLICE_ROWS // 2)
+    texts = _on_cpus(cfg, lambda jobs: (text(cfg, job) for job in jobs), grain)
     with contextlib.closing(texts):
         for piece in texts:
             # Two writes, not lead + piece, and the text dropped before the next slice's:
@@ -396,13 +585,15 @@ def _write_slices(cfg: SweepConfig, stream, text, lead: str, sep: str) -> None:
 
 def write_csv(cfg: SweepConfig, stream) -> None:
     """Write the sweep as CSV: 17 significant digits, '\\n' line endings."""
-    # The header goes out with the first slice, after the config validated.
-    _write_slices(cfg, stream, _csv_text, ",".join(columns(cfg.pairs)) + "\n", "")
+    # The header goes out with the first slice, after the config validated. The spelling tables are
+    # built here, before any worker forks, so that each inherits them.
+    _csv_tables()
+    _write_slices(cfg, stream, _csv_text, CSV_GRAIN, ",".join(columns(cfg.pairs)) + "\n", "")
 
 
 def write_json(cfg: SweepConfig, stream) -> None:
     """Write the sweep as a JSON array of objects, as `json.dump(indent=2)` would."""
-    _write_slices(cfg, stream, _json_text, "[\n", ",\n")
+    _write_slices(cfg, stream, _json_text, JSON_GRAIN, "[\n", ",\n")
     stream.write("\n]\n")
 
 

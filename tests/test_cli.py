@@ -27,6 +27,11 @@ from dilaton_steering.dilaton import X_BIRTH, X_DEATH, X_PEAK
 from dilaton_steering.sweep import RESIDUALS, SLICE_ROWS, SweepConfig, columns
 
 CLI = "import sys; from dilaton_steering.cli import main; sys.exit(main())"
+# The CLI with two CPUs available, whatever the host has, so that its workers fork.
+CLI_ON_TWO_CPUS = (
+    "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+    "from dilaton_steering.cli import main; sys.exit(main())"
+)
 
 
 def run(capsys, *argv):
@@ -154,7 +159,7 @@ class TestSweepCommand:
         out = tmp_path / "F"
         env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
         with subprocess.Popen(
-            [sys.executable, "-c", CLI, "sweep", "--points", "400000", "--out", str(out)],
+            [sys.executable, "-c", CLI_ON_TWO_CPUS, "sweep", "--points", "400000", "--out", str(out)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -318,7 +323,7 @@ class TestVerifyCommand:
         env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
         argv = [command, "--points", "400000000", "--omega", "1"]
         with subprocess.Popen(
-            [sys.executable, "-c", CLI, *argv],
+            [sys.executable, "-c", CLI_ON_TWO_CPUS, *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,

@@ -207,7 +207,7 @@ def test_one_slice_is_formatted_in_process(monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_walk_under_two_workers_worth_is_formatted_in_process(monkeypatch, fmt):
-    # Four slices of 1023 points: fewer than 2 * SLICE_ROWS // 2 points in all.
+    # Four slices of 1023 points: fewer than 2 * JSON_GRAIN and 2 * CSV_GRAIN points in all.
     cfg = SweepConfig(points=SLICE_ROWS // 4 - 1)
     text, workers = render_on(monkeypatch, 2, cfg, fmt)
     assert (text, workers) == render_on(monkeypatch, 1, cfg, fmt)
@@ -288,10 +288,43 @@ def test_each_distinct_column_is_formatted_once():
         np.array(["50%", "50%"]),
         np.array([True, True]),
     ]
-    parts, rows = sweep._distinct_columns(arrays, sweep._csv_cells)
+    parts, rows = sweep._distinct_columns(arrays, sweep._json_cells)
     # Constants are literals, % escaped; a copy and its source share one list of strings.
-    assert parts == ["0.5", "%s", "%s", "%.17g", "0", "-0", "50%%", "true"]
-    assert list(rows) == [("1", "1", 1.0), ("2", "2", -2.0)]
+    assert parts == ["0.5", "%s", "%s", "%r", "0.0", "-0.0", '"50%%"', "true"]
+    assert list(rows) == [("1.0", "1.0", 1.0), ("2.0", "2.0", -2.0)]
+
+
+def test_each_distinct_csv_column_is_spelled_once(monkeypatch):
+    varied, zeros = np.array([1.0, 2.0]), np.zeros(2)
+    block = {
+        "omega": np.full(2, 0.5),
+        "dilaton": varied,
+        "x": varied.copy(),
+        "ab_s_forward": np.array([1.0, -2.0]),
+        "ab_s_backward": zeros,
+        "ab_bell_max": -zeros,
+        "ab_bell_branch2": np.array([0.0, -0.0]),  # equal values, not constant
+        "ab_concurrence": np.full(2, np.nan),
+        "ab_asymmetry": varied.copy(),
+        "ab_regime": np.array(["50% two-way"] * 2),
+        "r1": np.array([np.inf, 5e-324]),
+        "r2": np.array([0.1, 1e300]),
+        "r3": zeros.copy(),
+        "r4": np.array([1e-5, 1e16]),
+        "r3_valid": np.array([True, False]),
+        "r4_valid": np.array([True, True]),
+    }
+    cfg = SweepConfig(pairs=(Pair.AB,))
+    assert list(block) == columns(cfg.pairs)
+    spelled, csv_bytes = [], sweep._csv_bytes
+    monkeypatch.setattr(sweep, "_block", lambda cfg, *job: block)
+    monkeypatch.setattr(sweep, "_csv_bytes", lambda a: spelled.append(a) or csv_bytes(a))
+    text = sweep._csv_text(cfg, ())
+    # A constant column is spelled from one cell; a bitwise copy, of a constant too, not again.
+    assert [len(a) for a in spelled] == [1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 1]
+    cells = {bool: lambda v: "true" if v else "false", str: str, float: "%.17g".__mod__}
+    rows = zip(*(column.tolist() for column in block.values()))
+    assert text == "".join(",".join(cells[type(v)](v) for v in row) + "\n" for row in rows)
 
 
 def _crafted_block(cfg, omega, start, stop, d0):
