@@ -343,7 +343,8 @@ def _csv_tables():
     pieces = "".join(text.ljust(8, "\0") for text in itertools.chain(leads, exponents, [""]))
     words = np.concatenate([groups.reshape(-1), np.frombuffer(pieces.encode("ascii"), np.uint8)]).view(np.uint64)
     fixed = (xs >= -4) & (xs <= 16)
-    form = np.where(~fixed | (xs == 0), 1, np.clip(1 - xs, 0, 5))  # the point follows the first digit at 1
+    # The lead's form: 0, the first digit alone; 1, with the point after it; 1 - X, after '0.' and zeros.
+    form = np.where(~fixed | (xs == 0), 1, np.clip(1 - xs, 0, 5))
     # Digits of each group before the point, where X >= 1 puts the point among the groups.
     before = np.where(fixed & (xs > 0), xs, -1)[:, None] - np.array([0, 4, 8, 12])
     bases = np.empty((6, len(xs)), np.intp)
@@ -405,17 +406,17 @@ def _csv_floats(a):
     np.floor_divide(low, 10**4, out=q[2])
     np.subtract(low, q[2] * 10**4, out=q[3])
     lead += 2 * first + 20 * np.signbit(a) + 40 * (rest == 0)
-    groups += 2 * q  # then the forms for where every later group is 0
+    groups += 2 * q  # and, where every later group is 0, the form without trailing fraction zeros
     groups[0] += 20_000 * ((low == 0) & (q[1] == 0))
     groups[1] += 20_000 * (low == 0)
     groups[2] += 20_000 * (q[3] == 0)
     # Each word is gathered as two halves of 4 bytes. A group's second half holds only a point that
     # falls in it, from 1 <= X <= 15; the exponent's, only where some X is outside [-4, 16].
     low_x, high_x = x10.min(), x10.max()
-    points, expo = low_x <= 15 and high_x >= 1, low_x < -4 or high_x > 16
-    halves = np.empty((len(a), 2 + 4 * (1 + points) + 2 * expo), np.intp)
+    inner_point, expo = low_x <= 15 and high_x >= 1, low_x < -4 or high_x > 16
+    halves = np.empty((len(a), 2 + 4 * (1 + inner_point) + 2 * expo), np.intp)
     halves[:, 0], halves[:, 1] = lead, lead + 1
-    if points:
+    if inner_point:
         halves[:, 2:10:2], halves[:, 3:10:2] = groups.T, groups.T + 1
     else:
         halves[:, 2:6] = groups.T
@@ -425,7 +426,7 @@ def _csv_floats(a):
     slow = np.flatnonzero(~ok)
     if len(slow):
         # Each text fits its row: X is off by one at most, so where no X is outside [-4, 16] and the
-        # row has no exponent word, '%.17g' writes at most 23 bytes.
+        # row has no exponent word, '%.17g' writes at most 23 bytes, and the comma makes 24: 6 halves.
         text = "".join(("," + "%.17g" % v).ljust(cells.shape[1], "\0") for v in a[slow].tolist())
         cells[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(slow), -1)
     return cells
