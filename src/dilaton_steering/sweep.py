@@ -436,8 +436,12 @@ def _csv_bytes(a):
     """',' and the CSV bytes of each cell of column a: one row per cell, NUL-padded to a multiple of 8."""
     if a.dtype.kind == "f":
         return _csv_floats(a)
-    cells = np.char.add(b",", np.where(a, b"true", b"false") if a.dtype == bool else a.astype("S"))
-    return cells.astype(f"S{-(-cells.itemsize // 8) * 8}").view(np.uint8).reshape(len(a), -1)
+    # Not np.char, whose first use imports numpy.strings at run time.
+    text = (np.where(a, b"true", b"false") if a.dtype == bool else a).astype("S")
+    cells = np.zeros((len(a), -(-(text.itemsize + 1) // 8) * 8), np.uint8)
+    cells[:, 0] = ord(",")
+    cells[:, 1 : text.itemsize + 1] = text.view(np.uint8).reshape(len(a), -1)
+    return cells
 
 
 def _csv_text(cfg: SweepConfig, job) -> str:
