@@ -8,19 +8,20 @@ its amplitudes, `_closed_slice` its closed-form measures and monogamy
 residuals, and `_block` its numpy columns, which `sweep_blocks` yields.
 So the memory of a run does not grow with the grid. The writers format
 the slices either as CSV (the bytes of '%.17g', '\\n' line endings) or as
-a JSON array of objects with native numbers, and each formats every
-distinct column of a slice once: a column constant over the slice from
-one cell, and a column with a bitwise copy once for every place. Columns
-match only bit for bit, so -0.0 never stands for 0.0. CSV spells a float
-column at a time with numpy (`_csv_floats`) into NUL-padded bytes, side
-by side with the others; JSON fills one row template per slice
-(`_distinct_columns`). `_on_cpus` forks one worker per available CPU
-once per command, unless the walk is too small to pay for the forks:
-worker k takes slices k, k + workers, ..., and sends one item per slice,
-which the parent reads in walk order, so a worker that dies raises
-ChildProcessError at its next turn, within one slice. The writers' item
-is a slice's text, so identical configurations produce identical bytes,
-whatever the number of CPUs.
+a JSON array of objects with native numbers (the bytes of repr), and both
+share one assembly, `_slice_text`: every distinct column of a slice is
+spelled once, a column constant over the slice from one cell, and a column
+with a bitwise copy once for every place. Columns match only bit for bit,
+so -0.0 never stands for 0.0. A float column is spelled at a time with
+numpy (`_csv_floats`, `_json_floats`) into NUL-padded bytes, which go side
+by side with the other columns and the text between them, a chunk of rows
+at a time, before the NULs are dropped. `_on_cpus` forks one worker per
+available CPU once per command, unless the walk is too small to pay for
+the forks: worker k takes slices k, k + workers, ..., and sends one item
+per slice, which the parent reads in walk order, so a worker that dies
+raises ChildProcessError at its next turn, within one slice. The writers'
+item is a slice's text, so identical configurations produce identical
+bytes, whatever the number of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
@@ -243,135 +244,116 @@ def sweep_blocks(cfg: SweepConfig):
         yield _block(cfg, *job(i))
 
 
-def _distinct_columns(arrays, spell):
-    """(parts, rows): each column's part of a slice's row template, and the tuples that fill it, one per row.
-
-    spell(array) gives a column's conversion and the cells it fills, as (conversion, cells). Each
-    distinct column is formatted once: columns are keyed by dtype and raw bytes, so two columns match,
-    or a column is constant, only bit for bit (-0.0 is not 0.0, and NaNs match only with one payload).
-    A constant column's part is its value's text, as a literal; a column with a bitwise copy is
-    formatted into strings, which fill the part of each copy with %s; any other column keeps its
-    conversion, and its cells go to the template as they are.
-    """
-    keys = [(a.dtype.str, a.tobytes()) for a in arrays]
-    copied = {key for key, count in collections.Counter(keys).items() if count > 1}
-    made, parts, cells = {}, [], []
-    for key, a in zip(keys, arrays):
-        if key not in made:
-            if key[1] == a[:1].tobytes() * len(a):
-                conversion, value = spell(a[:1])
-                made[key] = (conversion % value[0]).replace("%", "%%"), None
-            elif key in copied:
-                conversion, values = spell(a)
-                made[key] = "%s", list(map(conversion.__mod__, values))
-            else:
-                made[key] = spell(a)
-        part, column = made[key]
-        parts.append(part)
-        if column is not None:
-            cells.append(column)
-    # A slice whose every column is constant fills each row's template with nothing.
-    return parts, zip(*cells) if cells else itertools.repeat((), len(arrays[0]))
-
-
-# --- CSV spelling: '%.17g' a column at a time
+# --- float spelling: '%.17g' for CSV and repr for JSON, a column at a time
 #
 # '%.17g' writes a finite nonzero v from its 17 significant digits D, 10**16 <= D < 10**17: the exact
 # |v| * 10**(16 - X) rounded half to even, X = floor(log10|v|), plus one where the rounding carries D to
 # 10**17. It writes them in fixed notation where -4 <= X <= 16, else as d.ddd...e+XX with at least two
-# exponent digits, and drops the trailing zeros of the fraction, and the point where none is left.
-# `_csv_digits` computes D for a whole column by Dekker's exact product of |v| and 10**(16 - X), a
-# double-double hi + lo, to an error below 1e-14. Where |16 - X| > 250, |v| and the power are scaled by
-# 2**+-512 first, which is exact and keeps every partial product normal, subnormal |v| included. So the
-# floor and the rounding are exact wherever the integer part lies in [10**16, 10**17) and the fraction is
-# not within 1e-9 of 1/2. '%.17g' spells every other cell: inf, NaN, a value just below a power of ten,
-# where log10 rounds up, and a near-tie. `_csv_floats` writes the digits as 8-byte words from a table:
-# the lead (comma, sign, '0.' and zeros, first digit, point), four groups of 4 digits, the exponent.
+# exponent digits, and drops the trailing zeros of the fraction, and the point where none is left. repr,
+# which json uses for a finite float, writes the shortest digits that read back as v, the nearest of them
+# to v (Steele & White, PLDI 1990; Gay's dtoa): the same way, as D with zeros after them, but in fixed
+# notation only where -4 <= X < 16, and with '.0' after an integral value there. `_scaled` computes
+# |v| * 10**(16 - X) for a whole column by Dekker's exact product of |v| and 10**(16 - X), a double-double
+# hi + lo, to an error below 1e-14, and exactly where 0 <= 16 - X <= 22, where the power is exact. Where
+# |16 - X| > 250, |v| and the power are scaled by 2**+-512 first, which is exact and keeps every partial
+# product normal, subnormal |v| included. So the digits are exact wherever the integer part lies in
+# [10**16, 10**17) and no comparison falls within 1e-9 of its edge. '%.17g' or repr spells every other
+# cell: inf, NaN, a value just below a power of ten, where log10 rounds up, and a near-tie. `_float_cells`
+# writes the digits as 8-byte words from a table: the lead (comma, sign, '0.' and zeros, first digit,
+# point), four groups of 4 digits, the tail (the exponent, or '.0').
 _LEAD = 12 * 10_000  # the words: 12 forms of each group of 4 digits, 240 leads, then the exponents
 _EXPONENT = _LEAD + 240 + 324  # + X
 _BLANK = _EXPONENT + 309
+_POINT_ZERO = _BLANK + 1
 
 
 @functools.cache
-def _csv_tables():
-    """(powers, words, bases), built on first use with int arithmetic only.
+def _spelling_tables():
+    """(powers, words, bases), built on first use, the powers with int arithmetic only.
 
-    Column X + 324 of `powers` and of `bases` serves X = floor(log10|v|), -324 <= X <= 308.
+    Column X + 324 of `powers` and of each `bases` serves X = floor(log10|v|), -324 <= X <= 308.
     powers[:, X + 324] is (2**s, hi, hi's top 26 bits, the rest of hi, lo): hi + lo is
     10**(16 - X) * 2**-s to 106 bits, with s = 512 where 16 - X > 250, -512 where 16 - X < -250,
     else 0. `words` holds the 8-byte pieces of a cell, NUL-padded: each group of 4 digits in 12
     forms (6 places of the point: none in a fraction group, before one of its digits, none in an
     integer group; by 2: as it is, or for where every later group is 0, without its trailing fraction
-    zeros and a bare point), then the 240 leads and the exponents. bases[:, X + 324] is the offset of
-    a cell's lead, of the form of each of its groups and of its exponent, in halves of 4 bytes.
+    zeros and a bare point), then the 240 leads, the exponents, a blank and '.0'. bases[0] serves
+    '%.17g' and bases[1] repr: bases[i][:, X + 324] is the offset of a cell's lead, of the form of
+    each of its groups and of its tail, in halves of 4 bytes.
     """
     xs = np.arange(-324, 309)
-    powers = np.empty((5, len(xs)))
-    for column, x in zip(powers.T, xs.tolist()):
-        p = 16 - x
-        s = 512 if p > 250 else -512 if p < -250 else 0
+    ps = 16 - xs
+    shifts = np.where(ps > 250, 512, np.where(ps < -250, -512, 0))
+    his, los = [], []
+    for p, s in zip(ps.tolist(), shifts.tolist()):
         num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
         num, den = (num, den << s) if s > 0 else (num << -s, den)
         hi = num / den  # int / int rounds correctly
         n, d = hi.as_integer_ratio()
-        c = 134217729.0 * hi  # Veltkamp's split, 2**27 + 1
-        top = c - (c - hi)
-        column[:] = 2.0**s, hi, top, hi - top, (num * d - n * den) / (den * d)
-    q = np.arange(10_000)
-    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + ord("0")
-    kept = 4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0) - (q == 0)  # up to the last nonzero digit
-    groups = np.zeros((6, 2, 10_000, 8), np.uint8)
-    for k in range(6):  # 0: a fraction group; 1..4: the point before digit k - 1; 5: an integer group
-        m, point = min(max(k - 1, 0), 4), k in range(1, 5)  # m: digits before the point
-        for last in (0, 1):
-            word = groups[k, last]
-            word[:, :m] = digits[:, :m]
-            word[:, m + point : 4 + point] = digits[:, m:]
-            if point:
-                word[:, m] = ord(".")
-            if last and k < 5:
-                for j in range(m, 4):
-                    word[kept <= j, j + point] = 0
-                if point:
-                    word[kept <= m, m] = 0
+        his.append(hi)
+        los.append((num * d - n * den) / (den * d))
+    hi = np.array(his)
+    c = 134217729.0 * hi  # Veltkamp's split, 2**27 + 1
+    top = c - (c - hi)
+    powers = np.stack([np.ldexp(1.0, shifts), hi, top, hi - top, np.array(los)])
     leads = (  # by form, the rest is 0, sign, first digit
         "," + "-" * sign + zeros + str(first) + "." * (form == 1 and not rest_zero)
         for form, zeros in enumerate(("", "", "0.", "0.0", "0.00", "0.000"))
         for rest_zero, sign, first in itertools.product((0, 1), (0, 1), range(10))
     )
-    exponents = ("e%+03d" % x for x in xs.tolist())  # then a blank
-    pieces = "".join(text.ljust(8, "\0") for text in itertools.chain(leads, exponents, [""]))
-    words = np.concatenate([groups.reshape(-1), np.frombuffer(pieces.encode("ascii"), np.uint8)]).view(np.uint64)
-    fixed = (xs >= -4) & (xs <= 16)
+    exponents = ("e%+03d" % x for x in xs.tolist())  # then a blank and '.0'
+    pieces = "".join(text.ljust(8, "\0") for text in itertools.chain(leads, exponents, ["", ".0"]))
+    words = np.zeros(8 * _LEAD + len(pieces), np.uint8)  # the groups are written in place, not copied
+    words[8 * _LEAD :] = np.frombuffer(pieces.encode("ascii"), np.uint8)
+    q = np.arange(10_000, dtype=np.int16)
+    digits = (q // np.array([[1000], [100], [10], [1]], np.int16) % 10 + ord("0")).astype(np.uint8)
+    # Where every later group is 0, digit j stays up to the last nonzero digit of q.
+    stays = np.arange(4)[:, None] < 4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0) - (q == 0)
+    for k, (plain, last) in enumerate(words[: 8 * _LEAD].reshape(6, 2, 10_000, 8)):
+        # 0: a fraction group; 1..4: the point before digit k - 1; 5: an integer group
+        m, point = min(max(k - 1, 0), 4), k in range(1, 5)  # m: digits before the point
+        places = np.arange(4) + (point & (np.arange(4) >= m))
+        plain[:, places] = digits.T
+        if point:
+            plain[:, m] = ord(".")
+        last[:] = plain
+        if k < 5:
+            last[:, places[m:]] *= stays[m:].T
+            if point:
+                last[:, m] *= stays[m]
+    words = words.view(np.uint64)
+    fixed = (xs >= -4) & (xs <= np.array([[16], [15]]))  # by notation: '%.17g', repr
     # The lead's form: 0, the first digit alone; 1, with the point after it; 1 - X, after '0.' and zeros.
     form = np.where(~fixed | (xs == 0), 1, np.clip(1 - xs, 0, 5))
     # Digits of each group before the point, where X >= 1 puts the point among the groups.
-    before = np.where(fixed & (xs > 0), xs, -1)[:, None] - np.array([0, 4, 8, 12])
-    bases = np.empty((6, len(xs)), np.intp)
-    bases[0] = 2 * (_LEAD + form * 40)
-    bases[1:5] = 2 * 20_000 * (np.clip(before, -1, 4) + 1).T
-    bases[4] += 2 * 10_000  # no group follows the last
-    bases[5] = 2 * np.where(fixed, _BLANK, _EXPONENT + xs)
+    before = np.where(fixed & (xs > 0), xs, -1)[:, None] - np.array([[0], [4], [8], [12]])
+    bases = np.empty((2, 6, len(xs)), np.intp)
+    bases[:, 0] = 2 * (_LEAD + form * 40)
+    bases[:, 1:5] = 2 * 20_000 * (np.clip(before, -1, 4) + 1)
+    bases[:, 4] += 2 * 10_000  # no group follows the last
+    bases[:, 5] = 2 * np.where(fixed, _BLANK, _EXPONENT + xs)
     tables = (powers, words, bases)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _csv_digits(a):
-    """(D, X, ok): the 17 digits and exponent of each cell of float column a, and where they are exact.
+def _scaled(a):
+    """(X, n, frac, finite, power): X = floor(log10|v|) and |v| * 10**(16 - X) = n + frac, for each cell v of float column a.
 
-    A zero has D = 0 and X = 0; a cell not ok (inf, NaN, a log10 one off, a near-tie) has D = 0.
+    n is an int64 and frac lies in [0, 1); power holds the cells' columns of the powers table. Where X is not finite
+    (0, inf, NaN), finite is False and X is 0.
     """
-    powers = _csv_tables()[0]
-    with np.errstate(all="ignore"):  # log10 of 0, inf and NaN; their cells are not ok
+    powers = _spelling_tables()[0]
+    with np.errstate(all="ignore"):  # log10 of 0, inf and NaN; their cells are not finite
         mag = np.abs(a)
         x10 = np.floor(np.log10(mag))
         finite = np.isfinite(x10)
         x10 = np.where(finite, x10, 0.0).astype(np.intp)
-        scale, hi, h, l, lo = np.take(powers, x10 + 324, axis=1)
+        power = np.take(powers, x10 + 324, axis=1)
+        scale, hi, h, l, lo = power
         v = mag * scale
-        prod = hi * v  # an integer from 2**53 on, so D is prod + floor(err) where it is in range
+        prod = hi * v  # an integer from 2**53 on, so n is prod + floor(err) where it is in range
         c = 134217729.0 * v
         v_top = c - (c - v)
         v_low = v - v_top
@@ -380,22 +362,119 @@ def _csv_digits(a):
         step = np.floor(err)
         frac = err - step
         n = prod.astype(np.int64) + step.astype(np.int64)
-    ok = finite & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
-    d = np.where(ok, n + (frac > 0.5), 0)
+    return x10, n, frac, finite, power
+
+
+def _carry(d, x10):
+    """Where d, the digits, rounded up to 10**17, make them 10**16 and add one to X."""
     rounded_up = d == 10**17
     if rounded_up.any():
         d[rounded_up] = 10**16
         x10 += rounded_up
-    ok |= mag == 0.0
+
+
+def _csv_digits(a):
+    """(D, X, ok): the 17 digits and exponent of each cell of float column a, and where they are exact.
+
+    A zero has D = 0 and X = 0; a cell not ok (inf, NaN, a log10 one off, a near-tie) has D = 0.
+    """
+    x10, n, frac, finite, _ = _scaled(a)
+    ok = finite & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    d = np.where(ok, n + (frac > 0.5), 0)
+    _carry(d, x10)
+    ok |= a == 0.0
     return d, x10, ok
 
 
-def _csv_floats(a):
-    """',' and the '%.17g' bytes of each cell of float column a: one row per cell, NUL-padded."""
-    _, words, bases = _csv_tables()
-    d, x10, ok = _csv_digits(a)
+def _split(g, hi, lo):
+    """(whole, frac): the int64 and the part in [0, 1) of g * (hi + lo), g a power of two."""
+    top = g * hi  # exact
+    whole = np.floor(top)
+    rest = (top - whole) + g * lo
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _json_digits(a):
+    """(D, X, ok) as `_csv_digits` gives them, but D holds repr's digits, followed by zeros up to 17.
+
+    A double reads back from every number within half the gap to its neighbour on either side, the
+    ends included where its significand is even; at a power of two the gap below is half as wide.
+    repr writes, of the multiples of the largest 10**j of which one lies there, the one nearest to
+    n + frac: of the multiple just below and the one just above, the one inside, or the nearer, or on a
+    tie the one whose digit is even. For j = 0 that is n + frac rounded half to even. j then goes up
+    over the cells still inside, until 10**j is wider than a cell's interval, for then the multiple
+    inside is the only one, and so also that of any larger power: for a normal double, that is by
+    j = 2. A cell is not ok where a comparison falls within 1e-9 of its edge and the product is not
+    exact.
+    """
+    x10, n, frac, finite, (scale, hi, _, _, lo) = _scaled(a)
+    ok = finite & (n >= 10**16) & (n < 10**17)
+    kept = np.flatnonzero(ok)
+    if len(kept) < len(a):
+        n, frac, scale, hi, lo = n[kept], frac[kept], scale[kept], hi[kept], lo[kept]
+    bits = np.abs(a[kept]).view(np.int64)
+    biased = bits >> 52
+    # Half the gap above, times scale, is 2**(max(biased, 1) - 1076 + log2 scale), a normal double: made from its bits.
+    above = ((np.maximum(biased, 1) + (scale.view(np.int64) >> 52) - 1076) << 52).view(np.float64)
+    below = np.where((bits & (2**52 - 1) == 0) & (biased > 1), 0.5 * above, above)
+    h_below, f_below = _split(below, hi, lo)
+    h_above, f_above = _split(above, hi, lo)
+    exact = lo == 0.0
+    # A multiple is inside where its margin, the half-gap on its side less its distance, exceeds the
+    # edge: 0 for an odd significand, just below 0 for an even one, so that the ends count, and 1e-9
+    # where the product is not exact, so that a margin within 1e-9 of 0 decides nothing.
+    edge = np.where(exact, np.where(bits & 1, 0.0, -5e-324), 1e-9)
+    tol = None if exact.all() else np.where(exact, -1.0, 1e-9)  # within it of the edge, unsettled
+    digits = n + (frac > 0.5)
+    tie = frac == 0.5
+    if tie.any():
+        digits += tie & (n & 1 == 1)
+    unsettled = np.zeros(len(n), bool) if tol is None else np.abs(frac - 0.5) <= tol
+    live = [np.arange(len(n)), n, frac, h_below, f_below - frac, h_above, f_above + frac, edge]
+    live.append((h_below + h_above) + (f_below + f_above) + 1.0)  # wider than the interval
+    p = 1
+    while len(live[0]):
+        p *= 10
+        cells, n, frac, h_below, f_lower, h_above, f_upper, edge, wide = live
+        q = n // p
+        r = n - q * p
+        lower = (h_below - r) + f_lower
+        upper = (h_above - p + r) + f_upper
+        in_lower, in_upper = lower > edge, upper > edge
+        nearer = (p - 2 * r) - 2 * frac  # above 0, the lower multiple is the nearer
+        up = in_upper & ~(in_lower & (nearer > 0))
+        tie = in_lower & in_upper & (nearer == 0)
+        if tie.any():
+            up &= ~(tie & (q & 1 == 0))
+        inside = in_lower | in_upper
+        if tol is not None:
+            t = tol[cells]
+            near = (np.abs(lower) <= t) | (np.abs(upper) <= t) | (in_lower & in_upper & (np.abs(nearer) <= t))
+            unsettled[cells] = near | (unsettled[cells] & ~inside)
+        # A cell no longer inside keeps the digits and the standing of the power before.
+        digits[cells[inside]] = ((q + up) * p)[inside]
+        more = inside & (p < wide)
+        live = [column[more] for column in live]
+    d = np.zeros(len(a), np.int64)
+    ok[kept] = ~unsettled
+    d[kept] = np.where(unsettled, 0, digits)
+    _carry(d, x10)
+    ok |= a == 0.0
+    return d, x10, ok
+
+
+def _float_cells(a, d, x10, ok, bases, slow, whole=None):
+    """',' and the bytes of each cell of float column a, from its (D, X, ok): one row per cell, NUL-padded.
+
+    bases is the table of one notation; a cell where whole is True takes '.0' for its tail, and slow(v)
+    spells each cell not ok.
+    """
+    words = _spelling_tables()[1]
     base = np.take(bases, x10 + 324, axis=1)
-    lead, groups, exponent = base[0], base[1:5], base[5]
+    lead, groups, tail = base[0], base[1:5], base[5]
+    if whole is not None:
+        tail[whole] = 2 * _POINT_ZERO
     first = d // 10**16
     rest = d - first * 10**16
     top = rest // 10**8
@@ -411,81 +490,164 @@ def _csv_floats(a):
     groups[1] += 20_000 * (low == 0)
     groups[2] += 20_000 * (q[3] == 0)
     # Each word is gathered as two halves of 4 bytes. A group's second half holds only a point that
-    # falls in it, from 1 <= X <= 15; the exponent's, only where some X is outside [-4, 16].
+    # falls in it, from 1 <= X <= 15; the tail's, only where some cell has a tail.
     low_x, high_x = x10.min(), x10.max()
-    inner_point, expo = low_x <= 15 and high_x >= 1, low_x < -4 or high_x > 16
-    halves = np.empty((len(a), 2 + 4 * (1 + inner_point) + 2 * expo), np.intp)
+    inner_point, has_tail = low_x <= 15 and high_x >= 1, bool((tail != 2 * _BLANK).any())
+    halves = np.empty((len(a), 2 + 4 * (1 + inner_point) + 2 * has_tail), np.intp)
     halves[:, 0], halves[:, 1] = lead, lead + 1
     if inner_point:
         halves[:, 2:10:2], halves[:, 3:10:2] = groups.T, groups.T + 1
     else:
         halves[:, 2:6] = groups.T
-    if expo:
-        halves[:, -2], halves[:, -1] = exponent, exponent + 1
+    if has_tail:
+        halves[:, -2], halves[:, -1] = tail, tail + 1
     cells = words.view(np.uint32)[halves].view(np.uint8)
-    slow = np.flatnonzero(~ok)
-    if len(slow):
-        # Each text fits its row: X is off by one at most, so where no X is outside [-4, 16] and the
-        # row has no exponent word, '%.17g' writes at most 23 bytes, and the comma makes 24: 6 halves.
-        text = "".join(("," + "%.17g" % v).ljust(cells.shape[1], "\0") for v in a[slow].tolist())
-        cells[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(slow), -1)
+    slow_cells = np.flatnonzero(~ok)
+    if len(slow_cells):
+        # Each text fits its row: X is off by one at most, so where every X is in the fixed notation's
+        # range and the row has no tail, '%.17g' and repr write at most 23 bytes, and the comma makes 24:
+        # 6 halves.
+        text = "".join(("," + slow(v)).ljust(cells.shape[1], "\0") for v in a[slow_cells].tolist())
+        cells[slow_cells] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(slow_cells), -1)
     return cells
+
+
+def _csv_floats(a):
+    """',' and the '%.17g' bytes of each cell of float column a: one row per cell, NUL-padded."""
+    return _float_cells(a, *_csv_digits(a), _spelling_tables()[2][0], "%.17g".__mod__)
+
+
+def _json_floats(a):
+    """',' and the repr bytes of each cell of float column a: one row per cell, NUL-padded."""
+    d, x10, ok = _json_digits(a)
+    # An integral value in fixed notation, where repr's digits are the integer's.
+    whole = ok & (x10 >= 0) & (x10 < 16) & (np.floor(a) == a)
+    return _float_cells(a, d, x10, ok, _spelling_tables()[2][1], repr, whole)
+
+
+def _text_cells(text, quote=""):
+    """',' and each cell of text, between quotes: one row per cell, NUL-padded to a multiple of 8 bytes.
+
+    text is an array of bytes, or of str whose characters are ASCII (`_ascii`).
+    """
+    codes = text.view(np.uint32 if text.dtype.kind == "U" else np.uint8).reshape(len(text), -1)
+    k, q = codes.shape[1], len(quote)
+    cells = np.zeros((len(text), -(-(1 + k + 2 * q) // 8) * 8), np.uint8)
+    cells[:, 0] = ord(",")
+    cells[:, 1 + q : 1 + q + k] = codes  # a shorter string's NULs fall before its closing quote
+    if quote:
+        cells[:, 1] = cells[:, 1 + q + k] = ord(quote)
+    return cells
+
+
+def _ascii(labels, json_safe=False):
+    """Whether every character of the str array labels is ASCII, and, with json_safe, one that json writes as it is."""
+    codes = labels.view(np.uint32)
+    if not json_safe:
+        return bool((codes < 128).all())
+    return bool((((codes >= 32) & (codes < 127)) | (codes == 0)).all() and not np.isin(codes, (34, 92)).any())
+
+
+# Float columns shorter than this are spelled by Python, one format call per cell: numpy's fixed cost, some
+# 60 calls per column, is the larger below it. On a 2-core VM (python 3.11.7, numpy 2.4.6), one cell took
+# 125 us for CSV and 250-300 us for JSON, against 7 and 11 us by Python; 256 cells took 88 against 164 us
+# and 380 against 194 us.
+FEW_CELLS = 128
 
 
 def _csv_bytes(a):
     """',' and the CSV bytes of each cell of column a: one row per cell, NUL-padded to a multiple of 8."""
     if a.dtype.kind == "f":
+        if len(a) < FEW_CELLS:
+            return _text_cells(np.array(["%.17g" % v for v in a.tolist()], "S"))
         return _csv_floats(a)
-    # Not np.char, whose first use imports numpy.strings at run time.
-    text = (np.where(a, b"true", b"false") if a.dtype == bool else a).astype("S")
-    cells = np.zeros((len(a), -(-(text.itemsize + 1) // 8) * 8), np.uint8)
-    cells[:, 0] = ord(",")
-    cells[:, 1 : text.itemsize + 1] = text.view(np.uint8).reshape(len(a), -1)
-    return cells
+    if a.dtype == bool:
+        return _text_cells(np.where(a, b"true", b"false"))
+    # Not np.char, whose first use imports numpy.strings at run time, nor astype("S"), which is slow.
+    return _text_cells(a if a.dtype.kind == "U" and _ascii(a) else a.astype("S"))
 
 
-def _csv_text(cfg: SweepConfig, job) -> str:
-    """The CSV rows of one slice: each float as '%.17g' spells it, '\\n' line endings.
+def _json_bytes(a):
+    """',' and the JSON bytes of each cell of column a: one row per cell, NUL-padded to a multiple of 8."""
+    if a.dtype == bool:
+        return _csv_bytes(a)
+    if a.dtype.kind == "U" and _ascii(a, json_safe=True):
+        return _text_cells(a, '"')
+    if a.dtype.kind == "f" and len(a) >= FEW_CELLS and np.isfinite(a).all():
+        return _json_floats(a)
+    # json spells any other labels, a short float column and one with inf or NaN; no cell holds ", ".
+    return _text_cells(np.array(json.dumps(a.tolist())[1:-1].split(", "), "S"))
 
-    Each distinct column (keyed as in `_distinct_columns`) is spelled once into a block of NUL-padded
-    bytes: a constant column from one cell, broadcast, and a bitwise copy reuses its source's block.
-    The blocks side by side, with the commas and newlines, are the text once the NULs are dropped.
+
+def _words(text: str, n: int):
+    """text, NUL-padded to 8-byte words, as the same row n times."""
+    row = np.frombuffer(text.encode("ascii").ljust(-(-len(text) // 8) * 8, b"\0"), np.uint64)
+    return np.broadcast_to(row, (n, len(row)))
+
+
+# Rows of a slice put side by side and stripped of their NULs at a time: a slice's padded rows, wider
+# than its text, never exist whole. Small chunks keep each piece of text small enough for the allocator
+# to reuse its memory: on a 2-core VM (python 3.11.7, numpy 2.4.6), spelling the `sweep_json` grid's 8
+# slices once in a fresh process took 123 ms with 128 rows against 136 ms with 512 (6 200 against
+# 10 800 page faults, median of 7), and the `sweep_csv` grid's 20 slices 302 against 299 ms.
+CHUNK_ROWS = 128
+
+
+def _slice_text(cfg: SweepConfig, job, spell, prefixes, ends) -> str:
+    """The text of one slice: in each row, the prefix and the cell of each column, then ends[0], or ends[1] in the last row.
+
+    spell(a) gives each cell of column a after a comma, as a row of NUL-padded bytes, a multiple of 8 long. The comma
+    stays where a column's prefix is None, and the prefix stands in its place elsewhere. Each distinct column is
+    spelled once into such a block: columns are keyed by dtype and raw bytes, so two columns match, or a column is
+    constant, only bit for bit (-0.0 is not 0.0, and NaNs match only with one payload). A constant column is spelled
+    from one cell and broadcast, and a bitwise copy reuses its source's block; the prefixes and ends are broadcast
+    too. The blocks side by side, CHUNK_ROWS rows at a time, are the text once the NULs are dropped.
     """
     block = _block(cfg, *job)
     n = len(block["omega"])
-    spelled, parts = {}, []
-    for name in columns(cfg.pairs):
+    spelled, parts, commas = {}, [], []
+    for name, prefix in zip(columns(cfg.pairs), prefixes):
+        if prefix is not None:
+            parts.append(_words(prefix, n))
+            commas.append(len(parts))  # the part whose comma is dropped
         a = block[name]
         key = (a.dtype.str, a.tobytes())
         if key not in spelled:
             constant = key[1] == a[:1].tobytes() * n
-            cells = _csv_bytes(a[:1] if constant else a).view(np.uint64)
+            cells = spell(a[:1] if constant else a).view(np.uint64)
             spelled[key] = np.broadcast_to(cells, (n, cells.shape[1]))
         parts.append(spelled[key])
-    parts.append(np.full((n, 1), ord("\n"), np.uint64))
-    # np.concatenate follows the layout of its inputs: of broadcast constants alone, column-major.
-    rows = np.ascontiguousarray(np.concatenate(parts, axis=1)).view(np.uint8)
-    rows[:, 0] = 0  # the first column's comma
-    del block, spelled, parts  # the slice is held once: as columns, blocks, rows, then bytes
-    text = rows.tobytes()
-    del rows
-    return text.translate(None, b"\0").decode("ascii")
+    del block, spelled  # the slice is held once: as columns, then blocks, then text
+    parts.append(_words(ends[0], n))
+    last = _words(ends[1], 1)[0]  # in place of ends[0]'s last words
+    offsets = np.cumsum([0] + [part.shape[1] for part in parts])
+    commas, width = 8 * offsets[commas], offsets[-1]  # in bytes; in words
+    # One buffer for every chunk, translated where it is: rows past the slice's end are zeroed, all NULs.
+    buffer = bytearray(8 * width * min(n, CHUNK_ROWS))
+    rows = np.frombuffer(buffer, np.uint64).reshape(-1, width)
+    pieces = []
+    for start in range(0, n, CHUNK_ROWS):
+        chunk = rows[: n - start]
+        np.concatenate([part[start : start + len(chunk)] for part in parts], axis=1, out=chunk)
+        chunk.view(np.uint8)[:, commas] = 0
+        if start + len(chunk) == n:
+            chunk[-1, width - len(last) :] = last
+            rows[len(chunk) :] = 0
+        pieces.append(buffer.translate(None, b"\0").decode("ascii"))
+    del parts, rows, chunk, buffer
+    return "".join(pieces)
 
 
-def _json_cells(a):
-    # json spells the labels, the flags and any column with inf or NaN; no cell holds ", ".
-    if a.dtype.kind == "f" and np.isfinite(a).all():
-        return "%r", a.tolist()
-    return "%s", json.dumps(a.tolist())[1:-1].split(", ")
+def _csv_text(cfg: SweepConfig, job) -> str:
+    """The CSV rows of one slice: each float as '%.17g' spells it, '\\n' line endings."""
+    prefixes = [""] + [None] * (len(columns(cfg.pairs)) - 1)  # the first column's comma dropped
+    return _slice_text(cfg, job, _csv_bytes, prefixes, ("\n", "\n"))
 
 
 def _json_text(cfg: SweepConfig, job) -> str:
     """The JSON objects of one slice, joined by ',\\n', as `json.dump(indent=2)` lays them out."""
-    block = _block(cfg, *job)
-    header = columns(cfg.pairs)
-    parts, rows = _distinct_columns([block[name] for name in header], _json_cells)
-    fields = ",\n".join(f'    "{name}": {part}' for name, part in zip(header, parts))
-    return ",\n".join(map(("  {\n" + fields + "\n  }").__mod__, rows))
+    prefixes = [("," if k else "  {") + f'\n    "{name}": ' for k, name in enumerate(columns(cfg.pairs))]
+    return _slice_text(cfg, job, _json_bytes, prefixes, ("\n  },\n", "\n  }"))
 
 
 def _on_cpus(cfg: SweepConfig, work, grain: int):
@@ -564,9 +726,11 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
 # Points of the walk per formatting worker. On a 2-core VM (python 3.11.7, numpy 2.4.6), in process
 # against 2 workers, medians of 41 in-process `cli.main` runs over the 4 default omegas: CSV took
 # 39.8 against 44.3 ms at 4000 points, 57.4 against 58.1 ms at 7000 and 66.6 against 66.1 ms at
-# 8000, and 2 workers won every run from 24 000 on; JSON took 87.1 against 82.1 ms at 4000 points,
-# the fewest measured. So 2 workers format CSV from 8000 points on, JSON from 4096, and both fork
-# on the default grid, 8004 points.
+# 8000, and 2 workers won every run from 24 000 on. JSON, spelled with numpy (each run building the
+# tables, as a CLI run does), took 64.9 against 63.2 ms at 3000 points, 76.0 against 84.6 ms at 4000
+# (115.4 against 90.4 ms in another series), 86.6 against 72.3 ms at 4500 and 93.5 against 80.7 ms at
+# 5000, where 2 workers won 37 of 41 runs. So 2 workers format CSV from 8000 points on, JSON from
+# 4096, and both fork on the default grid, 8004 points.
 CSV_GRAIN = 4_000
 JSON_GRAIN = SLICE_ROWS // 2
 
@@ -590,9 +754,7 @@ def _write_slices(cfg: SweepConfig, stream, text, grain: int, lead: str, sep: st
 
 def write_csv(cfg: SweepConfig, stream) -> None:
     """Write the sweep as CSV: 17 significant digits, '\\n' line endings."""
-    # The header goes out with the first slice, after the config validated. The spelling tables are
-    # built here, before any worker forks, so that each inherits them.
-    _csv_tables()
+    # The header goes out with the first slice, after the config validated.
     _write_slices(cfg, stream, _csv_text, CSV_GRAIN, ",".join(columns(cfg.pairs)) + "\n", "")
 
 

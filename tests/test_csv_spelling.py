@@ -75,6 +75,6 @@ def test_both_branches_are_taken():
 
 def test_no_table_is_built_at_import():
     env = dict(os.environ, PYTHONPATH=str(Path(sweep.__file__).parents[1]))
-    code = "from dilaton_steering import cli, sweep; print(sweep._csv_tables.cache_info().currsize)"
+    code = "from dilaton_steering import cli, sweep; print(sweep._spelling_tables.cache_info().currsize)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "0\n"

@@ -7,6 +7,7 @@ byte.
 
 import errno
 import io
+import json
 import itertools
 import os
 import signal
@@ -276,27 +277,10 @@ def test_a_failed_fork_restores_sigint_and_reaps_the_children(monkeypatch):
 # --- each distinct column of a slice formatted once ---------------------------
 
 
-def test_each_distinct_column_is_formatted_once():
-    varied = np.array([1.0, 2.0])
-    arrays = [
-        np.full(2, 0.5),
-        varied,
-        varied.copy(),
-        np.array([1.0, -2.0]),
-        np.zeros(2),
-        -np.zeros(2),
-        np.array(["50%", "50%"]),
-        np.array([True, True]),
-    ]
-    parts, rows = sweep._distinct_columns(arrays, sweep._json_cells)
-    # Constants are literals, % escaped; a copy and its source share one list of strings.
-    assert parts == ["0.5", "%s", "%s", "%r", "0.0", "-0.0", '"50%%"', "true"]
-    assert list(rows) == [("1.0", "1.0", 1.0), ("2.0", "2.0", -2.0)]
-
-
-def test_each_distinct_csv_column_is_spelled_once(monkeypatch):
+def _distinct_block():
+    """A two-row slice of the AB columns with constants, bitwise copies and near copies."""
     varied, zeros = np.array([1.0, 2.0]), np.zeros(2)
-    block = {
+    return {
         "omega": np.full(2, 0.5),
         "dilaton": varied,
         "x": varied.copy(),
@@ -314,21 +298,37 @@ def test_each_distinct_csv_column_is_spelled_once(monkeypatch):
         "r3_valid": np.array([True, False]),
         "r4_valid": np.array([True, True]),
     }
+
+
+def spelled_once(monkeypatch, speller, text):
+    """(text of the slice of `_distinct_block`, lengths of the columns spelled) with `speller` counted."""
+    block, spelled, spell = _distinct_block(), [], getattr(sweep, speller)
     cfg = SweepConfig(pairs=(Pair.AB,))
     assert list(block) == columns(cfg.pairs)
-    spelled, csv_bytes = [], sweep._csv_bytes
     monkeypatch.setattr(sweep, "_block", lambda cfg, *job: block)
-    monkeypatch.setattr(sweep, "_csv_bytes", lambda a: spelled.append(a) or csv_bytes(a))
-    text = sweep._csv_text(cfg, ())
+    monkeypatch.setattr(sweep, speller, lambda a: spelled.append(a) or spell(a))
+    return getattr(sweep, text)(cfg, ()), [len(a) for a in spelled], block
+
+
+def test_each_distinct_column_is_formatted_once(monkeypatch):
+    text, lengths, block = spelled_once(monkeypatch, "_json_bytes", "_json_text")
     # A constant column is spelled from one cell; a bitwise copy, of a constant too, not again.
-    assert [len(a) for a in spelled] == [1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 1]
+    assert lengths == [1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 1]
+    rows = [dict(zip(block, row)) for row in zip(*(column.tolist() for column in block.values()))]
+    assert text == json.dumps(rows, indent=2)[2:-2]
+
+
+def test_each_distinct_csv_column_is_spelled_once(monkeypatch):
+    text, lengths, block = spelled_once(monkeypatch, "_csv_bytes", "_csv_text")
+    # A constant column is spelled from one cell; a bitwise copy, of a constant too, not again.
+    assert lengths == [1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 2, 2, 1]
     cells = {bool: lambda v: "true" if v else "false", str: str, float: "%.17g".__mod__}
     rows = zip(*(column.tolist() for column in block.values()))
     assert text == "".join(",".join(cells[type(v)](v) for v in row) + "\n" for row in rows)
 
 
 def _crafted_block(cfg, omega, start, stop, d0):
-    """A slice of made-up columns that reach every case of `_distinct_columns`.
+    """A slice of made-up columns that reach every case of `_slice_text`.
 
     The first slice of each omega mixes every case; every other slice is constant in every column.
     """
