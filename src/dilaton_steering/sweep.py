@@ -399,63 +399,72 @@ def _json_digits(a):
     """(D, X, ok) as `_csv_digits` gives them, but D holds repr's digits, followed by zeros up to 17.
 
     A double reads back from every number within half the gap to its neighbour on either side, the
-    ends included where its significand is even; at a power of two the gap below is half as wide.
-    repr writes, of the multiples of the largest 10**j of which one lies there, the one nearest to
-    n + frac: of the multiple just below and the one just above, the one inside, or the nearer, or on a
-    tie the one whose digit is even. For j = 0 that is n + frac rounded half to even. j then goes up
-    over the cells still inside, until 10**j is wider than a cell's interval, for then the multiple
-    inside is the only one, and so also that of any larger power: for a normal double, that is by
-    j = 2. A cell is not ok where a comparison falls within 1e-9 of its edge and the product is not
-    exact.
+    ends included where its significand is even; at a power of two the gap below is half as wide. In
+    units of the 17th digit, [L, H] are the integers in that interval around n + frac. repr writes, of
+    the multiples of the largest 10**j of which one lies in [L, H], the one nearest to n + frac: of
+    the multiple just below and the one just above, the one inside, or the nearer, or on a tie the one
+    whose digit is even. For j = 0 that is n + frac rounded half to even. j goes up over the cells still
+    inside until 10**j > H - L, for then the multiple inside is the only one, and so is that of any
+    larger power: for a normal double, by j = 2. A cell is not ok where the product is not exact and an
+    end of its interval, or a tie, is within 1e-9 of deciding.
     """
     x10, n, frac, finite, (scale, hi, _, _, lo) = _scaled(a)
     ok = finite & (n >= 10**16) & (n < 10**17)
     kept = np.flatnonzero(ok)
+    v = a
     if len(kept) < len(a):
-        n, frac, scale, hi, lo = n[kept], frac[kept], scale[kept], hi[kept], lo[kept]
-    bits = np.abs(a[kept]).view(np.int64)
+        v, n, frac, scale, hi, lo = a[kept], n[kept], frac[kept], scale[kept], hi[kept], lo[kept]
+    bits = np.abs(v).view(np.int64)
     biased = bits >> 52
     # Half the gap above, times scale, is 2**(max(biased, 1) - 1076 + log2 scale), a normal double: made from its bits.
     above = ((np.maximum(biased, 1) + (scale.view(np.int64) >> 52) - 1076) << 52).view(np.float64)
-    below = np.where((bits & (2**52 - 1) == 0) & (biased > 1), 0.5 * above, above)
-    h_below, f_below = _split(below, hi, lo)
     h_above, f_above = _split(above, hi, lo)
-    exact = lo == 0.0
-    # A multiple is inside where its margin, the half-gap on its side less its distance, exceeds the
-    # edge: 0 for an odd significand, just below 0 for an even one, so that the ends count, and 1e-9
-    # where the product is not exact, so that a margin within 1e-9 of 0 decides nothing.
-    edge = np.where(exact, np.where(bits & 1, 0.0, -5e-324), 1e-9)
-    tol = None if exact.all() else np.where(exact, -1.0, 1e-9)  # within it of the edge, unsettled
+    halved = (bits & (2**52 - 1) == 0) & (biased > 1)  # a power of two, but the least normal
+    h_below = np.where(halved, h_above >> 1, h_above)
+    f_below = np.where(halved, 0.5 * (f_above + (h_above & 1)), f_above)
+    # The ends are n - h_below + f_lower and n + h_above + f_upper. An end that is an integer counts where
+    # the significand is even: -5e-324 stands for "at least 0" where 0 stands for "above 0".
+    f_lower, f_upper = frac - f_below, frac + f_above  # in (-1, 1) and [0, 2)
+    edge = np.where(bits & 1, 0.0, -5e-324)  # for the upper end; the lower end's is -5e-324 - edge
+    low = (n - h_below) + (f_lower > -5e-324 - edge)
+    high = (n + h_above - 1) + (f_upper > edge) + (f_upper - 1.0 > edge)
     digits = n + (frac > 0.5)
     tie = frac == 0.5
     if tie.any():
         digits += tie & (n & 1 == 1)
-    unsettled = np.zeros(len(n), bool) if tol is None else np.abs(frac - 0.5) <= tol
-    live = [np.arange(len(n)), n, frac, h_below, f_below - frac, h_above, f_above + frac, edge]
-    live.append((h_below + h_above) + (f_below + f_above) + 1.0)  # wider than the interval
+    exact = lo == 0.0
+    tol = None if exact.all() else np.where(exact, -1.0, 1e-9)  # within it of deciding, unsettled
+    if tol is None:
+        unsettled = np.zeros(len(n), bool)
+    else:
+        # An end near an integer is undecided; past j = 0 that matters only for a multiple of 10.
+        ends = (np.abs(f_lower) <= tol) & ((n - h_below) % 10 == 0)
+        ends |= (np.abs(f_upper) <= tol) & ((n + h_above) % 10 == 0)
+        ends |= (np.abs(f_upper - 1.0) <= tol) & ((n + h_above + 1) % 10 == 0)
+        unsettled = np.abs(frac - 0.5) <= tol
+    live = [np.arange(len(n)), n, frac, low, high]
     p = 1
     while len(live[0]):
         p *= 10
-        cells, n, frac, h_below, f_lower, h_above, f_upper, edge, wide = live
+        cells, n, frac, low, high = live
         q = n // p
-        r = n - q * p
-        lower = (h_below - r) + f_lower
-        upper = (h_above - p + r) + f_upper
-        in_lower, in_upper = lower > edge, upper > edge
-        nearer = (p - 2 * r) - 2 * frac  # above 0, the lower multiple is the nearer
+        below = q * p
+        in_lower, in_upper = below >= low, below + p <= high
+        nearer = (p - 2 * (n - below)) - 2 * frac  # above 0, the lower multiple is the nearer
         up = in_upper & ~(in_lower & (nearer > 0))
         tie = in_lower & in_upper & (nearer == 0)
         if tie.any():
             up &= ~(tie & (q & 1 == 0))
         inside = in_lower | in_upper
         if tol is not None:
-            t = tol[cells]
-            near = (np.abs(lower) <= t) | (np.abs(upper) <= t) | (in_lower & in_upper & (np.abs(nearer) <= t))
+            near = in_lower & in_upper & (np.abs(nearer) <= tol[cells])
             unsettled[cells] = near | (unsettled[cells] & ~inside)
         # A cell no longer inside keeps the digits and the standing of the power before.
-        digits[cells[inside]] = ((q + up) * p)[inside]
-        more = inside & (p < wide)
+        digits[cells[inside]] = (below + p * up)[inside]
+        more = inside & (p <= high - low)
         live = [column[more] for column in live]
+    if tol is not None:
+        unsettled |= ends
     d = np.zeros(len(a), np.int64)
     ok[kept] = ~unsettled
     d[kept] = np.where(unsettled, 0, digits)
@@ -530,7 +539,7 @@ def _text_cells(text, quote=""):
 
     text is an array of bytes, or of str whose characters are ASCII (`_ascii`).
     """
-    codes = text.view(np.uint32 if text.dtype.kind == "U" else np.uint8).reshape(len(text), -1)
+    codes = np.ascontiguousarray(text).view(np.uint32 if text.dtype.kind == "U" else np.uint8).reshape(len(text), -1)
     k, q = codes.shape[1], len(quote)
     cells = np.zeros((len(text), -(-(1 + k + 2 * q) // 8) * 8), np.uint8)
     cells[:, 0] = ord(",")
@@ -542,7 +551,7 @@ def _text_cells(text, quote=""):
 
 def _ascii(labels, json_safe=False):
     """Whether every character of the str array labels is ASCII, and, with json_safe, one that json writes as it is."""
-    codes = labels.view(np.uint32)
+    codes = np.ascontiguousarray(labels).view(np.uint32)
     if not json_safe:
         return bool((codes < 128).all())
     return bool((((codes >= 32) & (codes < 127)) | (codes == 0)).all() and not np.isin(codes, (34, 92)).any())

@@ -91,10 +91,12 @@ def test_exact_ties_are_spelled_as_repr(multiples):
 
 def test_both_branches_are_taken():
     # numpy's digits where they are settled; repr where log10 is one off, just below a power of ten,
-    # and where a large integer's interval ends on a multiple of 10**j but the power is not exact.
-    cells = [0.5, -0.0, 1e300, 5e-324, 2.0**-1017, 9.999999999999999e-06, 99.99999999999999, 4.9028740750493203e17]
+    # and, where the power of ten is not exact, where a large integer's interval ends on a multiple of
+    # 10**j, and where 17 digits are within 1e-9 of a tie (|v| * 10**26 = ...0.5000000000000007).
+    cells = [0.5, -0.0, 1e300, 5e-324, 2.0**-1017, 9.999999999999999e-06, 99.99999999999999]
+    cells += [4.9028740750493203e17, 1.0889565988455702e-10]
     _, _, ok = sweep._json_digits(np.array(cells))
-    assert ok.tolist() == [True, True, True, True, True, False, False, False]
+    assert ok.tolist() == [True, True, True, True, True, False, False, False, False]
     _, _, ok = sweep._json_digits(with_neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)])))
     assert ok.any() and not ok.all()
 
