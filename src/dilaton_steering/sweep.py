@@ -339,10 +339,10 @@ def _spelling_tables():
 
 
 def _scaled(a):
-    """(X, n, frac, finite, power): X = floor(log10|v|) and |v| * 10**(16 - X) = n + frac, for each cell v of float column a.
+    """(X, n, frac, finite, power) of each cell v of float column a: |v| * 10**(16 - X) = n + frac.
 
-    n is an int64 and frac lies in [0, 1); power holds the cells' columns of the powers table. Where X is not finite
-    (0, inf, NaN), finite is False and X is 0.
+    X = floor(log10|v|), n is an int64 and frac lies in [0, 1); power holds the cells' columns of the
+    powers table. Where X is not finite (0, inf, NaN), finite is False and X is 0.
     """
     powers = _spelling_tables()[0]
     with np.errstate(all="ignore"):  # log10 of 0, inf and NaN; their cells are not finite
@@ -416,7 +416,8 @@ def _json_digits(a):
         v, n, frac, scale, hi, lo = a[kept], n[kept], frac[kept], scale[kept], hi[kept], lo[kept]
     bits = np.abs(v).view(np.int64)
     biased = bits >> 52
-    # Half the gap above, times scale, is 2**(max(biased, 1) - 1076 + log2 scale), a normal double: made from its bits.
+    # Half the gap above, times scale, is 2**(max(biased, 1) - 1076 + log2 scale), a normal double:
+    # made from its bits.
     above = ((np.maximum(biased, 1) + (scale.view(np.int64) >> 52) - 1076) << 52).view(np.float64)
     h_above, f_above = _split(above, hi, lo)
     halved = (bits & (2**52 - 1) == 0) & (biased > 1)  # a power of two, but the least normal
@@ -539,7 +540,8 @@ def _text_cells(text, quote=""):
 
     text is an array of bytes, or of str whose characters are ASCII (`_ascii`).
     """
-    codes = np.ascontiguousarray(text).view(np.uint32 if text.dtype.kind == "U" else np.uint8).reshape(len(text), -1)
+    text = np.ascontiguousarray(text)
+    codes = text.view(np.uint32 if text.dtype.kind == "U" else np.uint8).reshape(len(text), -1)
     k, q = codes.shape[1], len(quote)
     cells = np.zeros((len(text), -(-(1 + k + 2 * q) // 8) * 8), np.uint8)
     cells[:, 0] = ord(",")
@@ -550,7 +552,7 @@ def _text_cells(text, quote=""):
 
 
 def _ascii(labels, json_safe=False):
-    """Whether every character of the str array labels is ASCII, and, with json_safe, one that json writes as it is."""
+    """Whether each character of the str array labels is ASCII and, with json_safe, one json writes as is."""
     codes = np.ascontiguousarray(labels).view(np.uint32)
     if not json_safe:
         return bool((codes < 128).all())
@@ -603,14 +605,15 @@ CHUNK_ROWS = 128
 
 
 def _slice_text(cfg: SweepConfig, job, spell, prefixes, ends) -> str:
-    """The text of one slice: in each row, the prefix and the cell of each column, then ends[0], or ends[1] in the last row.
+    """The text of one slice: each row, each column's prefix and cell, then ends[0], or ends[1] in the last.
 
-    spell(a) gives each cell of column a after a comma, as a row of NUL-padded bytes, a multiple of 8 long. The comma
-    stays where a column's prefix is None, and the prefix stands in its place elsewhere. Each distinct column is
-    spelled once into such a block: columns are keyed by dtype and raw bytes, so two columns match, or a column is
-    constant, only bit for bit (-0.0 is not 0.0, and NaNs match only with one payload). A constant column is spelled
-    from one cell and broadcast, and a bitwise copy reuses its source's block; the prefixes and ends are broadcast
-    too. The blocks side by side, CHUNK_ROWS rows at a time, are the text once the NULs are dropped.
+    spell(a) gives each cell of column a after a comma, as a row of NUL-padded bytes, a multiple of 8 long.
+    The comma stays where a column's prefix is None, and the prefix stands in its place elsewhere. Each
+    distinct column is spelled once into such a block: columns are keyed by dtype and raw bytes, so two
+    columns match, or a column is constant, only bit for bit (-0.0 is not 0.0, and NaNs match only with
+    one payload). A constant column is spelled from one cell and broadcast, and a bitwise copy reuses its
+    source's block; the prefixes and ends are broadcast too. The blocks side by side, CHUNK_ROWS rows at a
+    time, are the text once the NULs are dropped.
     """
     block = _block(cfg, *job)
     n = len(block["omega"])

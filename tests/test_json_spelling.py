@@ -46,7 +46,8 @@ def with_neighbours(values):
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-@example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+@example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308])
+@example([1.7976931348623157e308, -1.7976931348623157e308])
 @example([2.0**-1017, 2.0**-1074, 2.0**-1022, 2.0**1023, 0.1, 1 / 3, 123.456, 1e-5, 1e-4])
 def test_floats_are_spelled_as_repr(values):
     assert_spelled_as_repr(values)
@@ -69,9 +70,10 @@ def test_powers_of_two_and_their_neighbours_are_spelled_as_repr():
 
 def test_the_notation_switches_as_repr_switches_it():
     # repr writes fixed notation up to X = 15 and '1e+16' from X = 16; '%.17g' switches at X = 17.
-    edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 9999999999999998.0, 999999999999999.9, 123456789012345680.0])
+    edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 9999999999999998.0, 999999999999999.9, 1.234567890123456e17])
     assert_spelled_as_repr(with_neighbours(edges))
-    assert cell_texts(sweep._json_floats(np.array([1e15, 1e16, 1e17]))) == ["1000000000000000.0", "1e+16", "1e+17"]
+    spelled = cell_texts(sweep._json_floats(np.array([1e15, 1e16, 1e17])))
+    assert spelled == ["1000000000000000.0", "1e+16", "1e+17"]
 
 
 @given(st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=40))
