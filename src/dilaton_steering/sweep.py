@@ -400,12 +400,12 @@ def _json_digits(a):
 
     A double reads back from every number within half the gap to its neighbour on either side, the
     ends included where its significand is even; at a power of two the gap below is half as wide. In
-    units of the 17th digit, [L, H] are the integers in that interval around n + frac. repr writes, of
-    the multiples of the largest 10**j of which one lies in [L, H], the one nearest to n + frac: of
-    the multiple just below and the one just above, the one inside, or the nearer, or on a tie the one
-    whose digit is even. For j = 0 that is n + frac rounded half to even. j goes up over the cells still
-    inside until 10**j > H - L, for then the multiple inside is the only one, and so is that of any
-    larger power: for a normal double, by j = 2. A cell is not ok where the product is not exact and an
+    units of the 17th digit, [low, high] are the integers in that interval around n + frac. repr writes,
+    of the multiples of the largest 10**j of which one lies in [low, high], the one nearest to n + frac:
+    of the multiple just below and the one just above, the one inside, or the nearer, or on a tie the
+    one whose digit is even. For j = 0 that is n + frac rounded half to even. j goes up over the cells
+    still inside until 10**j > high - low, for then the multiple inside is the only one, and so is that
+    of any larger power: for a normal double, by j = 2. A cell is not ok where the product is not exact and an
     end of its interval, or a tie, is within 1e-9 of deciding.
     """
     x10, n, frac, finite, (scale, hi, _, _, lo) = _scaled(a)
