@@ -167,6 +167,14 @@ def columns(pairs=ALL_PAIRS) -> list:
 # and formatted write holds one slice at a time.
 SLICE_ROWS = 4096
 
+# glibc gives a freed block above its mmap threshold (128 KiB at start) back to the OS, and trims the heap
+# top past twice it, so every slice would fault in again the pages of the blocks the last one freed. The
+# free of an mmapped block under 32 MiB, its header and page rounding included, raises the threshold to
+# its size and the trim threshold to twice that (mallopt(3)): this block, never touched, makes the walk
+# reuse its memory from the first slice on, in the forked workers too. Done at import, so no traced walk
+# sees it; with another libc, or with MALLOC_MMAP_THRESHOLD_ set, it is an alloc and a free.
+np.empty(2**25 - 2**16, np.uint8)
+
 
 def _slices(cfg: SweepConfig):
     """Validate `cfg`, then return (n, job): the number of slices of its grid walk, and job(i), slice i.
@@ -736,13 +744,13 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
 
 
 # Points of the walk per formatting worker. On a 2-core VM (python 3.11.7, numpy 2.4.6), in process
-# against 2 workers, medians of 41 in-process `cli.main` runs over the 4 default omegas: CSV took
-# 39.8 against 44.3 ms at 4000 points, 57.4 against 58.1 ms at 7000 and 66.6 against 66.1 ms at
-# 8000, and 2 workers won every run from 24 000 on. JSON, spelled with numpy (each run building the
-# tables, as a CLI run does), took 64.9 against 63.2 ms at 3000 points, 76.0 against 84.6 ms at 4000
-# (115.4 against 90.4 ms in another series), 86.6 against 72.3 ms at 4500 and 93.5 against 80.7 ms at
-# 5000, where 2 workers won 37 of 41 runs. So 2 workers format CSV from 8000 points on, JSON from
-# 4096, and both fork on the default grid, 8004 points.
+# against 2 workers, medians of 101 alternating in-process `cli.main` runs over the 4 default omegas,
+# each run building the spelling tables, as a CLI run does: CSV took 42.6 against 50.0 ms at 4000
+# points (2 workers won 14 runs), 62.3 against 63.9 ms at 8000 (47 runs; 74.1 against 69.3 ms, 38 of
+# 61, in another series) and 74.0 against 74.1 ms at 10 000 (57 runs). JSON, in 61 runs, took 105.5
+# against 93.4 ms at 4000 points (41 runs) and 142.6 against 122.7 ms at 8000 (54 runs). So 2 workers
+# format CSV from about 8000 points on, JSON from 4096, and both fork on the default grid, 8004 points:
+# there the CLI takes as long either way, and its peak RSS is 3 MB lower with workers.
 CSV_GRAIN = 4_000
 JSON_GRAIN = SLICE_ROWS // 2
 
@@ -830,12 +838,15 @@ class GateReport:
 
 
 # Points of the walk per gate worker. A fold takes far less time a point than formatting: on a
-# 2-core VM (python 3.11.7, numpy 2.4.6), in process against 2 workers, medians of 31 in-process
-# `cli.main` runs, verify took 22.7 against 26.0 ms at 24 000 points and 28.3 against 24.2 ms at
-# 32 000, monogamy 19.1 against 21.6 ms at 128 000 and 22.6 against 21.6 ms at 160 000. So the
-# default grid, 8004 points, folds in process, and 2 workers fold from 32 000 and 160 000 points on.
-VERIFY_GRAIN = 16_000
-MONOGAMY_GRAIN = 80_000
+# 2-core VM (python 3.11.7, numpy 2.4.6), in process against 2 workers, medians of 61 alternating
+# in-process `cli.main` runs, verify took 28.0 against 29.4 ms at 32 000 points (2 workers won 17
+# runs), 45.4 against 45.7 ms at 48 000 (34 runs) and 56.9 against 51.1 ms at 56 000 (56 runs); in
+# 101 runs, monogamy took 29.7 against 36.9 ms at 200 000 (21 runs), 34.2 against 38.7 ms at 240 000
+# (45 runs) and 58.3 against 52.1 ms at 280 000 (66 runs; 40.6 against 42.5 ms, 47 runs, in another
+# series). So the default grid, 8004 points, folds in process, and 2 workers fold from 56 000 and
+# 280 000 points on.
+VERIFY_GRAIN = 28_000
+MONOGAMY_GRAIN = 140_000
 
 
 def _gate(cfg: SweepConfig, fold, grain: int) -> GateReport:
