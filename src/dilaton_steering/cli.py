@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import signal
 import sys
@@ -273,6 +274,12 @@ def _to_stderr(line: str) -> None:
 
 
 def main(argv=None) -> int:
+    # What is alive now, the interpreter's and the imports' objects (numpy
+    # included), lives until exit. Frozen, it is skipped by the collections at
+    # exit (20-25 ms of a launch on a 2-core VM) and by every full collection
+    # before them. Forked workers inherit the state. Importing the library
+    # leaves the GC alone.
+    gc.freeze()
     if sys.stdout is None:
         sys.stdout = _ClosedStream()
     try:

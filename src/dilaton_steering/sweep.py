@@ -750,7 +750,9 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
 # 61, in another series) and 74.0 against 74.1 ms at 10 000 (57 runs). JSON, in 61 runs, took 105.5
 # against 93.4 ms at 4000 points (41 runs) and 142.6 against 122.7 ms at 8000 (54 runs). So 2 workers
 # format CSV from about 8000 points on, JSON from 4096, and both fork on the default grid, 8004 points:
-# there the CLI takes as long either way, and its peak RSS is 3 MB lower with workers.
+# there the CLI takes as long either way, and its peak RSS is 3 MB lower with workers. The protocol
+# drifts between series taken at different times by more than the effect it sets: at 8000 points 2
+# workers won 34 of 101 runs in one, then 38 of 61 and 47 of 101 in a later one: a grain may be 2x off.
 CSV_GRAIN = 4_000
 JSON_GRAIN = SLICE_ROWS // 2
 
@@ -844,7 +846,9 @@ class GateReport:
 # 101 runs, monogamy took 29.7 against 36.9 ms at 200 000 (21 runs), 34.2 against 38.7 ms at 240 000
 # (45 runs) and 58.3 against 52.1 ms at 280 000 (66 runs; 40.6 against 42.5 ms, 47 runs, in another
 # series). So the default grid, 8004 points, folds in process, and 2 workers fold from 56 000 and
-# 280 000 points on.
+# 280 000 points on. The protocol drifts between series taken at different times by more than the
+# effect it sets: before the freed-memory block above, monogamy at 160 000 points, where 2 workers had
+# won in one series, lost all 61 runs in a later one. Each grain rests on one series: it may be 2x off.
 VERIFY_GRAIN = 28_000
 MONOGAMY_GRAIN = 140_000
 

@@ -1066,6 +1066,37 @@ class TestPackageLayout:
         )
         assert (done.returncode, done.stderr) == (0, "False\n")
 
+    @pytest.mark.parametrize("module", ["", ".dilaton", ".sweep", ".cli"])
+    def test_import_leaves_the_gc_as_it_found_it(self, module):
+        # A library caller's own objects must stay collectable; only `cli.main` freezes.
+        code = f"import gc, dilaton_steering{module}; print(gc.isenabled(), gc.get_freeze_count())"
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True 0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv", [["--version"], ["critical", "--mass", "1", "--omega", "1"]], ids=["version", "critical"]
+    )
+    def test_main_freezes_what_the_imports_made(self, argv):
+        # Then the collections at exit skip every object the imports left alive.
+        code = (
+            "import gc, sys\n"
+            "from dilaton_steering.cli import main\n"
+            "imported = len(gc.get_objects())\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, gc.get_freeze_count() >= imported, gc.isenabled(), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(dilaton_steering.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert (done.returncode, done.stderr) == (0, "0 True True\n")
+
     def test_cli_imports_every_module_of_the_package(self):
         # A module that the program never imports is dead code, or a test helper.
         package = Path(dilaton_steering.__file__).parent
