@@ -45,6 +45,9 @@ X_BIRTH = math.log(SQRT3)
 X_PEAK = math.log(2.0 + SQRT3)
 X_DEATH = -math.log(SQRT3 - 1.0)
 
+# The smallest normal float64, 2**-1022: below it a float loses digits.
+_TINY = np.finfo(np.float64).tiny
+
 
 class Pair(Enum):
     """Bipartition of the three modes: Alice, Bob, and Bob's interior partner."""
@@ -84,7 +87,7 @@ def _thermal_argument(mass, omega, dilatons):
     (g, a), (f, b) = np.frexp(gap), np.frexp(omega)
     with np.errstate(over="ignore"):
         head = 8.0 * np.pi * gap
-        normal = (np.finfo(np.float64).tiny <= head) & (head < np.inf)
+        normal = (_TINY <= head) & (head < np.inf)
         return np.where(normal, head * omega, np.ldexp(8.0 * np.pi * (g * f), a + b))
 
 
@@ -104,7 +107,7 @@ def _mixing(x):
     c2 = 1.0 / (1.0 + u)
     s2 = u / (1.0 + u)
     # Where u is subnormal (x > 708.4), s^2 has lost the digits s keeps up to x = 1417.
-    s = np.where(u < np.finfo(np.float64).tiny, np.exp(-0.5 * x) / np.sqrt(1.0 + u), np.sqrt(s2))
+    s = np.where(u < _TINY, np.exp(-0.5 * x) / np.sqrt(1.0 + u), np.sqrt(s2))
     return c2, s2, np.sqrt(c2), s
 
 
@@ -228,7 +231,7 @@ def _dilaton_at(mass, omega, x):
     with np.errstate(over="ignore"):
         scale = 1.0 / (8.0 * np.pi * omega)
         d = mass - x * scale
-        kept = (np.finfo(np.float64).tiny <= scale) & (scale <= 2.0**1022) & np.isfinite(d)
+        kept = (_TINY <= scale) & (scale <= 2.0**1022) & np.isfinite(d)
         return np.where(kept, d, 2.0 * (0.5 * mass - x / (16.0 * np.pi) / omega))
 
 

@@ -262,13 +262,14 @@ def sweep_blocks(cfg: SweepConfig):
 # to v (Steele & White, PLDI 1990; Gay's dtoa): the same way, as D with zeros after them, but in fixed
 # notation only where -4 <= X < 16, and with '.0' after an integral value there. `_scaled` computes
 # |v| * 10**(16 - X) for a whole column by Dekker's exact product of |v| and 10**(16 - X), a double-double
-# hi + lo, to an error below 1e-14, and exactly where 0 <= 16 - X <= 22, where the power is exact. Where
-# |16 - X| > 250, |v| and the power are scaled by 2**+-512 first, which is exact and keeps every partial
-# product normal, subnormal |v| included. So the digits are exact wherever the integer part lies in
-# [10**16, 10**17) and no comparison falls within 1e-9 of its edge. '%.17g' or repr spells every other
-# cell: inf, NaN, a value just below a power of ten, where log10 rounds up, and a near-tie. `_float_cells`
-# writes the digits as 8-byte words from a table: the lead (comma, sign, '0.' and zeros, first digit,
-# point), four groups of 4 digits, the tail (the exponent, or '.0').
+# hi + lo, to an error below 1e-14. Where |16 - X| > 250, |v| and the power are scaled by 2**+-512 first,
+# which is exact and keeps every partial product normal, subnormal |v| included. So the digits are exact
+# wherever the integer part lies in [10**16, 10**17) and every comparison that decides them clears
+# SETTLE_MARGIN, 1e5 times that error: the one rule of both notations. '%.17g' or json spells every other
+# cell: inf, NaN, a value just below a power of ten, where log10 rounds up, a tie and a near-tie.
+# `_float_cells` writes the digits as 8-byte words from a table: the lead (comma, sign, '0.' and zeros,
+# first digit, point), four groups of 4 digits, the tail (the exponent, or '.0').
+SETTLE_MARGIN = 1e-9  # in units of the 17th digit
 _LEAD = 12 * 10_000  # the words: 12 forms of each group of 4 digits, 240 leads, then the exponents
 _EXPONENT = _LEAD + 240 + 324  # + X
 _BLANK = _EXPONENT + 309
@@ -301,9 +302,7 @@ def _spelling_tables():
         his.append(hi)
         los.append((num * d - n * den) / (den * d))
     hi = np.array(his)
-    c = 134217729.0 * hi  # Veltkamp's split, 2**27 + 1
-    top = c - (c - hi)
-    powers = np.stack([np.ldexp(1.0, shifts), hi, top, hi - top, np.array(los)])
+    powers = np.stack([np.ldexp(1.0, shifts), hi, *_veltkamp(hi), np.array(los)])
     leads = (  # by form, the rest is 0, sign, first digit
         "," + "-" * sign + zeros + str(first) + "." * (form == 1 and not rest_zero)
         for form, zeros in enumerate(("", "", "0.", "0.0", "0.00", "0.000"))
@@ -346,6 +345,13 @@ def _spelling_tables():
     return tables
 
 
+def _veltkamp(x):
+    """(top, x - top): the top 26 bits of each x and the rest, by Veltkamp's split (2**27 + 1)."""
+    c = 134217729.0 * x
+    top = c - (c - x)
+    return top, x - top
+
+
 def _scaled(a):
     """(X, n, frac, finite, power) of each cell v of float column a: |v| * 10**(16 - X) = n + frac.
 
@@ -362,9 +368,7 @@ def _scaled(a):
         scale, hi, h, l, lo = power
         v = mag * scale
         prod = hi * v  # an integer from 2**53 on, so n is prod + floor(err) where it is in range
-        c = 134217729.0 * v
-        v_top = c - (c - v)
-        v_low = v - v_top
+        v_top, v_low = _veltkamp(v)
         err = ((v_top * h - prod) + v_top * l + v_low * h) + v_low * l
         err += v * lo
         step = np.floor(err)
@@ -384,10 +388,11 @@ def _carry(d, x10):
 def _csv_digits(a):
     """(D, X, ok): the 17 digits and exponent of each cell of float column a, and where they are exact.
 
-    A zero has D = 0 and X = 0; a cell not ok (inf, NaN, a log10 one off, a near-tie) has D = 0.
+    A zero has D = 0 and X = 0; a cell not ok (inf, NaN, a log10 one off, a tie within SETTLE_MARGIN)
+    has D = 0.
     """
     x10, n, frac, finite, _ = _scaled(a)
-    ok = finite & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    ok = finite & (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > SETTLE_MARGIN)
     d = np.where(ok, n + (frac > 0.5), 0)
     _carry(d, x10)
     ok |= a == 0.0
@@ -406,15 +411,15 @@ def _split(g, hi, lo):
 def _json_digits(a):
     """(D, X, ok) as `_csv_digits` gives them, but D holds repr's digits, followed by zeros up to 17.
 
-    A double reads back from every number within half the gap to its neighbour on either side, the
-    ends included where its significand is even; at a power of two the gap below is half as wide. In
-    units of the 17th digit, [low, high] are the integers in that interval around n + frac. repr writes,
-    of the multiples of the largest 10**j of which one lies in [low, high], the one nearest to n + frac:
-    of the multiple just below and the one just above, the one inside, or the nearer, or on a tie the
-    one whose digit is even. For j = 0 that is n + frac rounded half to even. j goes up over the cells
-    still inside until 10**j > high - low, for then the multiple inside is the only one, and so is that
-    of any larger power: for a normal double, by j = 2. A cell is not ok where the product is not exact
-    and an end of its interval, or a tie, is within 1e-9 of deciding.
+    A double reads back from every number within half the gap to its neighbour on either side; at a
+    power of two the gap below is half as wide. In units of the 17th digit, [low, high] are the
+    integers in that interval around n + frac. repr writes, of the multiples of the largest 10**j of
+    which one lies in [low, high], the one nearest to n + frac: of the multiple just below and the one
+    just above, the one inside, or the nearer. For j = 0 that is n + frac rounded. j goes up over the
+    cells still inside until 10**j > high - low, for then the multiple inside is the only one, and so
+    is that of any larger power: for a normal double, by j = 2. A cell is ok where every comparison
+    that decides its digits clears SETTLE_MARGIN: no tie, and no end of its interval near a multiple
+    of 10, where whether an end counts (on the parity of the significand) would matter.
     """
     x10, n, frac, finite, (scale, hi, _, _, lo) = _scaled(a)
     ok = finite & (n >= 10**16) & (n < 10**17)
@@ -431,49 +436,34 @@ def _json_digits(a):
     halved = (bits & (2**52 - 1) == 0) & (biased > 1)  # a power of two, but the least normal
     h_below = np.where(halved, h_above >> 1, h_above)
     f_below = np.where(halved, 0.5 * (f_above + (h_above & 1)), f_above)
-    # The ends are n - h_below + f_lower and n + h_above + f_upper. An end that is an integer counts where
-    # the significand is even: -5e-324 stands for "at least 0" where 0 stands for "above 0".
+    # The ends are n - h_below + f_lower and n + h_above + f_upper; an end that is an integer counts.
     f_lower, f_upper = frac - f_below, frac + f_above  # in (-1, 1) and [0, 2)
-    edge = np.where(bits & 1, 0.0, -5e-324)  # for the upper end; the lower end's is -5e-324 - edge
-    low = (n - h_below) + (f_lower > -5e-324 - edge)
-    high = (n + h_above - 1) + (f_upper > edge) + (f_upper - 1.0 > edge)
+    low = (n - h_below) + (f_lower > 0)
+    high = (n + h_above) + (f_upper >= 1)
+    # An end near an integer is undecided; past j = 0 that matters only for a multiple of 10.
+    ends = np.zeros(len(n), bool)
+    for whole, f in ((n - h_below, f_lower), (n + h_above, f_upper)):
+        k = np.rint(f)
+        ends |= (np.abs(f - k) <= SETTLE_MARGIN) & ((whole + k.astype(np.int64)) % 10 == 0)
     digits = n + (frac > 0.5)
-    tie = frac == 0.5
-    if tie.any():
-        digits += tie & (n & 1 == 1)
-    exact = lo == 0.0
-    tol = None if exact.all() else np.where(exact, -1.0, 1e-9)  # within it of deciding, unsettled
-    if tol is None:
-        unsettled = np.zeros(len(n), bool)
-    else:
-        # An end near an integer is undecided; past j = 0 that matters only for a multiple of 10.
-        ends = (np.abs(f_lower) <= tol) & ((n - h_below) % 10 == 0)
-        ends |= (np.abs(f_upper) <= tol) & ((n + h_above) % 10 == 0)
-        ends |= (np.abs(f_upper - 1.0) <= tol) & ((n + h_above + 1) % 10 == 0)
-        unsettled = np.abs(frac - 0.5) <= tol
+    unsettled = np.abs(frac - 0.5) <= SETTLE_MARGIN
     live = [np.arange(len(n)), n, frac, low, high]
     p = 1
     while len(live[0]):
         p *= 10
         cells, n, frac, low, high = live
-        q = n // p
-        below = q * p
+        below = n // p * p
         in_lower, in_upper = below >= low, below + p <= high
         nearer = (p - 2 * (n - below)) - 2 * frac  # above 0, the lower multiple is the nearer
         up = in_upper & ~(in_lower & (nearer > 0))
-        tie = in_lower & in_upper & (nearer == 0)
-        if tie.any():
-            up &= ~(tie & (q & 1 == 0))
         inside = in_lower | in_upper
-        if tol is not None:
-            near = in_lower & in_upper & (np.abs(nearer) <= tol[cells])
-            unsettled[cells] = near | (unsettled[cells] & ~inside)
+        near = in_lower & in_upper & (np.abs(nearer) <= SETTLE_MARGIN)
         # A cell no longer inside keeps the digits and the standing of the power before.
+        unsettled[cells] = near | (unsettled[cells] & ~inside)
         digits[cells[inside]] = (below + p * up)[inside]
         more = inside & (p <= high - low)
         live = [column[more] for column in live]
-    if tol is not None:
-        unsettled |= ends
+    unsettled |= ends
     d = np.zeros(len(a), np.int64)
     ok[kept] = ~unsettled
     d[kept] = np.where(unsettled, 0, digits)
@@ -524,7 +514,7 @@ def _float_cells(a, d, x10, ok, bases, slow, whole=None):
     if len(slow_cells):
         # Each text fits its row: X is off by one at most, so where every X is in the fixed notation's
         # range and the row has no tail, '%.17g' and repr write at most 23 bytes, and the comma makes 24:
-        # 6 halves.
+        # 6 halves. inf and NaN take at most 10 ('-Infinity').
         text = "".join(("," + slow(v)).ljust(cells.shape[1], "\0") for v in a[slow_cells].tolist())
         cells[slow_cells] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(slow_cells), -1)
     return cells
@@ -536,11 +526,14 @@ def _csv_floats(a):
 
 
 def _json_floats(a):
-    """',' and the repr bytes of each cell of float column a: one row per cell, NUL-padded."""
+    """',' and the bytes json gives each cell of float column a: one row per cell, NUL-padded.
+
+    A finite cell's bytes are those of repr; json.dumps spells the cells not ok, inf and NaN included.
+    """
     d, x10, ok = _json_digits(a)
     # An integral value in fixed notation, where repr's digits are the integer's.
     whole = ok & (x10 >= 0) & (x10 < 16) & (np.floor(a) == a)
-    return _float_cells(a, d, x10, ok, _spelling_tables()[2][1], repr, whole)
+    return _float_cells(a, d, x10, ok, _spelling_tables()[2][1], json.dumps, whole)
 
 
 def _text_cells(text, quote=""):
@@ -592,9 +585,9 @@ def _json_bytes(a):
         return _csv_bytes(a)
     if a.dtype.kind == "U" and _ascii(a, json_safe=True):
         return _text_cells(a, '"')
-    if a.dtype.kind == "f" and len(a) >= FEW_CELLS and np.isfinite(a).all():
+    if a.dtype.kind == "f" and len(a) >= FEW_CELLS:
         return _json_floats(a)
-    # json spells any other labels, a short float column and one with inf or NaN; no cell holds ", ".
+    # json spells any other labels and a short float column; no cell holds ", ".
     return _text_cells(np.array(json.dumps(a.tolist())[1:-1].split(", "), "S"))
 
 

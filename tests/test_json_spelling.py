@@ -1,9 +1,10 @@
 """The JSON writer's float spelling against repr and json.dumps, one Python call per cell.
 
-`sweep._json_floats` spells a whole finite column with numpy, repr's shortest digits, and sends a
-cell to repr only where numpy cannot settle its digits; its bytes must be those of repr, which
-json.dumps writes for a finite float, for every float64. `sweep._json_bytes` spells every column
-of a sweep block: json spells what numpy does not.
+`sweep._json_floats` spells a whole float column with numpy, repr's shortest digits, and sends a
+cell to json.dumps only where numpy does not settle its digits: inf, NaN, and a cell with a
+comparison within `sweep.SETTLE_MARGIN` of deciding, the one rule CSV's digits follow too. Its
+bytes must be those of json.dumps, which writes repr for a finite float, for every float64.
+`sweep._json_bytes` spells every column of a sweep block: json spells what numpy does not.
 """
 
 import json
@@ -93,8 +94,8 @@ def test_exact_ties_are_spelled_as_repr(multiples):
 
 def test_both_branches_are_taken():
     # numpy's digits where they are settled; repr where log10 is one off, just below a power of ten,
-    # and, where the power of ten is not exact, where a large integer's interval ends on a multiple of
-    # 10**j, and where 17 digits are within 1e-9 of a tie (|v| * 10**26 = ...0.5000000000000007).
+    # where a large integer's interval ends on a multiple of 10**j, and where 17 digits are within
+    # the margin of a tie (|v| * 10**26 = ...0.5000000000000007).
     cells = [0.5, -0.0, 1e300, 5e-324, 2.0**-1017, 9.999999999999999e-06, 99.99999999999999]
     cells += [4.9028740750493203e17, 1.0889565988455702e-10]
     _, _, ok = sweep._json_digits(np.array(cells))
@@ -103,12 +104,32 @@ def test_both_branches_are_taken():
     assert ok.any() and not ok.all()
 
 
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([math.nan, math.inf, -math.inf])
+@example([1.5, -math.inf, 1e300, -0.0, math.nan, 5e-324])
+def test_columns_with_inf_and_nan_are_spelled_as_json_spells_them(values):
+    column = values * -(-sweep.FEW_CELLS // len(values))  # long enough for numpy
+    assert cell_texts(sweep._json_bytes(np.array(column))) == json.dumps(column)[1:-1].split(", ")
+
+
+def test_numpy_settles_every_cell_of_a_sweep():
+    # As the README says of the benchmark's grids, no cell of the default grid, nor of one at a mass of
+    # 1e-300, goes to Python: a rule grown too wary would send some.
+    for cfg in (sweep.SweepConfig(), sweep.SweepConfig(mass=1e-300)):
+        for block in sweep.sweep_blocks(cfg):
+            for name, a in block.items():
+                if a.dtype.kind == "f":
+                    assert np.isfinite(a).all(), name
+                    for digits in (sweep._csv_digits, sweep._json_digits):
+                        assert digits(a)[2].all(), (cfg.mass, name, digits.__name__)
+
+
 def test_every_column_is_spelled_as_json_spells_it():
     many = sweep.FEW_CELLS
     columns = [
         np.linspace(0.0, 1.0, many),  # numpy
         np.linspace(0.0, 1.0, many - 1),  # too short for numpy: json
-        np.array([np.inf, -np.inf, np.nan, 1.5] * many),  # not finite: json
+        np.array([np.inf, -np.inf, np.nan, 1.5] * many),  # numpy, inf and NaN by json
         np.array([True, False] * many),
         np.array(["none", "50% two-way", "one_way_fwd"] * many),
         np.array(['a "quoted" label', "back\\slash", "café", "tab\there"]),  # json escapes them
