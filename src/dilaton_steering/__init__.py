@@ -8,7 +8,8 @@ dilatons in closed form and numerically, each root searched once in x
 and mapped to every frequency (NaN where it falls outside 0 <= D < M).
 The numpy kernels of the density-matrix route live in `kernels`. `sweep` walks
 the dilaton grid, writes the records and runs the verify and monogamy
-gates; `cli` is the command line.
+gates; `spelling` owns their bytes, the CSV or JSON text of each slice;
+`cli` is the command line.
 """
 
 from .dilaton import (

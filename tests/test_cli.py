@@ -984,6 +984,23 @@ class TestPackageLayout:
         assert stray == []
         assert [value for _, _, value in table] == ["no_way", "one_way_bwd", "one_way_fwd", "two_way"]
 
+    def test_spelling_stands_behind_its_two_functions(self):
+        # The bytes of a slice are spelled in `spelling` alone: it knows no config, job or pair, and
+        # `sweep` reaches it through `csv_text` and `json_text` only.
+        package = Path(dilaton_steering.__file__).parent
+        imports = {}
+        for name in ("spelling.py", "sweep.py"):
+            found = imports[name] = []
+            for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    found += [(alias.name, None) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    found += [(module, alias.name) for alias in node.names]
+        assert [m for m, _ in imports["spelling.py"] if m.startswith((".", "dilaton_steering"))] == []
+        into_sweep = [(m, name) for m, name in imports["sweep.py"] if "spelling" in f"{m}.{name}"]
+        assert sorted(into_sweep) == [(".spelling", "csv_text"), (".spelling", "json_text")]
+
     def test_every_private_name_is_used(self):
         # A private helper that nothing calls, as a second bisection loop left beside
         # the one that replaced it would be, is dead code the tests still exercise.

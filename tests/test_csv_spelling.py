@@ -1,6 +1,6 @@
 """The CSV writer's float spelling against '%.17g', one Python format call per cell.
 
-`sweep._csv_floats` spells a whole column with numpy and sends a cell to '%.17g' only where its
+`spelling._csv_floats` spells a whole column with numpy and sends a cell to '%.17g' only where its
 digits are not exact; its bytes must be those of '%.17g' for every float64.
 """
 
@@ -14,12 +14,12 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dilaton_steering import sweep
+from dilaton_steering import spelling
 
 
 def spelled(values):
     """Each cell of the float column `values` as the CSV writer spells it, without its comma."""
-    cells = sweep._csv_floats(np.array(values, dtype=np.float64))
+    cells = spelling._csv_floats(np.array(values, dtype=np.float64))
     return [bytes(row).replace(b"\0", b"").decode("ascii").removeprefix(",") for row in cells]
 
 
@@ -67,14 +67,14 @@ def test_exact_ties_are_spelled_as_g17(multiples):
 
 def test_both_branches_are_taken():
     # numpy's digits where they are exact; '%.17g' for inf, NaN, a near-tie and a log10 one off.
-    _, _, ok = sweep._csv_digits(np.array([0.5, -0.0, 1e300, 5e-324, math.inf, math.nan, 1000000000000000.25]))
+    _, _, ok = spelling._csv_digits(np.array([0.5, -0.0, 1e300, 5e-324, math.inf, math.nan, 1000000000000000.25]))
     assert ok.tolist() == [True, True, True, True, False, False, False]
-    _, _, ok = sweep._csv_digits(powers_of_ten_and_neighbours())
+    _, _, ok = spelling._csv_digits(powers_of_ten_and_neighbours())
     assert ok.any() and not ok.all()
 
 
 def test_no_table_is_built_at_import():
-    env = dict(os.environ, PYTHONPATH=str(Path(sweep.__file__).parents[1]))
-    code = "from dilaton_steering import cli, sweep; print(sweep._spelling_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(spelling.__file__).parents[1]))
+    code = "from dilaton_steering import cli, spelling; print(spelling._spelling_tables.cache_info().currsize)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "0\n"

@@ -1,10 +1,10 @@
 """The JSON writer's float spelling against repr and json.dumps, one Python call per cell.
 
-`sweep._json_floats` spells a whole float column with numpy, repr's shortest digits, and sends a
+`spelling._json_floats` spells a whole float column with numpy, repr's shortest digits, and sends a
 cell to json.dumps only where numpy does not settle its digits: inf, NaN, and a cell with a
-comparison within `sweep.SETTLE_MARGIN` of deciding, the one rule CSV's digits follow too. Its
+comparison within `spelling.SETTLE_MARGIN` of deciding, the one rule CSV's digits follow too. Its
 bytes must be those of json.dumps, which writes repr for a finite float, for every float64.
-`sweep._json_bytes` spells every column of a sweep block: json spells what numpy does not.
+`spelling._json_bytes` spells every column of a sweep block: json spells what numpy does not.
 """
 
 import json
@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dilaton_steering import sweep
+from dilaton_steering import spelling, sweep
 
 
 def cell_texts(cells):
@@ -31,7 +31,7 @@ def assert_spelled_as_repr(values):
     column = column[np.isfinite(column)]
     expected = [repr(v) for v in column.tolist()]
     assert expected == json.dumps(column.tolist())[1:-1].split(", ") or not len(column)
-    assert cell_texts(sweep._json_floats(column)) == expected
+    assert cell_texts(spelling._json_floats(column)) == expected
 
 
 def with_neighbours(values):
@@ -73,7 +73,7 @@ def test_the_notation_switches_as_repr_switches_it():
     # repr writes fixed notation up to X = 15 and '1e+16' from X = 16; '%.17g' switches at X = 17.
     edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 9999999999999998.0, 999999999999999.9, 1.234567890123456e17])
     assert_spelled_as_repr(with_neighbours(edges))
-    spelled = cell_texts(sweep._json_floats(np.array([1e15, 1e16, 1e17])))
+    spelled = cell_texts(spelling._json_floats(np.array([1e15, 1e16, 1e17])))
     assert spelled == ["1000000000000000.0", "1e+16", "1e+17"]
 
 
@@ -98,9 +98,9 @@ def test_both_branches_are_taken():
     # the margin of a tie (|v| * 10**26 = ...0.5000000000000007).
     cells = [0.5, -0.0, 1e300, 5e-324, 2.0**-1017, 9.999999999999999e-06, 99.99999999999999]
     cells += [4.9028740750493203e17, 1.0889565988455702e-10]
-    _, _, ok = sweep._json_digits(np.array(cells))
+    _, _, ok = spelling._json_digits(np.array(cells))
     assert ok.tolist() == [True, True, True, True, True, False, False, False, False]
-    _, _, ok = sweep._json_digits(with_neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)])))
+    _, _, ok = spelling._json_digits(with_neighbours(np.array([float(f"1e{k}") for k in range(-323, 309)])))
     assert ok.any() and not ok.all()
 
 
@@ -108,8 +108,8 @@ def test_both_branches_are_taken():
 @example([math.nan, math.inf, -math.inf])
 @example([1.5, -math.inf, 1e300, -0.0, math.nan, 5e-324])
 def test_columns_with_inf_and_nan_are_spelled_as_json_spells_them(values):
-    column = values * -(-sweep.FEW_CELLS // len(values))  # long enough for numpy
-    assert cell_texts(sweep._json_bytes(np.array(column))) == json.dumps(column)[1:-1].split(", ")
+    column = values * -(-spelling.FEW_CELLS // len(values))  # long enough for numpy
+    assert cell_texts(spelling._json_bytes(np.array(column))) == json.dumps(column)[1:-1].split(", ")
 
 
 def test_numpy_settles_every_cell_of_a_sweep():
@@ -120,12 +120,12 @@ def test_numpy_settles_every_cell_of_a_sweep():
             for name, a in block.items():
                 if a.dtype.kind == "f":
                     assert np.isfinite(a).all(), name
-                    for digits in (sweep._csv_digits, sweep._json_digits):
+                    for digits in (spelling._csv_digits, spelling._json_digits):
                         assert digits(a)[2].all(), (cfg.mass, name, digits.__name__)
 
 
 def test_every_column_is_spelled_as_json_spells_it():
-    many = sweep.FEW_CELLS
+    many = spelling.FEW_CELLS
     columns = [
         np.linspace(0.0, 1.0, many),  # numpy
         np.linspace(0.0, 1.0, many - 1),  # too short for numpy: json
@@ -135,19 +135,19 @@ def test_every_column_is_spelled_as_json_spells_it():
         np.array(['a "quoted" label', "back\\slash", "café", "tab\there"]),  # json escapes them
     ]
     for column in columns:
-        assert cell_texts(sweep._json_bytes(column)) == json.dumps(column.tolist())[1:-1].split(", ")
+        assert cell_texts(spelling._json_bytes(column)) == json.dumps(column.tolist())[1:-1].split(", ")
 
 
 def test_no_table_is_built_at_import_nor_for_short_columns():
-    env = dict(os.environ, PYTHONPATH=str(Path(sweep.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(spelling.__file__).parents[1]))
     code = (
         "import io, dilaton_steering\n"
-        "from dilaton_steering import cli, dilaton, kernels, sweep\n"
-        "built = sweep._spelling_tables.cache_info\n"
+        "from dilaton_steering import cli, dilaton, kernels, spelling, sweep\n"
+        "built = spelling._spelling_tables.cache_info\n"
         "print(built().currsize)\n"
-        "sweep.write_json(sweep.SweepConfig(points=sweep.FEW_CELLS - 1), io.StringIO())\n"
+        "sweep.write_json(sweep.SweepConfig(points=spelling.FEW_CELLS - 1), io.StringIO())\n"
         "print(built().currsize)\n"
-        "sweep.write_json(sweep.SweepConfig(points=sweep.FEW_CELLS), io.StringIO())\n"
+        "sweep.write_json(sweep.SweepConfig(points=spelling.FEW_CELLS), io.StringIO())\n"
         "print(built().currsize)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

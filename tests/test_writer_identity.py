@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import row_writer_oracle as oracle
 from conftest import children_of
-from dilaton_steering import sweep
+from dilaton_steering import spelling, sweep
 from dilaton_steering.dilaton import Pair
 from dilaton_steering.sweep import (
     ALL_PAIRS,
@@ -302,11 +302,11 @@ def _distinct_block():
 
 def spelled_once(monkeypatch, speller, text):
     """(text of the slice of `_distinct_block`, lengths of the columns spelled) with `speller` counted."""
-    block, spelled, spell = _distinct_block(), [], getattr(sweep, speller)
+    block, spelled, spell = _distinct_block(), [], getattr(spelling, speller)
     cfg = SweepConfig(pairs=(Pair.AB,))
     assert list(block) == columns(cfg.pairs)
-    monkeypatch.setattr(sweep, "_block", lambda cfg, *job: block)
-    monkeypatch.setattr(sweep, speller, lambda a: spelled.append(a) or spell(a))
+    monkeypatch.setattr(sweep, "_block", lambda cfg, *job: dict(block))  # a copy: the spelling empties it
+    monkeypatch.setattr(spelling, speller, lambda a: spelled.append(a) or spell(a))
     return getattr(sweep, text)(cfg, ()), [len(a) for a in spelled], block
 
 
