@@ -10,11 +10,13 @@ So the memory of a run does not grow with the grid. The writers write
 each block as `spelling` spells it, CSV or JSON, after the CSV header or
 between the JSON array's brackets. `_on_cpus` forks one worker per
 available CPU once per command, unless the walk is too small to pay for
-the forks: worker k takes slices k, k + workers, ..., and sends one item
-per slice, which the parent reads in walk order, so a worker that dies
-raises ChildProcessError at its next turn, within one slice. The writers'
-item is a slice's text, so identical configurations produce identical
-bytes, whatever the number of CPUs.
+the forks: worker k of w takes slices k, k + w, ..., and sends one item
+per slice, and the parent reads item i from worker i mod w, so in walk
+order. A worker that ends before its whole share is sent, however it
+ends (killed, raised or exited 0), raises ChildProcessError at its next
+turn, within one slice. The writers' item is a slice's text, so
+identical configurations produce identical bytes, whatever the number
+of CPUs.
 
 Both routes, the regime rule and the domain rule of `SweepConfig.validate`
 (`check_mass_and_omegas`, `ConfigError`), live in `dilaton`. `verify_grid`
@@ -29,7 +31,6 @@ the worst.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import math
@@ -258,9 +259,10 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
     The w workers, one per available CPU, at most one per slice and one per `grain` points of the
     walk, so that each has work enough to pay for its fork, are forked once. Worker k takes the
     slices k, k + w, ... of the walk's n and pickles the items of work(its slices) to its own pipe;
-    item i is read from worker i mod w, so the items come in walk order. A worker that ends with a
-    status other than 0, by an exception or a kill, raises ChildProcessError at its next turn, which
-    comes within one slice. However the reading ends, the read ends are closed and the workers
+    exactly n items are read, item i from worker i mod w, so the items come in walk order. A worker
+    that ends before its whole share is sent, killed, raised or exited 0, raises ChildProcessError,
+    with its status, at its next turn, which comes within one slice. A worker that ends after its
+    share was read fails nothing. However the reading ends, the read ends are closed and the workers
     killed and reaped: a share can take days. With one CPU, one slice or fewer than 2 * grain
     points, work runs in process over the whole walk.
     """
@@ -302,19 +304,15 @@ def _on_cpus(cfg: SweepConfig, work, grain: int):
                 signal.signal(signal.SIGINT, handler)
         if noted:
             signal.raise_signal(signal.SIGINT)
-        turns = collections.deque(workers)
-        while turns:
-            pid, pipe = turns.popleft()
+        for i in range(n):
+            pid, pipe = workers[i % w]
             try:
                 item = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                # Its share is done, or it died. The status is read, the zombie left for the teardown.
+                # It ended before its share was sent. The status is read, the zombie left for the teardown.
                 info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
                 status = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
-                if status:
-                    raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
-                continue
-            turns.append((pid, pipe))
+                raise ChildProcessError(f"a sweep worker ended with status {status}; the output is incomplete")
             yield item
             del item  # written now, and dropped before the next is read: one at a time
     finally:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dilaton_steering.dilaton import ConfigError, Pair, amplitude_arrays, check_mass_and_omegas
-from dilaton_steering.kernels import SQRT3
 
+SQRT3 = math.sqrt(3.0)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10

@@ -661,6 +661,32 @@ class TestGatesOnWorkers:
             self.on(2, gate)
         assert children_of(os.getpid()) == []
 
+    FOLDS = [(verify_grid, "_verify_fold"), (monogamy_grid, "_monogamy_fold")]
+
+    @pytest.mark.parametrize("gate, fold", FOLDS, ids=["verify", "monogamy"])
+    def test_a_worker_that_exits_0_short_of_its_share_fails_the_gate(self, monkeypatch, gate, fold):
+        original = getattr(sweep, fold)
+        # On 2 CPUs the folds run in the workers only: worker 0 sends slice 0, worker 1 slice 1, and
+        # then each exits 0, owing the rest of its share.
+        monkeypatch.setattr(sweep, fold, lambda cfg, jobs: itertools.islice(original(cfg, jobs), 1))
+        with pytest.raises(ChildProcessError, match="ended with status 0; the output is incomplete"):
+            self.on(2, gate)
+        assert children_of(os.getpid()) == []
+
+    @pytest.mark.parametrize("gate, fold", FOLDS, ids=["verify", "monogamy"])
+    def test_a_worker_that_fails_after_its_share_was_read_fails_nothing(self, monkeypatch, gate, fold):
+        original = getattr(sweep, fold)
+
+        def raising_after_the_share(cfg, jobs):
+            yield from original(cfg, jobs)
+            raise RuntimeError("a failure after the last report")
+
+        alone = self.on(1, gate)
+        monkeypatch.setattr(sweep, fold, raising_after_the_share)
+        spread = self.on(2, gate)
+        assert list(spread.peaks.items()) == list(alone.peaks.items())
+        assert children_of(os.getpid()) == []
+
     def test_a_dead_worker_is_seen_within_a_slice(self, monkeypatch):
         fold = sweep._verify_fold
 

@@ -255,6 +255,31 @@ def test_a_child_that_raises_ends_the_write_and_is_reaped(monkeypatch):
     assert children_of(os.getpid()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_child_that_exits_0_short_of_its_share_ends_the_write(monkeypatch, fmt):
+    # Six slices: worker 0 of 2 formats slices 0, 2 and 4, worker 1 slices 1, 3 and 5.
+    cfg = SweepConfig(points=3 * SLICE_ROWS, omegas=(0.5, 1.0))
+    whole = render(cfg, fmt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    name = f"_{fmt}_text"
+    parent, text = os.getpid(), getattr(sweep, name)
+
+    def exiting_in_a_child(cfg, job):
+        omega, start, *_ = job
+        if os.getpid() != parent and omega == 1.0 and start:  # slices 4 and 5
+            os._exit(0)
+        return text(cfg, job)
+
+    monkeypatch.setattr(sweep, name, exiting_in_a_child)
+    stream = io.StringIO()
+    with pytest.raises(ChildProcessError, match="ended with status 0; the output is incomplete"):
+        WRITERS[fmt][0](cfg, stream)
+    # Slices 0 to 3 went out, and nothing after them.
+    assert whole.startswith(stream.getvalue())
+    assert ROWS_IN[fmt](stream.getvalue()) == 4 * SLICE_ROWS
+    assert children_of(os.getpid()) == []
+
+
 def test_a_failed_fork_restores_sigint_and_reaps_the_children(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fork, pids = os.fork, []
